@@ -10,6 +10,9 @@ single-pass uncertainty head, and compares models with a paired
 Wilcoxon signed-rank test.
 """
 
+# defined before the submodule imports, as report reads it at import time
+__version__ = "0.1.0"
+
 from .distill import (
     TeacherOutput,
     TrainConfig,
@@ -55,5 +58,3 @@ from .protocol import (
 from .raster import FireEvent, GeoConfig, center_crop, load_dataset
 from .stats import PairedSample, build_pairs, rank_biserial, wilcoxon_one_sided
 from .synth import ScenarioSpec, generate_scenario, write_scenario
-
-__version__ = "0.1.0"

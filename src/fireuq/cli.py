@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -41,10 +42,12 @@ from .errors import (
     DegenerateDataError,
     EmptyMaskError,
     FireUQError,
+    ParseError,
     ValidationError,
 )
 from .metrics import DEFAULT_NLL_EPSILON, average_precision, average_surface_distance
 from .protocol import (
+    METRIC_COLUMNS,
     SweepConfig,
     per_year_table,
     resolve_anchor,
@@ -310,9 +313,15 @@ def _read_sweep_csv(path: Path) -> list[dict]:
         raise ValidationError(f"missing sweep output {path}")
     rows = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        header = set(reader.fieldnames or ())
+        needed = ("fire_id", "year", "radius_px") + METRIC_COLUMNS
+        missing = [c for c in needed if c not in header]
+        if missing:
+            raise ParseError(f"{path}: missing columns {', '.join(missing)}")
+        for row in reader:
             parsed = dict(row)
-            for key in ("ap", "asd_m", "brier", "nll", "auroc", "auprc", "error_prevalence"):
+            for key in METRIC_COLUMNS:
                 parsed[key] = float(row[key]) if row[key] != "" else None
             parsed["radius_px"] = int(row["radius_px"]) if row["radius_px"] != "" else None
             rows.append(parsed)
@@ -560,7 +569,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc reuse freed numpy temporaries instead of remapping them.
+
+    By default glibc serves each block of 128 KiB or more (one 128x128
+    float64 map) with a fresh mmap and returns the heap top to the
+    kernel once 128 KiB of it is free; it raises both limits only after
+    freeing a block larger than the current one.  Loops over such maps,
+    as in distill's training epochs, then page-fault on nearly every
+    temporary until some large block happens to be freed.  Fixed limits
+    of 32 MiB (mmap) and 64 MiB (trim) make every command run as it does
+    after such a free.  C libraries without mallopt are left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

@@ -31,7 +31,7 @@ from .metrics import (
     uq_auprc,
     uq_auroc,
 )
-from .morphology import squared_edt
+from .morphology import dilate, squared_edt, within_disk
 from .raster import FireEvent, GeoConfig
 
 MEAN_ASD = "mean_asd"
@@ -94,10 +94,7 @@ def build_fcer(gt: np.ndarray, radius_px: int) -> np.ndarray:
         raise EmptyMaskError("build_fcer: empty ground truth")
     if radius_px < 0:
         raise ValidationError("build_fcer: radius must be >= 0")
-    if radius_px == 0:
-        return gt.astype(np.uint8, copy=True)
-    d2 = squared_edt(gt)
-    return (d2 <= float(radius_px * radius_px)).astype(np.uint8)
+    return dilate(gt, radius_px)
 
 
 def resolve_anchor(
@@ -161,7 +158,7 @@ def _sweep_one_fire(
                 MetricRecord(event.id, event.year, radius_px=r, n_eval_px=0)
             )
             continue
-        region = gt.astype(np.uint8) if r == 0 else (d2 <= float(r * r)).astype(np.uint8)
+        region = within_disk(d2, r)
         rec = MetricRecord(
             event.id,
             event.year,

@@ -17,11 +17,11 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .errors import ValidationError
 from .metrics import MetricRecord
 from .protocol import METRIC_COLUMNS, SweepResult, aggregate_mean_std
 
-TOOL_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
 
 CSV_COLUMNS = (
@@ -227,7 +227,7 @@ def write_manifest(
         "command": command,
         "config": config,
         "inputs": digest_inputs(input_paths),
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "timestamp": manifest_timestamp(),
     }
     write_json(Path(out_dir) / MANIFEST_NAME, payload)

@@ -358,3 +358,20 @@ def test_console_entry_point_help():
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_stats_sweep_csv_missing_columns_exits_one(tmp_path):
+    sweep = tmp_path / "sweep"
+    sweep.mkdir()
+    for name in ("sweep_a.csv", "sweep_b.csv"):
+        (sweep / name).write_text("fire_id,year,radius_px\nfire_000,2020,2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fireuq.cli", "stats", str(sweep), "--anchor", "2",
+         "--out-dir", str(tmp_path / "st")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "sweep_a.csv" in proc.stderr
+    assert "ap, asd_m, brier, nll, auroc, auprc, error_prevalence" in proc.stderr

@@ -57,6 +57,64 @@ def test_edt_matches_oracle_random_masks():
         assert (edt(m) == oracle_edt(m)).all()
 
 
+def _envelope_cases():
+    """Masks that stress the per-row parabola envelope of squared_edt."""
+    rng = np.random.default_rng(101)
+    cases = {"1x1": np.ones((1, 1), dtype=np.uint8)}
+    row = np.zeros((1, 23), dtype=np.uint8)
+    row[0, [0, 7, 8, 22]] = 1
+    cases["1xw"] = row
+    col = np.zeros((19, 1), dtype=np.uint8)
+    col[[3, 4, 18], 0] = 1
+    cases["hx1"] = col
+    cases["full"] = np.ones((9, 14), dtype=np.uint8)
+    for name, (y, x) in {"tl": (0, 0), "tr": (0, 16), "bl": (12, 0), "br": (12, 16)}.items():
+        m = np.zeros((13, 17), dtype=np.uint8)
+        m[y, x] = 1
+        cases[f"corner_{name}"] = m
+    # occupied columns far apart, empty ones between them and at both edges
+    far = np.zeros((21, 60), dtype=np.uint8)
+    far[rng.integers(0, 21, 6), [3, 4, 29, 30, 55, 56]] = 1
+    cases["far_columns"] = far
+    # foreground drifting down the columns: rows pop deep into their stacks
+    stair = np.zeros((17, 40), dtype=np.uint8)
+    stair[np.arange(40) * 16 // 39, np.arange(40)] = 1
+    cases["staircase"] = stair
+    for h, w in ((64, 128), (128, 64)):
+        m = (rng.random((h, w)) < 0.003).astype(np.uint8)
+        m[h // 2, w // 3] = 1
+        cases[f"sparse_{h}x{w}"] = m
+    return cases
+
+
+_ENVELOPE_CASES = _envelope_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_CASES))
+def test_edt_and_dilate_match_oracles_on_envelope_edge_cases(name):
+    m = _ENVELOPE_CASES[name]
+    d2 = squared_edt(m)
+    assert d2.dtype == np.float64
+    assert (d2 == np.round(d2)).all()
+    assert (edt(m) == oracle_edt(m)).all()
+    for r in (0, 1, 3, 7):
+        assert (dilate(m, r) == oracle_dilate(m, r)).all()
+
+
+def test_edt_and_dilate_match_oracles_on_few_occupied_columns():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        h = int(rng.integers(1, 40))
+        w = int(rng.integers(1, 40))
+        m = np.zeros((h, w), dtype=np.uint8)
+        n_cols = int(rng.integers(1, min(w, 5) + 1))
+        for c in rng.choice(w, size=n_cols, replace=False):
+            m[rng.integers(0, h, int(rng.integers(1, 4))), c] = 1
+        assert (edt(m) == oracle_edt(m)).all()
+        r = int(rng.integers(0, 9))
+        assert (dilate(m, r) == oracle_dilate(m, r)).all()
+
+
 def test_edt_empty_mask_raises():
     with pytest.raises(EmptyMaskError):
         squared_edt(np.zeros((5, 5), dtype=np.uint8))
