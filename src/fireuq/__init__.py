@@ -35,7 +35,6 @@ from .errors import (
 )
 from .metrics import (
     MetricRecord,
-    RankingCurvePoint,
     average_precision,
     average_surface_distance,
     brier,
@@ -45,8 +44,10 @@ from .metrics import (
     uq_auprc,
     uq_auroc,
 )
-from .morphology import DiskElement, dilate, edt, extract_boundary, squared_edt
+from .morphology import dilate, edt, extract_boundary, squared_edt
 from .protocol import (
+    Fire,
+    Model,
     SweepConfig,
     SweepResult,
     aggregate_mean_std,

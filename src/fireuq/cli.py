@@ -40,17 +40,17 @@ from .distill import (
 from .errors import (
     DegenerateClassError,
     DegenerateDataError,
-    EmptyMaskError,
     FireUQError,
     ParseError,
     ValidationError,
 )
-from .metrics import DEFAULT_NLL_EPSILON, average_precision, average_surface_distance
+from .metrics import DEFAULT_NLL_EPSILON, average_precision
 from .protocol import (
     METRIC_COLUMNS,
+    Fire,
+    Model,
     SweepConfig,
     per_year_table,
-    resolve_anchor,
     run_sweep,
 )
 from .raster import FireEvent, GeoConfig, center_crop, load_dataset, save_array
@@ -79,7 +79,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_radii(text: str) -> tuple[int, ...]:
-    """Radii list: 'lo..hi' inclusive range or comma-separated ints."""
+    """Radii list: 'lo..hi' inclusive range or comma-separated ints,
+    returned sorted without duplicates."""
     text = text.strip()
     try:
         if ".." in text:
@@ -89,7 +90,7 @@ def _parse_radii(text: str) -> tuple[int, ...]:
             radii = tuple(int(t) for t in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad --radii value {text!r}") from exc
-    return radii
+    return tuple(sorted(set(radii)))
 
 
 def _parse_anchor(text: str) -> int | None:
@@ -161,15 +162,21 @@ def middle_member_by_year(events: list[FireEvent]) -> dict[int, int]:
     return out
 
 
-def _model_outputs(
-    kind: str, events: list[FireEvent], head
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
-    """(prob, unc) per event for the spec'd model, plus the shared
-    error-map reference (the middle-AP member's probability map)."""
+def _load_fires(root: Path, geo: GeoConfig) -> list[Fire]:
+    """Every fire under root, with its year's middle-AP member as the
+    error-map reference."""
+    events = _load_events(root, geo)
     mids = middle_member_by_year(events)
-    references = [ev.members[mids[ev.year]] for ev in events]
+    return [Fire(ev, ev.members[mids[ev.year]]) for ev in events]
+
+
+def _model_outputs(
+    kind: str, fires: list[Fire], head
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(prob, unc) per fire for the spec'd model."""
     outputs = []
-    for ev, ref in zip(events, references):
+    for fire in fires:
+        ev = fire.event
         if kind == "ensemble":
             teacher = fuse_ensemble(ev.members)
             outputs.append((teacher.mean_prob, teacher.uncertainty))
@@ -178,24 +185,24 @@ def _model_outputs(
                 raise ValidationError(
                     f"fire {ev.id}: student model needs features.npy"
                 )
-            outputs.append((ref, apply_head(head, ev.features)))
-    return outputs, references
+            outputs.append((fire.reference, apply_head(head, ev.features)))
+    return outputs
 
 
-def _per_fire_asd(
-    outputs: list[tuple[np.ndarray, np.ndarray]],
-    events: list[FireEvent],
-    threshold: float,
-    geo: GeoConfig,
-) -> list[float]:
-    values = []
-    for (prob, _unc), ev in zip(outputs, events):
-        pred = (prob >= threshold).astype(np.uint8)
-        try:
-            values.append(average_surface_distance(pred, ev.gt, geo.meters_per_pixel))
-        except EmptyMaskError:
-            continue
-    return values
+def _load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
+    """One Model per spec, plus the input paths it read.  Each distinct
+    dataset root is loaded once and its fires are shared by its models."""
+    fires_by_root: dict[Path, list[Fire]] = {}
+    models, inputs = [], []
+    for text in specs:
+        kind, root, head_path = parse_model_spec(text)
+        head = load_head(head_path)[0] if head_path is not None else None
+        fires = fires_by_root.get(root.resolve())
+        if fires is None:
+            fires = fires_by_root[root.resolve()] = _load_fires(root, geo)
+        models.append(Model(fires, _model_outputs(kind, fires, head)))
+        inputs += [root] + ([head_path] if head_path else [])
+    return models, inputs
 
 
 def _check_out_dir(out_dir: Path, force: bool):
@@ -206,38 +213,24 @@ def _check_out_dir(out_dir: Path, force: bool):
     out_dir.mkdir(parents=True, exist_ok=True)
 
 
-def _resolve_run_anchor(
-    anchor_px: int | None, asd_values: list[float], geo: GeoConfig
-) -> int:
-    if anchor_px is not None:
-        return anchor_px
-    if not asd_values:
-        raise DegenerateDataError(
-            "anchor=auto needs at least one fire with a defined ASD"
-        )
-    return resolve_anchor(asd_values, geo)
+def _sweep_config(args, radii_px: tuple[int, ...]) -> SweepConfig:
+    return SweepConfig(
+        radii_px=radii_px,
+        anchor_px=args.anchor,
+        error_threshold=args.threshold,
+        nll_epsilon=args.epsilon,
+    )
 
 
 def cmd_eval(args) -> int:
     geo = GeoConfig(meters_per_pixel=args.mpp, crop_size=args.crop)
+    config = _sweep_config(args, radii_px=())
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir, args.force)
 
-    kind, root, head_path = parse_model_spec(args.model)
-    head = load_head(head_path)[0] if head_path is not None else None
-    events = _load_events(root, geo)
-    outputs, references = _model_outputs(kind, events, head)
-
-    anchor = _resolve_run_anchor(
-        args.anchor, _per_fire_asd(outputs, events, args.threshold, geo), geo
-    )
-    config = SweepConfig(
-        radii_px=(anchor,),
-        anchor_policy=anchor,
-        error_threshold=args.threshold,
-        nll_epsilon=args.epsilon,
-    )
-    sweep = run_sweep(events, outputs, references, config, geo, jobs=args.jobs)
+    models, inputs = _load_models([args.model], geo)
+    [sweep] = run_sweep(models, config, geo, jobs=args.jobs)
+    anchor = sweep.anchor_radius_px
     per_year = per_year_table(sweep.records, anchor)
 
     write_sweep_csv(out_dir / "records.csv", sweep.records)
@@ -247,63 +240,39 @@ def cmd_eval(args) -> int:
     write_markdown_table(
         out_dir / "table.md", per_year, anchor, title=f"Evaluation: {args.model}"
     )
-    inputs = [root] + ([head_path] if head_path else [])
     write_manifest(out_dir, "eval", _config_snapshot(args, anchor), inputs)
     return 0
 
 
 def cmd_sweep(args) -> int:
     geo = GeoConfig(meters_per_pixel=args.mpp, crop_size=args.crop)
+    config = _sweep_config(args, _parse_radii(args.radii))
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir, args.force)
 
-    sides = []
-    for spec_text in (args.model_a, args.model_b):
-        kind, root, head_path = parse_model_spec(spec_text)
-        head = load_head(head_path)[0] if head_path is not None else None
-        events = _load_events(root, geo)
-        outputs, references = _model_outputs(kind, events, head)
-        sides.append((spec_text, head_path, root, events, outputs, references))
+    specs = [args.model_a, args.model_b]
+    models, inputs = _load_models(specs, geo)
+    results = run_sweep(models, config, geo, jobs=args.jobs)
+    anchor = results[0].anchor_radius_px
 
-    pooled_asd = []
-    for _spec, _hp, _root, events, outputs, _refs in sides:
-        pooled_asd.extend(_per_fire_asd(outputs, events, args.threshold, geo))
-    anchor = _resolve_run_anchor(args.anchor, pooled_asd, geo)
-
-    radii = tuple(sorted(set(_parse_radii(args.radii)) | {anchor}))
-    results = []
-    for _spec, _hp, _root, events, outputs, references in sides:
-        config = SweepConfig(
-            radii_px=radii,
-            anchor_policy=anchor,
-            error_threshold=args.threshold,
-            nll_epsilon=args.epsilon,
-        )
-        results.append(run_sweep(events, outputs, references, config, geo, jobs=args.jobs))
-
-    for label, result in zip(("a", "b"), results):
+    for label, spec, result in zip(("a", "b"), specs, results):
         write_sweep_csv(out_dir / f"sweep_{label}.csv", result.records)
         write_summary_json(
             out_dir / f"summary_{label}.json",
             result,
             per_year_table(result.records, anchor),
-            meta={"model": sides[0][0] if label == "a" else sides[1][0]},
+            meta={"model": spec},
         )
     write_diff_csv(out_dir / "diff.csv", results[0].records, results[1].records)
     write_json(
         out_dir / "summary.json",
         {
             "anchor_radius_px": anchor,
-            "radii_px": list(radii),
+            "radii_px": list(results[0].aggregates),
             "model_a": args.model_a,
             "model_b": args.model_b,
         },
     )
-    inputs = []
-    for _spec, head_path, root, *_ in sides:
-        inputs.append(root)
-        if head_path:
-            inputs.append(head_path)
     write_manifest(out_dir, "sweep", _config_snapshot(args, anchor), inputs)
     return 0
 
@@ -321,11 +290,32 @@ def _read_sweep_csv(path: Path) -> list[dict]:
             raise ParseError(f"{path}: missing columns {', '.join(missing)}")
         for row in reader:
             parsed = dict(row)
-            for key in METRIC_COLUMNS:
-                parsed[key] = float(row[key]) if row[key] != "" else None
-            parsed["radius_px"] = int(row["radius_px"]) if row["radius_px"] != "" else None
+            try:
+                for key in METRIC_COLUMNS:
+                    parsed[key] = float(row[key]) if row[key] != "" else None
+                parsed["radius_px"] = int(row["radius_px"]) if row["radius_px"] != "" else None
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
             rows.append(parsed)
     return rows
+
+
+def _read_anchor(summary_path: Path) -> int:
+    """The anchor radius a sweep recorded in its summary.json."""
+    if not summary_path.is_file():
+        raise ValidationError(f"anchor=auto needs {summary_path}")
+    try:
+        summary = json.loads(summary_path.read_text())
+    except ValueError as exc:
+        raise ParseError(f"{summary_path}: malformed JSON ({exc})") from exc
+    if not isinstance(summary, dict):
+        raise ParseError(f"{summary_path}: expected a JSON object")
+    anchor = summary.get("anchor_radius_px")
+    if type(anchor) is not int or anchor < 0:
+        raise ParseError(
+            f"{summary_path}: anchor_radius_px must be a nonnegative integer, got {anchor!r}"
+        )
+    return anchor
 
 
 def cmd_stats(args) -> int:
@@ -335,12 +325,7 @@ def cmd_stats(args) -> int:
 
     anchor = args.anchor
     if anchor is None:
-        summary_path = sweep_dir / "summary.json"
-        if not summary_path.is_file():
-            raise ValidationError(f"anchor=auto needs {summary_path}")
-        anchor = json.loads(summary_path.read_text()).get("anchor_radius_px")
-        if anchor is None:
-            raise ValidationError(f"{summary_path} has no anchor_radius_px")
+        anchor = _read_anchor(sweep_dir / "summary.json")
 
     rows_a = _read_sweep_csv(sweep_dir / "sweep_a.csv")
     rows_b = _read_sweep_csv(sweep_dir / "sweep_b.csv")

@@ -341,15 +341,24 @@ def save_head(
 def load_head(path: str | Path) -> tuple[UncertaintyHead, dict]:
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read head checkpoint ({exc.strerror})") from exc
+    except ValueError as exc:
         raise ValidationError(f"{path}: malformed head checkpoint ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: head checkpoint must be a JSON object")
     try:
         head = UncertaintyHead(
             weights=np.asarray(payload["weights"], dtype=np.float64),
             bias=float(payload["bias"]),
         )
-        if head.channels != int(payload["channels"]):
-            raise ValidationError(f"{path}: channel count disagrees with weights")
+        channels = int(payload["channels"])
     except KeyError as exc:
         raise ValidationError(f"{path}: missing checkpoint field {exc}") from exc
+    except (TypeError, ValueError, ShapeError) as exc:
+        raise ValidationError(f"{path}: malformed checkpoint field ({exc})") from exc
+    if head.channels != channels:
+        raise ValidationError(f"{path}: channel count disagrees with weights")
+    if not (np.isfinite(head.weights).all() and np.isfinite(head.bias)):
+        raise ValidationError(f"{path}: head parameters must be finite")
     return head, payload

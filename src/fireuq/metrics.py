@@ -21,21 +21,6 @@ from .morphology import edt, extract_boundary
 DEFAULT_NLL_EPSILON = 1e-7
 
 
-@dataclass(frozen=True)
-class RankingCurvePoint:
-    """Confusion counts of (score >= threshold) at one threshold."""
-
-    threshold: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def n_pixels(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
 @dataclass
 class MetricRecord:
     """All per-fire metrics at one evaluation radius.
@@ -256,31 +241,3 @@ def uq_auprc(
     prevalence = n_pos / y.size
     return average_precision(unc, errors, region), prevalence
 
-
-def ranking_curve(
-    scores: np.ndarray, labels: np.ndarray, region: np.ndarray | None = None
-) -> list[RankingCurvePoint]:
-    """Confusion counts at every unique threshold, descending."""
-    _check_shapes(np.asarray(scores), np.asarray(labels), region)
-    s = _select(np.asarray(scores, dtype=np.float64), region)
-    y = _select(np.asarray(labels), region).astype(np.int64)
-    n = y.size
-    n_pos = int((y == 1).sum())
-    order, last = _groups_descending(s)
-    s_sorted = s[order]
-    y_sorted = y[order]
-    tp = np.cumsum(y_sorted)[last]
-    fp = np.cumsum(1 - y_sorted)[last]
-    points = []
-    for i, t in zip(range(len(last)), s_sorted[last]):
-        tpi, fpi = int(tp[i]), int(fp[i])
-        points.append(
-            RankingCurvePoint(
-                threshold=float(t),
-                tp=tpi,
-                fp=fpi,
-                fn=n_pos - tpi,
-                tn=(n - n_pos) - fpi,
-            )
-        )
-    return points

@@ -9,38 +9,10 @@ agrees exactly with brute-force disk stamping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyMaskError, ValidationError
 from .raster import validate_mask
-
-
-@dataclass(frozen=True)
-class DiskElement:
-    """Euclidean disk structuring element of integer radius.
-
-    Membership rule: offset (dy, dx) belongs to the disk iff
-    dy*dy + dx*dx <= radius*radius.
-    """
-
-    radius: int
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValidationError("disk radius must be >= 0")
-
-    def offsets(self) -> np.ndarray:
-        """All (dy, dx) offsets inside the disk, lexicographic order."""
-        r = self.radius
-        dy, dx = np.mgrid[-r : r + 1, -r : r + 1]
-        keep = dy * dy + dx * dx <= r * r
-        return np.stack([dy[keep], dx[keep]], axis=1)
-
-    @property
-    def n_pixels(self) -> int:
-        return len(self.offsets())
 
 
 def squared_edt(mask: np.ndarray) -> np.ndarray:
@@ -153,9 +125,10 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Dilate a binary mask by a Euclidean disk of integer radius.
 
     Implemented by thresholding the exact squared distance transform at
-    radius^2 (within_disk), which matches stamping a DiskElement on
-    every foreground pixel.  Radius 0 is the identity and skips the
-    transform.  An empty mask dilates to an empty mask of the same shape.
+    radius^2 (within_disk), which matches stamping the disk
+    {(dy, dx): dy*dy + dx*dx <= radius*radius} on every foreground
+    pixel.  Radius 0 is the identity and skips the transform.  An empty
+    mask dilates to an empty mask of the same shape.
     """
     mask = np.asarray(mask)
     validate_mask(mask, name="dilate input")

@@ -225,22 +225,3 @@ def oracle_rmsle(student, teacher) -> float:
     total = sum((math.log1p(ti) - math.log1p(si)) ** 2 for si, ti in zip(s, t))
     return math.sqrt(total / s.size)
 
-
-def oracle_metric(name: str, *args, **kwargs):
-    """Dispatch to an oracle by metric name."""
-    table = {
-        "precision_recall": oracle_precision_recall,
-        "ap": oracle_average_precision,
-        "auroc": oracle_auroc,
-        "auprc": oracle_auprc,
-        "asd": oracle_asd,
-        "brier": oracle_brier,
-        "nll": oracle_nll,
-        "edt": oracle_edt,
-        "dilate": oracle_dilate,
-        "wilcoxon": oracle_wilcoxon_one_sided,
-        "rmsle": oracle_rmsle,
-    }
-    if name not in table:
-        raise ValidationError(f"no oracle named {name!r}")
-    return table[name](*args, **kwargs)

@@ -11,12 +11,13 @@ quality itself (r = mean ASD in pixels).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DegenerateClassError,
+    DegenerateDataError,
     EmptyMaskError,
     ValidationError,
 )
@@ -34,8 +35,6 @@ from .metrics import (
 from .morphology import dilate, squared_edt, within_disk
 from .raster import FireEvent, GeoConfig
 
-MEAN_ASD = "mean_asd"
-
 METRIC_COLUMNS = ("ap", "asd_m", "brier", "nll", "auroc", "auprc", "error_prevalence")
 
 
@@ -43,34 +42,60 @@ METRIC_COLUMNS = ("ap", "asd_m", "brier", "nll", "auroc", "auprc", "error_preval
 class SweepConfig:
     """Radius sweep parameters.
 
-    anchor_policy is either the string MEAN_ASD (resolve the anchor from
-    the mean ASD of the evaluated fires) or a fixed integer radius.
+    anchor_px fixes the anchor radius; None resolves it from the mean
+    ASD of the evaluated fires (resolve_anchor).  The anchor is always
+    scored, so radii_px holds only the radii wanted besides it and may
+    be empty.
     """
 
     radii_px: tuple[int, ...] = tuple(range(17))
-    anchor_policy: int | str = MEAN_ASD
+    anchor_px: int | None = None
     error_threshold: float = 0.5
     nll_epsilon: float = DEFAULT_NLL_EPSILON
 
     def __post_init__(self):
-        if len(self.radii_px) == 0:
-            raise ValidationError("radii_px must be nonempty")
         if any(int(r) != r or r < 0 for r in self.radii_px):
             raise ValidationError("radii_px must be nonnegative integers")
         if any(b <= a for a, b in zip(self.radii_px, self.radii_px[1:])):
             raise ValidationError("radii_px must be strictly increasing")
-        if isinstance(self.anchor_policy, str):
-            if self.anchor_policy != MEAN_ASD:
-                raise ValidationError(f"unknown anchor policy {self.anchor_policy!r}")
-        elif int(self.anchor_policy) != self.anchor_policy or self.anchor_policy < 0:
+        if self.anchor_px is not None and (
+            int(self.anchor_px) != self.anchor_px or self.anchor_px < 0
+        ):
             raise ValidationError("fixed anchor radius must be a nonnegative integer")
         if not 0.0 <= self.error_threshold <= 1.0:
             raise ValidationError("error_threshold must lie in [0, 1]")
+        if not 0.0 < self.nll_epsilon < 0.5:
+            raise ValidationError("nll_epsilon must lie in (0, 0.5)")
+
+
+@dataclass
+class Fire:
+    """One fire as the sweep scores it.
+
+    reference is the probability map whose thresholding defines the
+    error map every model's uncertainty is ranked against.
+    """
+
+    event: FireEvent
+    reference: np.ndarray
+
+
+@dataclass
+class Model:
+    """One model under evaluation: the fires it is scored on and its
+    (probability, uncertainty) pair per fire, aligned with fires.
+
+    Models that hold the same Fire objects, such as two models on one
+    dataset, share that fire's ground-truth EDT and error map.
+    """
+
+    fires: list[Fire]
+    outputs: list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
 class SweepResult:
-    """Everything one sweep produced.
+    """Everything one sweep produced for one model.
 
     records holds one MetricRecord per (fire, radius); aggregates maps
     radius -> metric -> mean over fires with that metric defined, and
@@ -80,7 +105,7 @@ class SweepResult:
     records: list[MetricRecord]
     aggregates: dict[int, dict[str, float | None]]
     counts: dict[int, dict[str, int]]
-    anchor_radius_px: int | None = None
+    anchor_radius_px: int
 
 
 def build_fcer(gt: np.ndarray, radius_px: int) -> np.ndarray:
@@ -97,21 +122,13 @@ def build_fcer(gt: np.ndarray, radius_px: int) -> np.ndarray:
     return dilate(gt, radius_px)
 
 
-def resolve_anchor(
-    asd_values_m, geo: GeoConfig, policy: int | str = MEAN_ASD
-) -> int:
-    """Anchor radius in pixels.
+def resolve_anchor(asd_values_m, geo: GeoConfig) -> int:
+    """Anchor radius in pixels from per-fire ASDs in metres.
 
-    mean_asd policy: round(mean(asd_m) / meters_per_pixel) to the
-    nearest integer (halves up), clamped to at least 1 px.  A fixed
-    integer policy passes through unchanged.
+    round(mean(asd_m) / meters_per_pixel) to the nearest integer (halves
+    up), clamped to at least 1 px.  The mean sums the values in the
+    order given.
     """
-    if isinstance(policy, (int, np.integer)) and not isinstance(policy, bool):
-        if policy < 0:
-            raise ValidationError("fixed anchor radius must be >= 0")
-        return int(policy)
-    if policy != MEAN_ASD:
-        raise ValidationError(f"unknown anchor policy {policy!r}")
     values = [float(v) for v in asd_values_m]
     if not values:
         raise ValidationError("resolve_anchor: no ASD values to average")
@@ -122,19 +139,63 @@ def resolve_anchor(
     return max(1, rounded)
 
 
-def _sweep_one_fire(
-    event: FireEvent,
-    prob: np.ndarray,
-    unc: np.ndarray,
-    reference: np.ndarray,
+def _mean_and_count(values) -> tuple[float | None, int]:
+    """Mean of the values that are not None (None if there are none),
+    and how many there are."""
+    defined = [v for v in values if v is not None]
+    return (float(np.mean(defined)) if defined else None), len(defined)
+
+
+def run_sweep(
+    models: list[Model],
     config: SweepConfig,
     geo: GeoConfig,
-) -> list[MetricRecord]:
-    gt = event.gt
-    h, w = gt.shape
+    jobs: int = 1,
+) -> list[SweepResult]:
+    """Evaluate every model on each of its fires at every radius.
 
-    ap = asd = None
-    if gt.any():
+    Phase 1 computes each model's AP and ASD once per fire.  The anchor
+    is then config.anchor_px or, when that is None, resolve_anchor over
+    the pooled defined ASDs: the first model's fires in the order given,
+    then the second model's, and so on.  The float mean depends on that
+    order, so it is part of the contract.  Phase 2 scores the radii
+    config.radii_px plus the anchor, which is always scored.  It visits
+    each distinct Fire once: the ground truth's squared EDT and the
+    error map are computed there, shared by every model that holds the
+    Fire, and dropped when its records are done.
+
+    Degenerate per-fire cases (single-class region, empty ground truth,
+    missing boundary) leave the affected metrics as None and the run
+    continues; only defined values enter the per-radius aggregates.
+    Raises DegenerateDataError when the anchor is to be resolved and no
+    fire has a defined ASD.  jobs > 1 spreads fires over threads without
+    changing any value or any ordering.  Returns one SweepResult per
+    model, in order.
+    """
+    if not models:
+        raise ValidationError("run_sweep: no models")
+    for model in models:
+        if not model.fires:
+            raise ValidationError("run_sweep: a model has no fires")
+        if len(model.outputs) != len(model.fires):
+            raise ValidationError("run_sweep: outputs must align with fires")
+    if jobs < 1:
+        raise ValidationError("run_sweep: jobs must be >= 1")
+
+    def each(fn, items):
+        if jobs == 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+
+    # phase 1: unmasked metrics per (model, fire), then the anchor
+    pairs = [(m, i) for m, model in enumerate(models) for i in range(len(model.fires))]
+
+    def unmasked(pair: tuple[int, int]) -> tuple[float | None, float | None]:
+        m, i = pair
+        gt, prob = models[m].fires[i].event.gt, models[m].outputs[i][0]
+        if not gt.any():
+            return None, None
         try:
             ap = average_precision(prob, gt)
         except DegenerateClassError:
@@ -144,104 +205,79 @@ def _sweep_one_fire(
             asd = average_surface_distance(pred_mask, gt, geo.meters_per_pixel)
         except EmptyMaskError:
             asd = None
+        return ap, asd
 
-        errors = error_map(reference, gt, threshold=config.error_threshold)
-        d2 = squared_edt(gt)
-    else:
-        errors = None
-        d2 = None
-
-    records = []
-    for r in config.radii_px:
-        if d2 is None:
-            records.append(
-                MetricRecord(event.id, event.year, radius_px=r, n_eval_px=0)
+    ap_asd = dict(zip(pairs, each(unmasked, pairs)))
+    anchor = config.anchor_px
+    if anchor is None:
+        pooled = [asd for _ap, asd in ap_asd.values() if asd is not None]
+        if not pooled:
+            raise DegenerateDataError(
+                "anchor=auto needs at least one fire with a defined ASD"
             )
-            continue
-        region = within_disk(d2, r)
-        rec = MetricRecord(
-            event.id,
-            event.year,
-            radius_px=r,
-            ap=ap,
-            asd_m=asd,
-            brier=brier(prob, gt, region),
-            nll=nll(prob, gt, region, epsilon=config.nll_epsilon),
-            n_eval_px=int(region.sum()),
-        )
-        try:
-            rec.auroc = uq_auroc(unc, errors, region)
-            auprc, prevalence = uq_auprc(unc, errors, region)
-            rec.auprc = auprc
-            rec.error_prevalence = prevalence
-        except DegenerateClassError:
-            pass
-        records.append(rec)
-    return records
+        anchor = resolve_anchor(pooled, geo)
+    radii = tuple(sorted(set(config.radii_px) | {anchor}))
 
+    # phase 2: per distinct fire, the (model, position) pairs that hold it
+    holders: dict[int, list[tuple[int, int]]] = {}
+    for m, i in pairs:
+        holders.setdefault(id(models[m].fires[i]), []).append((m, i))
 
-def run_sweep(
-    events: list[FireEvent],
-    outputs: list[tuple[np.ndarray, np.ndarray]],
-    references: list[np.ndarray],
-    config: SweepConfig,
-    geo: GeoConfig,
-    jobs: int = 1,
-) -> SweepResult:
-    """Evaluate every fire at every radius.
+    def score(group: list[tuple[int, int]]) -> list[list[MetricRecord]]:
+        fire = models[group[0][0]].fires[group[0][1]]
+        ev, gt = fire.event, fire.event.gt
+        if not gt.any():
+            return [
+                [MetricRecord(ev.id, ev.year, radius_px=r, n_eval_px=0) for r in radii]
+                for _ in group
+            ]
+        d2 = squared_edt(gt)
+        errors = error_map(fire.reference, gt, threshold=config.error_threshold)
+        out = []
+        for m, i in group:
+            prob, unc = models[m].outputs[i]
+            ap, asd = ap_asd[(m, i)]
+            records = []
+            for r in radii:
+                region = within_disk(d2, r)
+                rec = MetricRecord(
+                    ev.id,
+                    ev.year,
+                    radius_px=r,
+                    ap=ap,
+                    asd_m=asd,
+                    brier=brier(prob, gt, region),
+                    nll=nll(prob, gt, region, epsilon=config.nll_epsilon),
+                    n_eval_px=int(region.sum()),
+                )
+                try:
+                    rec.auroc = uq_auroc(unc, errors, region)
+                    rec.auprc, rec.error_prevalence = uq_auprc(unc, errors, region)
+                except DegenerateClassError:
+                    pass
+                records.append(rec)
+            out.append(records)
+        return out
 
-    outputs[i] is the (probability, uncertainty) pair of the model under
-    evaluation for events[i]; references[i] is the probability map whose
-    thresholding defines the shared error map.  Degenerate per-fire
-    cases (single-class region, empty ground truth, missing boundary)
-    leave the affected metrics as None and the run continues; only
-    defined values enter the per-radius aggregates.  jobs > 1 spreads
-    fires over threads without changing any value or any ordering.
-    """
-    if not events:
-        raise ValidationError("run_sweep: no events")
-    if len(outputs) != len(events) or len(references) != len(events):
-        raise ValidationError("run_sweep: outputs/references must align with events")
-    if jobs < 1:
-        raise ValidationError("run_sweep: jobs must be >= 1")
+    per_pair: dict[tuple[int, int], list[MetricRecord]] = {}
+    groups = list(holders.values())
+    for group, fire_records in zip(groups, each(score, groups)):
+        per_pair.update(zip(group, fire_records))
 
-    def work(i: int) -> list[MetricRecord]:
-        prob, unc = outputs[i]
-        return _sweep_one_fire(events[i], prob, unc, references[i], config, geo)
-
-    if jobs == 1:
-        per_fire = [work(i) for i in range(len(events))]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_fire = list(pool.map(work, range(len(events))))
-
-    records = [rec for fire_records in per_fire for rec in fire_records]
-
-    aggregates: dict[int, dict[str, float | None]] = {}
-    counts: dict[int, dict[str, int]] = {}
-    for r in config.radii_px:
-        at_r = [rec for rec in records if rec.radius_px == r]
-        aggregates[r] = {}
-        counts[r] = {}
-        for name in METRIC_COLUMNS:
-            vals = [getattr(rec, name) for rec in at_r if getattr(rec, name) is not None]
-            counts[r][name] = len(vals)
-            aggregates[r][name] = float(np.mean(vals)) if vals else None
-
-    anchor = None
-    if config.anchor_policy == MEAN_ASD:
-        # one ASD per fire; records repeat it per radius, so dedupe by fire
-        by_fire = {}
-        for rec in records:
-            if rec.asd_m is not None:
-                by_fire[(rec.fire_id, rec.year)] = rec.asd_m
-        if by_fire:
-            anchor = resolve_anchor(list(by_fire.values()), geo, MEAN_ASD)
-    else:
-        anchor = resolve_anchor([], geo, config.anchor_policy)
-
-    return SweepResult(records=records, aggregates=aggregates, counts=counts,
-                       anchor_radius_px=anchor)
+    results = []
+    for m, model in enumerate(models):
+        records = [rec for i in range(len(model.fires)) for rec in per_pair[(m, i)]]
+        aggregates: dict[int, dict[str, float | None]] = {}
+        counts: dict[int, dict[str, int]] = {}
+        for r in radii:
+            at_r = [rec for rec in records if rec.radius_px == r]
+            aggregates[r], counts[r] = {}, {}
+            for name in METRIC_COLUMNS:
+                aggregates[r][name], counts[r][name] = _mean_and_count(
+                    getattr(rec, name) for rec in at_r
+                )
+        results.append(SweepResult(records, aggregates, counts, anchor))
+    return results
 
 
 def aggregate_mean_std(per_year_values) -> tuple[float, float]:
@@ -272,16 +308,10 @@ def per_year_table(
     radius_px, years sorted ascending.
     """
     at_r = [rec for rec in records if rec.radius_px == radius_px]
-    years = sorted({rec.year for rec in at_r})
-    table: dict[int, dict[str, float | None]] = {}
-    for y in years:
-        row: dict[str, float | None] = {}
-        for name in METRIC_COLUMNS:
-            vals = [
-                getattr(rec, name)
-                for rec in at_r
-                if rec.year == y and getattr(rec, name) is not None
-            ]
-            row[name] = float(np.mean(vals)) if vals else None
-        table[y] = row
-    return table
+    return {
+        y: {
+            name: _mean_and_count(getattr(rec, name) for rec in at_r if rec.year == y)[0]
+            for name in METRIC_COLUMNS
+        }
+        for y in sorted({rec.year for rec in at_r})
+    }

@@ -17,7 +17,7 @@ Dataset directory layout::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +38,8 @@ class GeoConfig:
     crop_size: int = 128
 
     def __post_init__(self):
-        if self.meters_per_pixel <= 0:
-            raise ValidationError("meters_per_pixel must be > 0")
+        if not (np.isfinite(self.meters_per_pixel) and self.meters_per_pixel > 0):
+            raise ValidationError("meters_per_pixel must be finite and > 0")
         if self.crop_size < 1:
             raise ValidationError("crop_size must be >= 1")
 
@@ -113,16 +113,12 @@ def validate_mask(arr: np.ndarray, name: str = "mask") -> np.ndarray:
     return arr
 
 
-def validate_uncertainty_map(
-    arr: np.ndarray, name: str = "uncertainty map", normalized: bool = False
-) -> np.ndarray:
+def validate_uncertainty_map(arr: np.ndarray, name: str = "uncertainty map") -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected 2-D array, got {arr.ndim}-D")
     _require_finite(arr, name)
     if arr.min() < 0.0:
         raise ValidationError(f"{name}: negative uncertainty values")
-    if normalized and arr.max() > 1.0:
-        raise ValidationError(f"{name}: normalized uncertainty exceeds 1")
     return arr
 
 

@@ -43,8 +43,9 @@ class ScenarioSpec:
             raise ValidationError("grid_size must be >= 8")
         if self.n_fires < 1:
             raise ValidationError("n_fires must be >= 1")
-        if self.n_members < 2:
-            raise ValidationError("n_members must be >= 2")
+        if self.n_members < 3 or self.n_members % 2 == 0:
+            # evaluation takes the median member as the error-map reference
+            raise ValidationError(f"n_members must be odd and >= 3, got {self.n_members}")
         lo, hi = self.blob_count_range
         if lo < 1 or hi < lo:
             raise ValidationError("blob_count_range must be nonempty with min >= 1")

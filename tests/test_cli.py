@@ -375,3 +375,102 @@ def test_stats_sweep_csv_missing_columns_exits_one(tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "sweep_a.csv" in proc.stderr
     assert "ap, asd_m, brier, nll, auroc, auprc, error_prevalence" in proc.stderr
+
+
+def _assert_one_line_error(capsys, path):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("text", [
+    None,  # no file at all
+    "[]",
+    '{"channels": 5, "weights": "abc", "bias": 0.0}',
+    '{"channels": 5, "weights": [0.1, 0.2, 0.3, 0.4, 0.5], "bias": "x"}',
+], ids=["missing", "not-an-object", "bad-weights", "bad-bias"])
+def test_eval_malformed_head_exits_one(pack, tmp_path, capsys, text):
+    head_path = tmp_path / "head.json"
+    if text is not None:
+        head_path.write_text(text)
+    rc = _run(["eval", "--model", f"student:{pack}:{head_path}",
+               "--out-dir", tmp_path / "o", "--anchor", "2"])
+    assert rc == 1
+    _assert_one_line_error(capsys, head_path)
+
+
+@pytest.mark.parametrize("column", ["auroc", "radius_px"])
+def test_stats_non_numeric_sweep_cell_exits_one(sweep_dir, tmp_path, capsys, column):
+    sweep = tmp_path / "sweep"
+    sweep.mkdir()
+    for name in ("sweep_a.csv", "sweep_b.csv", "summary.json"):
+        (sweep / name).write_bytes((sweep_dir / name).read_bytes())
+    with open(sweep_dir / "sweep_a.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    rows[3][column] = "abc"
+    with open(sweep / "sweep_a.csv", "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    rc = _run(["stats", sweep, "--out-dir", tmp_path / "st"])
+    assert rc == 1
+    _assert_one_line_error(capsys, sweep / "sweep_a.csv")
+
+
+@pytest.mark.parametrize("text", ["{not json", "[4]", '{"anchor_radius_px": "4"}'],
+                         ids=["malformed", "not-an-object", "bad-anchor"])
+def test_stats_malformed_summary_exits_one(sweep_dir, tmp_path, capsys, text):
+    sweep = tmp_path / "sweep"
+    sweep.mkdir()
+    for name in ("sweep_a.csv", "sweep_b.csv"):
+        (sweep / name).write_bytes((sweep_dir / name).read_bytes())
+    (sweep / "summary.json").write_text(text)
+    rc = _run(["stats", sweep, "--out-dir", tmp_path / "st"])
+    assert rc == 1
+    _assert_one_line_error(capsys, sweep / "summary.json")
+
+
+def test_eval_non_finite_mpp_exits_one(pack, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = _run(["eval", "--model", f"ensemble:{pack}", "--out-dir", out,
+               "--mpp", "nan", "--anchor", "2"])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "meters_per_pixel" in err
+
+
+def test_eval_bad_threshold_exits_one_before_loading(tmp_path, capsys):
+    # the dataset root does not exist: the config is rejected first
+    rc = _run(["eval", "--model", f"ensemble:{tmp_path / 'nowhere'}",
+               "--out-dir", tmp_path / "o", "--threshold", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error_threshold" in err
+
+
+def test_synth_even_member_count_exits_one(tmp_path, capsys):
+    out = tmp_path / "even"
+    rc = _run(["synth", "--out-dir", out, "--n-members", "4",
+               "--feature-channels", "6"])
+    assert rc == 1
+    assert not list(out.glob("*/*/member_*.npy"))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "odd" in err
+
+
+def test_eval_records_equal_sweep_records(pack, mixed_sweep, tmp_path):
+    """eval and sweep score a model through the same path: at the same
+    fixed anchor every eval record equals the sweep's for that fire."""
+    student = json.loads((mixed_sweep / "summary.json").read_text())["model_b"]
+    for spec, side in ((f"ensemble:{pack}", "a"), (student, "b")):
+        out = tmp_path / side
+        assert _run(["eval", "--model", spec, "--out-dir", out, "--anchor", "4"]) == 0
+        with open(out / "records.csv", newline="") as f:
+            eval_rows = list(csv.DictReader(f))
+        with open(mixed_sweep / f"sweep_{side}.csv", newline="") as f:
+            sweep_rows = [r for r in csv.DictReader(f) if r["radius_px"] == "4"]
+        assert len(eval_rows) == 8
+        assert eval_rows == sweep_rows

@@ -324,3 +324,12 @@ def test_load_head_rejects_malformed(tmp_path):
     p.write_text('{"channels": 3, "weights": [0.1], "bias": 0.0}')
     with pytest.raises(ValidationError):
         load_head(p)  # channel count disagrees
+    for text in ("[]", '{"channels": 1, "weights": "abc", "bias": 0.0}',
+                 '{"channels": 1, "weights": [0.1], "bias": "x"}',
+                 '{"channels": 1, "weights": [0.1], "bias": NaN}',
+                 '{"channels": 1, "weights": [[0.1]], "bias": 0.0}'):
+        p.write_text(text)
+        with pytest.raises(ValidationError, match="bad.json"):
+            load_head(p)
+    with pytest.raises(ValidationError, match="missing.json"):
+        load_head(tmp_path / "missing.json")

@@ -14,7 +14,6 @@ from fireuq.metrics import (
     error_map,
     nll,
     precision_recall,
-    ranking_curve,
     uq_auprc,
     uq_auroc,
 )
@@ -314,21 +313,6 @@ def test_asd_matches_oracle():
         fast = average_surface_distance(ma, mb, 1.0)
         slow = oracle_asd(ma, mb, 1.0)
         assert abs(fast - slow) <= 1e-12
-
-
-def test_ranking_curve_counts_are_consistent():
-    rng = np.random.default_rng(49)
-    scores, labels = _rand_scores_labels(rng, 30)
-    pts = ranking_curve(scores, labels)
-    n = scores.size
-    n_pos = int(labels.sum())
-    thresholds = [p.threshold for p in pts]
-    assert thresholds == sorted(thresholds, reverse=True)
-    for p in pts:
-        assert p.n_pixels == n
-        assert p.tp + p.fn == n_pos
-    # loosest threshold predicts everything positive
-    assert pts[-1].tp == n_pos and pts[-1].fp == n - n_pos
 
 
 def test_shape_mismatch_raises():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fireuq.errors import EmptyMaskError, ValidationError
-from fireuq.morphology import DiskElement, dilate, edt, extract_boundary, squared_edt
+from fireuq.morphology import dilate, edt, extract_boundary, squared_edt
 from fireuq.oracles import oracle_dilate, oracle_edt
 
 
@@ -15,13 +15,16 @@ def _random_mask(rng, h, w, p=0.2):
 
 
 def test_disk_element_offset_counts():
-    # |{(dy,dx): dy^2+dx^2 <= r^2}| for small radii
-    assert len(DiskElement(0).offsets()) == 1
-    assert len(DiskElement(1).offsets()) == 5
-    assert len(DiskElement(2).offsets()) == 13
-    assert len(DiskElement(3).offsets()) == 29
+    # dilating a lone pixel stamps the disk {(dy,dx): dy^2+dx^2 <= r^2};
+    # its size for small radii
+    m = np.zeros((9, 9), dtype=np.uint8)
+    m[4, 4] = 1
+    assert int(dilate(m, 0).sum()) == 1
+    assert int(dilate(m, 1).sum()) == 5
+    assert int(dilate(m, 2).sum()) == 13
+    assert int(dilate(m, 3).sum()) == 29
     with pytest.raises(ValidationError):
-        DiskElement(-1)
+        dilate(m, -1)
 
 
 def test_edt_corner_example():

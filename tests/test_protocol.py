@@ -6,8 +6,10 @@ import pytest
 from fireuq.errors import DegenerateDataError, EmptyMaskError, ValidationError
 from fireuq.metrics import MetricRecord, error_map
 from fireuq.morphology import dilate
+from fireuq import protocol
 from fireuq.protocol import (
-    MEAN_ASD,
+    Fire,
+    Model,
     SweepConfig,
     aggregate_mean_std,
     build_fcer,
@@ -59,7 +61,7 @@ def test_build_fcer_nested_in_radius():
 def test_resolve_anchor_mean_asd_rounds_to_pixels():
     # 1.39 km mean ASD at 375 m/px -> 3.707 px -> 4 px
     assert resolve_anchor([1390.0], GEO) == 4
-    assert resolve_anchor([1390.0, 1390.0], GEO, MEAN_ASD) == 4
+    assert resolve_anchor([1390.0, 1390.0], GEO) == 4
 
 
 def test_resolve_anchor_clamps_to_one():
@@ -73,26 +75,16 @@ def test_resolve_anchor_half_pixel_rounds_up():
     assert resolve_anchor([249.0], geo) == 2
 
 
-def test_resolve_anchor_fixed_policy_passthrough():
-    assert resolve_anchor([], GEO, policy=7) == 7
-    assert resolve_anchor([1390.0], GEO, policy=0) == 0
-
-
 def test_resolve_anchor_errors():
     with pytest.raises(ValidationError):
         resolve_anchor([], GEO)
     with pytest.raises(ValidationError):
         resolve_anchor([np.nan], GEO)
-    with pytest.raises(ValidationError):
-        resolve_anchor([100.0], GEO, policy="nonsense")
-    with pytest.raises(ValidationError):
-        resolve_anchor([], GEO, policy=-2)
 
 
 def test_sweep_config_validation():
     SweepConfig(radii_px=(0, 1, 2))
-    with pytest.raises(ValidationError):
-        SweepConfig(radii_px=())
+    SweepConfig(radii_px=(), anchor_px=0)  # the anchor is always scored
     with pytest.raises(ValidationError):
         SweepConfig(radii_px=(2, 1))
     with pytest.raises(ValidationError):
@@ -100,9 +92,15 @@ def test_sweep_config_validation():
     with pytest.raises(ValidationError):
         SweepConfig(radii_px=(-1, 0))
     with pytest.raises(ValidationError):
-        SweepConfig(anchor_policy="median_asd")
+        SweepConfig(anchor_px=-2)
+    with pytest.raises(ValidationError):
+        SweepConfig(anchor_px=1.5)
     with pytest.raises(ValidationError):
         SweepConfig(error_threshold=1.5)
+    with pytest.raises(ValidationError):
+        SweepConfig(error_threshold=np.nan)
+    with pytest.raises(ValidationError):
+        SweepConfig(nll_epsilon=0.5)
 
 
 def _scenario_events(seed=0, n_fires=6, grid=24):
@@ -111,6 +109,17 @@ def _scenario_events(seed=0, n_fires=6, grid=24):
         blob_radius_range_px=(2, 5), feature_channels=4,
     )
     return generate_scenario(spec)
+
+
+def _model(events, outputs, references):
+    return Model([Fire(ev, ref) for ev, ref in zip(events, references)], outputs)
+
+
+def _sweep(events, outputs, references, cfg, jobs=1):
+    [result] = protocol.run_sweep(
+        [_model(events, outputs, references)], cfg, GEO, jobs=jobs
+    )
+    return result
 
 
 def _outputs_with_perfect_uncertainty(events, threshold=0.5):
@@ -127,8 +136,8 @@ def _outputs_with_perfect_uncertainty(events, threshold=0.5):
 def test_run_sweep_perfect_uncertainty_gives_auroc_one():
     events = _scenario_events(seed=3)
     outputs, references = _outputs_with_perfect_uncertainty(events)
-    cfg = SweepConfig(radii_px=(0, 1, 2, 4, 8), anchor_policy=4)
-    result = run_sweep(events, outputs, references, cfg, GEO)
+    cfg = SweepConfig(radii_px=(0, 1, 2, 4, 8), anchor_px=4)
+    result = _sweep(events, outputs, references, cfg)
     for r in cfg.radii_px:
         agg = result.aggregates[r]
         if result.counts[r]["auroc"] == 0:
@@ -143,8 +152,10 @@ def test_run_sweep_records_shape_and_asd_constant_over_radius():
     outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
     references = [ev.members[0] for ev in events]
     cfg = SweepConfig(radii_px=(0, 2, 5))
-    result = run_sweep(events, outputs, references, cfg, GEO)
-    assert len(result.records) == len(events) * len(cfg.radii_px)
+    result = _sweep(events, outputs, references, cfg)
+    radii = sorted(set(cfg.radii_px) | {result.anchor_radius_px})
+    assert list(result.aggregates) == radii
+    assert len(result.records) == len(events) * len(radii)
     by_fire = {}
     for rec in result.records:
         by_fire.setdefault((rec.fire_id, rec.year), []).append(rec)
@@ -168,8 +179,8 @@ def test_run_sweep_empty_gt_fire_recorded_as_missing():
     events = events + [empty]
     outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
     references = [ev.members[0] for ev in events]
-    cfg = SweepConfig(radii_px=(0, 3), anchor_policy=2)
-    result = run_sweep(events, outputs, references, cfg, GEO)
+    cfg = SweepConfig(radii_px=(0, 3), anchor_px=3)
+    result = _sweep(events, outputs, references, cfg)
     rows = [rec for rec in result.records if rec.fire_id == "fire_burnless"]
     assert len(rows) == 2
     for rec in rows:
@@ -184,8 +195,8 @@ def test_run_sweep_thread_jobs_do_not_change_records():
     outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
     references = [ev.members[0] for ev in events]
     cfg = SweepConfig(radii_px=(0, 1, 3))
-    a = run_sweep(events, outputs, references, cfg, GEO, jobs=1)
-    b = run_sweep(events, outputs, references, cfg, GEO, jobs=4)
+    a = _sweep(events, outputs, references, cfg, jobs=1)
+    b = _sweep(events, outputs, references, cfg, jobs=4)
     assert a.records == b.records
     assert a.aggregates == b.aggregates
     assert a.anchor_radius_px == b.anchor_radius_px
@@ -196,14 +207,13 @@ def test_run_sweep_aggregates_are_order_invariant():
     outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
     references = [ev.members[0] for ev in events]
     cfg = SweepConfig(radii_px=(0, 2))
-    fwd = run_sweep(events, outputs, references, cfg, GEO)
+    fwd = _sweep(events, outputs, references, cfg)
     perm = [3, 0, 4, 1, 2]
-    rev = run_sweep(
+    rev = _sweep(
         [events[i] for i in perm],
         [outputs[i] for i in perm],
         [references[i] for i in perm],
         cfg,
-        GEO,
     )
     for r in cfg.radii_px:
         for name, val in fwd.aggregates[r].items():
@@ -218,10 +228,94 @@ def test_run_sweep_aggregates_are_order_invariant():
 def test_run_sweep_alignment_validation():
     events = _scenario_events(seed=1, n_fires=2)
     outputs = [(ev.members[0], ev.members[1]) for ev in events]
+    references = [ev.members[0] for ev in events]
     with pytest.raises(ValidationError):
-        run_sweep(events, outputs[:1], [events[0].members[0]] * 2, SweepConfig(), GEO)
+        run_sweep([_model(events, outputs[:1], references)], SweepConfig(), GEO)
     with pytest.raises(ValidationError):
-        run_sweep([], [], [], SweepConfig(), GEO)
+        run_sweep([], SweepConfig(), GEO)
+    with pytest.raises(ValidationError):
+        run_sweep([Model([], [])], SweepConfig(), GEO)
+    with pytest.raises(ValidationError):
+        run_sweep([_model(events, outputs, references)], SweepConfig(), GEO, jobs=0)
+
+
+def test_run_sweep_fixed_anchor_passes_through():
+    events = _scenario_events(seed=5, n_fires=4)
+    outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
+    references = [ev.members[0] for ev in events]
+    for anchor in (0, 7):
+        result = _sweep(events, outputs, references,
+                        SweepConfig(radii_px=(2, 3), anchor_px=anchor))
+        assert result.anchor_radius_px == anchor
+        radii = sorted({2, 3, anchor})
+        assert list(result.aggregates) == radii
+        assert [rec.radius_px for rec in result.records[:len(radii)]] == radii
+
+
+def test_run_sweep_anchor_alone_when_radii_empty():
+    events = _scenario_events(seed=5, n_fires=4)
+    outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
+    references = [ev.members[0] for ev in events]
+    result = _sweep(events, outputs, references, SweepConfig(radii_px=()))
+    anchor = result.anchor_radius_px
+    assert anchor >= 1
+    assert [rec.radius_px for rec in result.records] == [anchor] * len(events)
+
+
+def test_run_sweep_auto_anchor_without_any_asd_is_degenerate():
+    events = [
+        FireEvent(id=f"fire_{i}", year=2020, gt=np.zeros((8, 8), dtype=np.uint8),
+                  members=[np.full((8, 8), 0.9, dtype=np.float32)] * 3)
+        for i in range(2)
+    ]
+    outputs = [(ev.members[0], ev.members[0]) for ev in events]
+    references = [ev.members[0] for ev in events]
+    with pytest.raises(DegenerateDataError, match="anchor=auto"):
+        _sweep(events, outputs, references, SweepConfig(radii_px=(0,)))
+    # a fixed anchor needs no ASD
+    result = _sweep(events, outputs, references, SweepConfig(radii_px=(0,), anchor_px=2))
+    assert all(rec.n_eval_px == 0 for rec in result.records)
+
+
+def _two_models(seed=17, n_fires=5):
+    """Two models on one shared fire list, as the CLI builds them."""
+    events = _scenario_events(seed=seed, n_fires=n_fires)
+    fires = [Fire(ev, ev.members[1]) for ev in events]
+    model_a = Model(fires, [(ev.members[0], np.abs(ev.members[2] - 0.5)) for ev in events])
+    model_b = Model(fires, [(ev.members[2], np.abs(ev.members[0] - 0.5)) for ev in events])
+    return model_a, model_b
+
+
+def test_run_sweep_shared_fires_match_each_model_alone():
+    model_a, model_b = _two_models()
+    cfg = SweepConfig(radii_px=(0, 2, 5), anchor_px=3)
+    together = run_sweep([model_a, model_b], cfg, GEO)
+    for model, result in zip((model_a, model_b), together):
+        [alone] = run_sweep([model], cfg, GEO)
+        assert result.records == alone.records
+        assert result.aggregates == alone.aggregates
+        assert result.counts == alone.counts
+        assert result.anchor_radius_px == alone.anchor_radius_px == 3
+
+
+def test_run_sweep_pools_asd_in_model_then_fire_order():
+    model_a, model_b = _two_models(seed=19, n_fires=6)
+    results = run_sweep([model_a, model_b], SweepConfig(radii_px=(1,)), GEO)
+    pooled = []
+    for result in results:
+        pooled += [rec.asd_m for rec in result.records if rec.asd_m is not None]
+    assert len(pooled) > len(model_a.fires)
+    assert results[0].anchor_radius_px == resolve_anchor(pooled, GEO)
+    assert results[1].anchor_radius_px == results[0].anchor_radius_px
+
+
+def test_run_sweep_computes_each_fire_edt_once(monkeypatch):
+    model_a, model_b = _two_models()
+    calls = []
+    real = protocol.squared_edt
+    monkeypatch.setattr(protocol, "squared_edt", lambda m: calls.append(1) or real(m))
+    run_sweep([model_a, model_b], SweepConfig(radii_px=(0, 4), anchor_px=2), GEO, jobs=2)
+    assert len(calls) == len(model_a.fires)
 
 
 def test_aggregate_mean_std_reference_values():

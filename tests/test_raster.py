@@ -65,9 +65,6 @@ def test_validate_uncertainty_map_bounds():
     validate_uncertainty_map(_prob([[0.0, 3.0]]))  # unbounded above by default
     with pytest.raises(ValidationError):
         validate_uncertainty_map(np.array([[-0.01]], dtype=np.float32))
-    with pytest.raises(ValidationError):
-        validate_uncertainty_map(_prob([[1.5]]), normalized=True)
-    validate_uncertainty_map(_prob([[1.0]]), normalized=True)
 
 
 def test_geo_config_validation():
@@ -76,6 +73,9 @@ def test_geo_config_validation():
     assert cfg.crop_size == 128
     with pytest.raises(ValidationError):
         GeoConfig(meters_per_pixel=0.0)
+    for mpp in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            GeoConfig(meters_per_pixel=mpp)
     with pytest.raises(ValidationError):
         GeoConfig(crop_size=0)
 

@@ -102,6 +102,8 @@ def test_spec_validation_errors():
         ScenarioSpec(n_fires=0)
     with pytest.raises(ValidationError):
         ScenarioSpec(n_members=1)
+    with pytest.raises(ValidationError, match="odd"):
+        ScenarioSpec(n_members=4, feature_channels=6)
     with pytest.raises(ValidationError):
         ScenarioSpec(blob_count_range=(0, 2))
     with pytest.raises(ValidationError):
