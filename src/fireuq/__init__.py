@@ -41,7 +41,6 @@ from .metrics import (
     error_map,
     nll,
     precision_recall,
-    uq_auprc,
     uq_auroc,
 )
 from .morphology import dilate, edt, extract_boundary, squared_edt

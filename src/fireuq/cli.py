@@ -24,6 +24,7 @@ import csv
 import ctypes
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ from .protocol import (
     per_year_table,
     run_sweep,
 )
-from .raster import FireEvent, GeoConfig, center_crop, load_dataset, save_array
+from .raster import FireEvent, GeoConfig, center_crop_at_most, load_dataset, save_array
 from .report import (
     MANIFEST_NAME,
     has_manifest,
@@ -93,6 +94,12 @@ def _parse_radii(text: str) -> tuple[int, ...]:
     return tuple(sorted(set(radii)))
 
 
+def _parse_jobs(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise ValidationError(f"--jobs must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_anchor(text: str) -> int | None:
     """None means auto (resolve from mean ASD)."""
     if text == "auto":
@@ -118,19 +125,14 @@ def parse_model_spec(text: str) -> tuple[str, Path, Path | None]:
 
 
 def _crop_event(ev: FireEvent, crop_size: int) -> FireEvent:
-    h, w = ev.gt.shape
-    if h < crop_size or w < crop_size:
-        return ev
-    return FireEvent(
-        id=ev.id,
-        year=ev.year,
-        gt=center_crop(ev.gt, crop_size),
-        members=[center_crop(m, crop_size) for m in ev.members],
-        features=None if ev.features is None else center_crop(ev.features, crop_size),
-        student_uncertainty=None
-        if ev.student_uncertainty is None
-        else center_crop(ev.student_uncertainty, crop_size),
-    )
+    """ev with every raster center-cropped to at most crop_size per axis."""
+
+    def crop(grid):
+        return None if grid is None else center_crop_at_most(grid, crop_size)
+
+    return replace(ev, gt=crop(ev.gt), members=[crop(m) for m in ev.members],
+                   features=crop(ev.features),
+                   student_uncertainty=crop(ev.student_uncertainty))
 
 
 def _load_events(root: Path, geo: GeoConfig) -> list[FireEvent]:
@@ -477,11 +479,11 @@ def _add_common(p: argparse.ArgumentParser, *, geo=True):
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--force", action="store_true",
                    help="overwrite an out-dir that already has a manifest")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_parse_jobs, default=1,
                    help="worker threads; affects wall time only")
     if geo:
         p.add_argument("--crop", type=int, default=128,
-                       help="center-crop size; grids smaller than this stay uncropped")
+                       help="center-crop size; axes shorter than this stay uncropped")
         p.add_argument("--mpp", type=float, default=375.0, help="meters per pixel")
         p.add_argument("--threshold", type=float, default=0.5,
                        help="probability threshold for masks and error maps")

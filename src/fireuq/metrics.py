@@ -2,8 +2,9 @@
 
 Segmentation: precision/recall, step-wise average precision, average
 surface distance.  Calibration: Brier score, negative log-likelihood.
-Uncertainty ranking: error map construction, AUROC and AUPRC of
-uncertainty scores against the error map.
+Uncertainty ranking: error map construction, AUROC of uncertainty
+scores against the error map, and AUPRC as their average precision.
+AP and AUROC share one kernel over scores sorted descending.
 
 Every masked metric funnels through one region-selection path, so a
 region of all ones reproduces the unmasked value bitwise.
@@ -86,15 +87,45 @@ def precision_recall(
     return precision, recall
 
 
-def _groups_descending(scores: np.ndarray):
-    """Sort scores descending; return (order, index of last element of
-    each unique-threshold group in the sorted array)."""
-    order = np.argsort(-scores, kind="stable")
-    s_sorted = scores[order]
-    if s_sorted.size == 1:
-        return order, np.array([0])
-    last = np.nonzero(np.append(s_sorted[:-1] != s_sorted[1:], True))[0]
-    return order, last
+def ranking_from_sorted(
+    scores_desc: np.ndarray, labels: np.ndarray
+) -> tuple[float, float, float]:
+    """AP, AUROC and prevalence of 0/1 labels ranked by scores sorted
+    descending, ties in any order.
+
+    Every value comes from the cumulative true positives tp at the last
+    element of each distinct score and fp = (last + 1) - tp.  AP sums
+    (R_n - R_{n-1}) * P_n over those thresholds; AUROC counts correctly
+    ordered (positive, negative) pairs in int64, ties scoring half.
+    Raises DegenerateClassError when the labels are single-class.
+    """
+    y = labels.astype(np.int64)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateClassError("ranking: labels are single-class")
+    last = np.nonzero(np.append(scores_desc[:-1] != scores_desc[1:], True))[0]
+    tp = np.cumsum(y)[last]
+    fp = (last + 1) - tp
+    recall = tp / n_pos
+    prev = np.concatenate([[0.0], recall[:-1]])
+    ap = float(np.sum((recall - prev) * (tp / (last + 1))))
+    pos_g = np.diff(tp, prepend=0)
+    neg_g = np.diff(fp, prepend=0)
+    wins2 = int(np.sum(pos_g * (2 * (n_neg - fp) + neg_g)))
+    auroc = (wins2 / 2.0) / (n_pos * n_neg)
+    return ap, auroc, n_pos / y.size
+
+
+def _ranking(
+    scores: np.ndarray, labels: np.ndarray, region: np.ndarray | None
+) -> tuple[float, float, float]:
+    """ranking_from_sorted over the region, after one stable descending sort."""
+    _check_shapes(np.asarray(scores), np.asarray(labels), region)
+    s = _select(np.asarray(scores, dtype=np.float64), region)
+    y = _select(np.asarray(labels), region)
+    order = np.argsort(-s, kind="stable")
+    return ranking_from_sorted(s[order], y[order])
 
 
 def average_precision(
@@ -103,23 +134,11 @@ def average_precision(
     """Step-wise average precision, no interpolation.
 
     AP = sum over descending unique thresholds of (R_n - R_{n-1}) * P_n,
-    where P and R count (score >= threshold) predictions.  Raises
+    where P and R count (score >= threshold) predictions.  AUPRC of an
+    uncertainty map is its AP against the error map.  Raises
     DegenerateClassError when the labels are single-class.
     """
-    _check_shapes(np.asarray(scores), np.asarray(labels), region)
-    s = _select(np.asarray(scores, dtype=np.float64), region)
-    y = _select(np.asarray(labels), region).astype(np.int64)
-    n_pos = int((y == 1).sum())
-    if n_pos == 0 or n_pos == y.size:
-        raise DegenerateClassError("average_precision: labels are single-class")
-    order, last = _groups_descending(s)
-    y_sorted = y[order]
-    tp = np.cumsum(y_sorted)[last].astype(np.float64)
-    fp = np.cumsum(1 - y_sorted)[last].astype(np.float64)
-    precision = tp / (tp + fp)
-    recall = tp / n_pos
-    prev = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev) * precision))
+    return _ranking(scores, labels, region)[0]
 
 
 def average_surface_distance(
@@ -188,56 +207,14 @@ def error_map(
     return (pred != np.asarray(gt).astype(bool)).astype(np.uint8)
 
 
-def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ascending, ties sharing their average rank."""
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    s_sorted = values[order]
-    new_group = np.concatenate([[True], s_sorted[1:] != s_sorted[:-1]])
-    first = np.nonzero(new_group)[0]
-    counts = np.diff(np.append(first, n))
-    avg_rank = first + (counts - 1) / 2.0 + 1.0
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(avg_rank, counts)
-    return ranks
-
-
 def uq_auroc(
     unc: np.ndarray, errors: np.ndarray, region: np.ndarray | None = None
 ) -> float:
     """AUROC of uncertainty scores ranking error pixels above correct ones.
 
-    Tie-averaged rank formulation: equals the fraction of (error,
-    correct) pairs the uncertainty orders correctly, ties scoring half.
-    A constant map gives exactly 0.5.  Raises DegenerateClassError when
-    the region contains only errors or only correct pixels.
+    The fraction of (error, correct) pairs the uncertainty orders
+    correctly, ties scoring half.  A constant map gives exactly 0.5.
+    Raises DegenerateClassError when the region contains only errors or
+    only correct pixels.
     """
-    _check_shapes(np.asarray(unc), np.asarray(errors), region)
-    s = _select(np.asarray(unc, dtype=np.float64), region)
-    y = _select(np.asarray(errors), region).astype(np.int64)
-    n_pos = int((y == 1).sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateClassError("uq_auroc: error labels are single-class")
-    ranks = _tie_averaged_ranks(s)
-    rank_sum = float(ranks[y == 1].sum())
-    wins = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return wins / (n_pos * n_neg)
-
-
-def uq_auprc(
-    unc: np.ndarray, errors: np.ndarray, region: np.ndarray | None = None
-) -> tuple[float, float]:
-    """AUPRC of uncertainty against the error map, plus error prevalence.
-
-    The prevalence is the random baseline: a constant uncertainty map
-    scores exactly the prevalence.
-    """
-    _check_shapes(np.asarray(unc), np.asarray(errors), region)
-    y = _select(np.asarray(errors), region).astype(np.int64)
-    n_pos = int((y == 1).sum())
-    if n_pos == 0 or n_pos == y.size:
-        raise DegenerateClassError("uq_auprc: error labels are single-class")
-    prevalence = n_pos / y.size
-    return average_precision(unc, errors, region), prevalence
-
+    return _ranking(unc, errors, region)[1]

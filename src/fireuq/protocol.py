@@ -19,6 +19,7 @@ from .errors import (
     DegenerateClassError,
     DegenerateDataError,
     EmptyMaskError,
+    ShapeError,
     ValidationError,
 )
 from .metrics import (
@@ -29,8 +30,7 @@ from .metrics import (
     brier,
     error_map,
     nll,
-    uq_auprc,
-    uq_auroc,
+    ranking_from_sorted,
 )
 from .morphology import dilate, squared_edt, within_disk
 from .raster import FireEvent, GeoConfig
@@ -162,7 +162,9 @@ def run_sweep(
     config.radii_px plus the anchor, which is always scored.  It visits
     each distinct Fire once: the ground truth's squared EDT and the
     error map are computed there, shared by every model that holds the
-    Fire, and dropped when its records are done.
+    Fire, and dropped when its records are done.  Each model's
+    uncertainty is sorted once over the largest FCER; every radius ranks
+    the sorted subsequence inside its own FCER, as the FCERs are nested.
 
     Degenerate per-fire cases (single-class region, empty ground truth,
     missing boundary) leave the affected metrics as None and the run
@@ -179,6 +181,9 @@ def run_sweep(
             raise ValidationError("run_sweep: a model has no fires")
         if len(model.outputs) != len(model.fires):
             raise ValidationError("run_sweep: outputs must align with fires")
+        for fire, maps in zip(model.fires, model.outputs):
+            if any(np.shape(a) != fire.event.gt.shape for a in maps):
+                raise ShapeError(f"run_sweep: fire {fire.event.id}: map shape != gt shape")
     if jobs < 1:
         raise ValidationError("run_sweep: jobs must be >= 1")
 
@@ -233,10 +238,14 @@ def run_sweep(
             ]
         d2 = squared_edt(gt)
         errors = error_map(fire.reference, gt, threshold=config.error_threshold)
+        outer = within_disk(d2, radii[-1]).astype(bool)
         out = []
         for m, i in group:
             prob, unc = models[m].outputs[i]
             ap, asd = ap_asd[(m, i)]
+            # one sort over the largest FCER; each smaller one is a sorted subsequence
+            order = np.argsort(-unc[outer], kind="stable")
+            s, y, d2_sorted = (a[outer][order] for a in (unc, errors, d2))
             records = []
             for r in radii:
                 region = within_disk(d2, r)
@@ -250,9 +259,11 @@ def run_sweep(
                     nll=nll(prob, gt, region, epsilon=config.nll_epsilon),
                     n_eval_px=int(region.sum()),
                 )
+                keep = within_disk(d2_sorted, r).astype(bool)
                 try:
-                    rec.auroc = uq_auroc(unc, errors, region)
-                    rec.auprc, rec.error_prevalence = uq_auprc(unc, errors, region)
+                    rec.auprc, rec.auroc, rec.error_prevalence = ranking_from_sorted(
+                        s[keep], y[keep]
+                    )
                 except DegenerateClassError:
                     pass
                 records.append(rec)

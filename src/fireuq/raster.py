@@ -143,8 +143,12 @@ def center_crop(grid: np.ndarray, crop_size: int) -> np.ndarray:
         raise ValidationError(f"crop_size {crop_size} exceeds height {h}")
     if crop_size > w:
         raise ValidationError(f"crop_size {crop_size} exceeds width {w}")
-    oy = (h - crop_size) // 2
-    ox = (w - crop_size) // 2
+    return center_crop_at_most(grid, crop_size)
+
+
+def center_crop_at_most(grid: np.ndarray, crop_size: int) -> np.ndarray:
+    """center_crop, except that an axis shorter than crop_size stays whole."""
+    oy, ox = (max(d - crop_size, 0) // 2 for d in grid.shape[-2:])
     return grid[..., oy : oy + crop_size, ox : ox + crop_size]
 
 
@@ -255,6 +259,9 @@ def load_dataset(root: str | Path) -> list[FireEvent]:
     n_members = {e.n_members for e in events}
     if len(n_members) > 1:
         raise ValidationError(f"dataset root {root}: inconsistent member counts {sorted(n_members)}")
+    if events[0].n_members % 2 == 0:
+        raise ValidationError(f"dataset root {root}: member count {events[0].n_members} "
+                              "is even; the middle-AP member needs an odd count")
     return events
 
 

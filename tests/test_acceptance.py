@@ -33,7 +33,6 @@ from fireuq.metrics import (
     error_map,
     nll,
     precision_recall,
-    uq_auprc,
     uq_auroc,
 )
 from fireuq.morphology import dilate, edt
@@ -203,8 +202,7 @@ def test_criterion_3_oracle_equivalence(announce):
 
         for _ in range(200):
             s, y = _ranking_instance(rng)
-            value, _prevalence = uq_auprc(s, y)
-            assert abs(value - oracle_auprc(s, y)) <= 1e-12
+            assert abs(average_precision(s, y) - oracle_auprc(s, y)) <= 1e-12
 
         assert time.perf_counter() - start < 60.0
 
@@ -268,7 +266,7 @@ def _region_metrics(prob, unc, gt, region):
         out.append(None)
     try:
         out.append(uq_auroc(unc, err, region))
-        out.append(uq_auprc(unc, err, region))
+        out.append(average_precision(unc, err, region))
     except DegenerateClassError:
         out.append(None)
     return tuple(out)

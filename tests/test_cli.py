@@ -474,3 +474,57 @@ def test_eval_records_equal_sweep_records(pack, mixed_sweep, tmp_path):
             sweep_rows = [r for r in csv.DictReader(f) if r["radius_px"] == "4"]
         assert len(eval_rows) == 8
         assert eval_rows == sweep_rows
+
+
+def _hand_pack(root, shapes, n_members=3, seed=4):
+    """One fire per shape, in consecutive years, with a centred burn and
+    features, as a hand-made dataset would be laid out."""
+    rng = np.random.default_rng(seed)
+    for i, (h, w) in enumerate(shapes):
+        gt = np.zeros((h, w), dtype=np.uint8)
+        gt[h // 2 - 2 : h // 2 + 2, w // 2 - 2 : w // 2 + 2] = 1
+        save_event(root, FireEvent(
+            id=f"fire_{i:03d}", year=2018 + i, gt=gt,
+            members=[rng.random((h, w)).astype(np.float32) for _ in range(n_members)],
+            features=rng.random((4, h, w)).astype(np.float32),
+        ))
+
+
+def test_even_member_pack_exits_one_where_read(tmp_path, capsys):
+    root = tmp_path / "four"
+    _hand_pack(root, [(12, 12), (12, 12)], n_members=4)
+    for args in (["eval", "--model", f"ensemble:{root}", "--anchor", "2"],
+                 ["distill", root, "--max-epochs", "1"]):
+        assert _run(args + ["--out-dir", tmp_path / args[0]]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert str(root) in err and "member count 4" in err
+
+
+def test_crop_keeps_short_axes_whole(tmp_path):
+    root = tmp_path / "mixed"
+    _hand_pack(root, [(200, 100), (12, 12)])
+    out = tmp_path / "o"
+    assert _run(["eval", "--model", f"ensemble:{root}", "--out-dir", out,
+                 "--crop", "128", "--anchor", "200"]) == 0
+    with open(out / "records.csv", newline="") as f:
+        n_px = [int(row["n_eval_px"]) for row in csv.DictReader(f)]
+    assert n_px == [128 * 100, 12 * 12]
+
+
+@pytest.mark.parametrize("command", ["synth", "distill", "eval", "sweep", "stats"])
+def test_jobs_below_one_exits_before_any_work(tmp_path, capsys, command):
+    missing = tmp_path / "nowhere"
+    operands = {
+        "synth": [],
+        "distill": [missing],
+        "eval": ["--model", f"ensemble:{missing}"],
+        "sweep": ["--model-a", f"ensemble:{missing}", "--model-b", f"ensemble:{missing}"],
+        "stats": [missing],
+    }[command]
+    out = tmp_path / "o"
+    assert _run([command, *operands, "--out-dir", out, "--jobs", "0"]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--jobs must be an integer >= 1" in err

@@ -14,7 +14,7 @@ from fireuq.metrics import (
     error_map,
     nll,
     precision_recall,
-    uq_auprc,
+    ranking_from_sorted,
     uq_auroc,
 )
 from fireuq.oracles import (
@@ -126,25 +126,61 @@ def test_uq_auroc_matches_oracle_bitwise():
         assert uq_auroc(scores, labels) == oracle_auroc(scores, labels)
 
 
-def test_uq_auprc_worked_example():
-    value, prev = uq_auprc(UNC6, ERR6)
-    assert value == pytest.approx(5.0 / 6.0, abs=1e-12)
+def _sorted_desc(scores, labels):
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    order = np.argsort(-s, kind="stable")
+    return s[order], np.asarray(labels).ravel()[order]
+
+
+def test_auprc_worked_example():
+    # AUPRC is the AP of the uncertainty against the error map
+    assert average_precision(UNC6, ERR6) == pytest.approx(5.0 / 6.0, abs=1e-12)
+    ap, auroc, prev = ranking_from_sorted(*_sorted_desc(UNC6, ERR6))
+    assert (ap, auroc) == (average_precision(UNC6, ERR6), uq_auroc(UNC6, ERR6))
     assert prev == pytest.approx(2.0 / 6.0, abs=1e-12)
 
 
-def test_uq_auprc_constant_equals_prevalence():
+def test_auprc_constant_equals_prevalence():
     errors = np.array([[1, 0, 0, 1, 0, 0, 0, 1]])
-    value, prev = uq_auprc(np.full((1, 8), 0.7), errors)
-    assert value == prev == 3.0 / 8.0
+    const = np.full((1, 8), 0.7)
+    ap, auroc, prev = ranking_from_sorted(*_sorted_desc(const, errors))
+    assert average_precision(const, errors) == ap == prev == 3.0 / 8.0
+    assert auroc == 0.5
 
 
-def test_uq_auprc_matches_oracle():
+def test_auprc_matches_oracle():
     rng = np.random.default_rng(33)
     for _ in range(40):
         n = int(rng.integers(2, 30))
         scores, labels = _rand_scores_labels(rng, n)
-        value, _prev = uq_auprc(scores, labels)
+        value = average_precision(scores, labels)
         assert abs(value - oracle_auprc(scores, labels)) <= 1e-12
+
+
+def test_ranking_from_sorted_ignores_order_within_ties():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(2, 60))
+        scores, labels = _rand_scores_labels(rng, n, tie_prob=1.0)
+        s, y = _sorted_desc(scores, labels)
+        want = ranking_from_sorted(s, y)
+        assert want[:2] == (average_precision(scores, labels), uq_auroc(scores, labels))
+        assert want[1] == oracle_auroc(scores, labels)
+        # shuffle the labels inside each group of equal scores
+        shuffled = y.copy()
+        for value in np.unique(s):
+            idx = np.nonzero(s == value)[0]
+            shuffled[idx] = rng.permutation(y[idx])
+        assert ranking_from_sorted(s, shuffled) == want
+
+
+def test_ranking_from_sorted_single_class_raises():
+    s = np.array([0.9, 0.5, 0.1])
+    for y in (np.ones(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8)):
+        with pytest.raises(DegenerateClassError):
+            ranking_from_sorted(s, y)
+    with pytest.raises(DegenerateClassError):
+        ranking_from_sorted(s[:0], np.zeros(0, dtype=np.uint8))
 
 
 def test_rank_metrics_invariant_to_monotone_transform():
@@ -155,8 +191,8 @@ def test_rank_metrics_invariant_to_monotone_transform():
         assert uq_auroc(scores, labels) == pytest.approx(
             uq_auroc(warped, labels), abs=1e-12
         )
-        assert uq_auprc(scores, labels)[0] == pytest.approx(
-            uq_auprc(warped, labels)[0], abs=1e-12
+        assert average_precision(scores, labels) == pytest.approx(
+            average_precision(warped, labels), abs=1e-12
         )
 
 
@@ -172,7 +208,7 @@ def test_region_restriction_ignores_outside_pixels():
             continue
         base = (
             uq_auroc(unc, err, region),
-            uq_auprc(unc, err, region),
+            average_precision(unc, err, region),
             brier(unc, err, region),
             nll(unc, err, region),
         )
@@ -184,7 +220,7 @@ def test_region_restriction_ignores_outside_pixels():
         err2[outside] = (rng.random(int(outside.sum())) < 0.5).astype(np.uint8)
         edited = (
             uq_auroc(unc2, err2, region),
-            uq_auprc(unc2, err2, region),
+            average_precision(unc2, err2, region),
             brier(unc2, err2, region),
             nll(unc2, err2, region),
         )
@@ -199,7 +235,6 @@ def test_full_region_matches_unmasked_bitwise():
     err[1, 1] = 0
     ones = np.ones((9, 9), dtype=np.uint8)
     assert uq_auroc(unc, err, ones) == uq_auroc(unc, err, None)
-    assert uq_auprc(unc, err, ones) == uq_auprc(unc, err, None)
     assert brier(unc, err, ones) == brier(unc, err, None)
     assert nll(unc, err, ones) == nll(unc, err, None)
     assert average_precision(unc, err, ones) == average_precision(unc, err, None)

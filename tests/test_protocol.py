@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from fireuq.errors import DegenerateDataError, EmptyMaskError, ValidationError
-from fireuq.metrics import MetricRecord, error_map
+from fireuq.errors import DegenerateDataError, EmptyMaskError, ShapeError, ValidationError
+from fireuq.metrics import MetricRecord, average_precision, error_map, uq_auroc
 from fireuq.morphology import dilate
+from fireuq.oracles import oracle_auroc, oracle_average_precision
 from fireuq import protocol
 from fireuq.protocol import (
     Fire,
@@ -237,6 +238,9 @@ def test_run_sweep_alignment_validation():
         run_sweep([Model([], [])], SweepConfig(), GEO)
     with pytest.raises(ValidationError):
         run_sweep([_model(events, outputs, references)], SweepConfig(), GEO, jobs=0)
+    cut = [(prob, unc[:, :-1]) for prob, unc in outputs]
+    with pytest.raises(ShapeError):
+        run_sweep([_model(events, cut, references)], SweepConfig(), GEO)
 
 
 def test_run_sweep_fixed_anchor_passes_through():
@@ -275,6 +279,51 @@ def test_run_sweep_auto_anchor_without_any_asd_is_degenerate():
     # a fixed anchor needs no ASD
     result = _sweep(events, outputs, references, SweepConfig(radii_px=(0,), anchor_px=2))
     assert all(rec.n_eval_px == 0 for rec in result.records)
+
+
+def test_run_sweep_ranking_equals_per_region_metrics_bitwise():
+    """One sort per (model, fire) over the largest FCER ranks every
+    radius exactly as sorting that radius's own FCER would."""
+    rng = np.random.default_rng(23)
+    events, outputs, references = [], [], []
+    for i in range(6):
+        gt = (rng.random((16, 16)) < 0.05).astype(np.uint8)
+        gt[8, 8] = 1
+        prob = rng.random((16, 16)).astype(np.float32)
+        levels = 1 if i == 1 else int(rng.integers(2, 5))  # fire 1: constant map
+        unc = (rng.integers(0, levels, size=(16, 16)) / 4.0).astype(np.float32)
+        events.append(FireEvent(id=f"fire_{i}", year=2020, gt=gt, members=[prob] * 3))
+        outputs.append((prob, unc))
+        # fire 0 predicts no burn, so every ground-truth pixel is an error
+        references.append(np.zeros_like(prob) if i == 0 else prob)
+    # radius 30 covers the whole 16x16 grid
+    cfg = SweepConfig(radii_px=(0, 1, 2, 4, 8), anchor_px=30)
+    result = _sweep(events, outputs, references, cfg)
+    radii = (0, 1, 2, 4, 8, 30)
+    assert [rec.radius_px for rec in result.records] == list(radii) * len(events)
+    defined = 0
+    for k, rec in enumerate(result.records):
+        i = k // len(radii)
+        gt, unc = events[i].gt, outputs[i][1]
+        region = build_fcer(gt, rec.radius_px)
+        errors = error_map(references[i], gt)
+        y = errors[region.astype(bool)]
+        if rec.radius_px == 30:
+            assert region.all()
+        if y.all() or not y.any():
+            assert rec.auroc is None and rec.auprc is None and rec.error_prevalence is None
+            continue
+        defined += 1
+        assert rec.auroc == uq_auroc(unc, errors, region)
+        assert rec.auprc == average_precision(unc, errors, region)
+        assert rec.error_prevalence == y.mean()
+        s = unc[region.astype(bool)]
+        assert rec.auroc == oracle_auroc(s, y)
+        assert abs(rec.auprc - oracle_average_precision(s, y)) <= 1e-12
+        if i == 1:
+            assert rec.auroc == 0.5 and rec.auprc == rec.error_prevalence
+    assert result.records[0].auroc is None  # fire 0 at radius 0: all errors
+    assert defined >= 4 * len(radii)
 
 
 def _two_models(seed=17, n_fires=5):
