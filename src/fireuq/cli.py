@@ -208,11 +208,13 @@ def _load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pa
 
 
 def _check_out_dir(out_dir: Path, force: bool):
+    """Refuse an out_dir that already holds a manifest.  It is not made
+    here: each writer makes its own parent, so a command that fails
+    before writing leaves nothing behind."""
     if has_manifest(out_dir) and not force:
         raise ValidationError(
             f"{out_dir} already contains {MANIFEST_NAME}; pass --force to overwrite"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
 
 
 def _sweep_config(args, radii_px: tuple[int, ...]) -> SweepConfig:
@@ -386,10 +388,11 @@ def cmd_distill(args) -> int:
     if len(years) < 2:
         raise ValidationError("distillation needs at least two years (train + val)")
 
-    mids = middle_member_by_year(events)
     teacher_unc = {id(ev): fuse_ensemble(ev.members).uncertainty for ev in events}
     train_events = [ev for ev in events if ev.year != val_year]
     val_events = [ev for ev in events if ev.year == val_year]
+    # only checkpoint selection needs a reference member, on the val year
+    mids = middle_member_by_year(val_events)
     train_set = [(ev.features, teacher_unc[id(ev)]) for ev in train_events]
     val_set = [(ev.features, teacher_unc[id(ev)]) for ev in val_events]
     val_selection = [(ev.gt, ev.members[mids[ev.year]]) for ev in val_events]

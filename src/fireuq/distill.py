@@ -195,19 +195,23 @@ def _mean_rmsle(head: UncertaintyHead, images: list) -> float:
     return float(np.mean(losses))
 
 
-def _val_anchor_auroc(
+def _validate(
     head: UncertaintyHead, val_set: list, val_errors: list, val_regions: list
-) -> float | None:
-    scores = []
-    for (f, _t), errors, region in zip(val_set, val_errors, val_regions):
+) -> tuple[float, float | None]:
+    """Mean validation RMSLE, and mean AUROC inside the anchor FCERs
+    (None when no image has both classes there), from one student map
+    per validation image."""
+    losses, scores = [], []
+    for (f, t), errors, region in zip(val_set, val_errors, val_regions):
+        unc = apply_head(head, f)
+        losses.append(rmsle(unc, t))
         if errors is None:
             continue
-        unc = apply_head(head, f)
         try:
             scores.append(uq_auroc(unc, errors, region))
         except DegenerateClassError:
             continue
-    return float(np.mean(scores)) if scores else None
+    return float(np.mean(losses)), (float(np.mean(scores)) if scores else None)
 
 
 def train_head(
@@ -292,8 +296,10 @@ def train_head(
             head.bias = head.bias - lr * vb
 
         train_loss = _mean_rmsle(head, train_set)
-        val_loss = _mean_rmsle(head, val_set) if val_set else train_loss
-        val_auroc = _val_anchor_auroc(head, val_set, val_errors, val_regions)
+        val_loss, val_auroc = (
+            _validate(head, val_set, val_errors, val_regions)
+            if val_set else (train_loss, None)
+        )
         log.append(EpochLog(epoch, lr, train_loss, val_loss, val_auroc))
 
         key = (

@@ -120,11 +120,17 @@ def ranking_from_sorted(
 def _ranking(
     scores: np.ndarray, labels: np.ndarray, region: np.ndarray | None
 ) -> tuple[float, float, float]:
-    """ranking_from_sorted over the region, after one stable descending sort."""
+    """ranking_from_sorted over the region, after one descending sort.
+
+    The sort is numpy's default argsort, which may order ties any way:
+    the kernel reads only the counts at the end of each tie group, so
+    the result is bitwise that of a stable sort.  Only the region is
+    widened to float64.
+    """
     _check_shapes(np.asarray(scores), np.asarray(labels), region)
-    s = _select(np.asarray(scores, dtype=np.float64), region)
+    s = _select(np.asarray(scores), region).astype(np.float64, copy=False)
     y = _select(np.asarray(labels), region)
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s)
     return ranking_from_sorted(s[order], y[order])
 
 

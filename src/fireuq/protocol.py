@@ -165,6 +165,9 @@ def run_sweep(
     Fire, and dropped when its records are done.  Each model's
     uncertainty is sorted once over the largest FCER; every radius ranks
     the sorted subsequence inside its own FCER, as the FCERs are nested.
+    That sort is numpy's default argsort: the ranking kernel reads only
+    the counts at the end of each tie group, so the order within ties,
+    which such a sort leaves unspecified, changes no value.
 
     Degenerate per-fire cases (single-class region, empty ground truth,
     missing boundary) leave the affected metrics as None and the run
@@ -244,7 +247,7 @@ def run_sweep(
             prob, unc = models[m].outputs[i]
             ap, asd = ap_asd[(m, i)]
             # one sort over the largest FCER; each smaller one is a sorted subsequence
-            order = np.argsort(-unc[outer], kind="stable")
+            order = np.argsort(-unc[outer])
             s, y, d2_sorted = (a[outer][order] for a in (unc, errors, d2))
             records = []
             for r in radii:

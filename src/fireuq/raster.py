@@ -259,9 +259,10 @@ def load_dataset(root: str | Path) -> list[FireEvent]:
     n_members = {e.n_members for e in events}
     if len(n_members) > 1:
         raise ValidationError(f"dataset root {root}: inconsistent member counts {sorted(n_members)}")
-    if events[0].n_members % 2 == 0:
-        raise ValidationError(f"dataset root {root}: member count {events[0].n_members} "
-                              "is even; the middle-AP member needs an odd count")
+    n = events[0].n_members
+    if n < 3 or n % 2 == 0:
+        raise ValidationError(f"dataset root {root}: member count {n}; the ensemble needs "
+                              "at least 2 members and the middle-AP member an odd count")
     return events
 
 

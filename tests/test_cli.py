@@ -69,9 +69,9 @@ def test_missing_required_flag_exits_one(capsys):
 
 
 def test_invalid_synth_spec_exits_one(tmp_path, capsys):
-    rc = _run(["synth", "--out-dir", tmp_path / "o", "--grid-size", "16",
-               "--blob-radius", "3", "20"])
-    assert rc == 1
+    for bad in (["--grid-size", "16", "--blob-radius", "3", "20"], ["--n-members", "4"]):
+        assert _run(["synth", "--out-dir", tmp_path / "o", *bad]) == 1
+        assert not (tmp_path / "o").exists()
     capsys.readouterr()
 
 
@@ -500,6 +500,20 @@ def test_even_member_pack_exits_one_where_read(tmp_path, capsys):
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert str(root) in err and "member count 4" in err
+        assert not (tmp_path / args[0]).exists()
+
+
+def test_one_member_pack_exits_one_where_read(tmp_path, capsys):
+    root = tmp_path / "one"
+    _hand_pack(root, [(12, 12), (12, 12)], n_members=1)
+    for args in (["eval", "--model", f"ensemble:{root}", "--anchor", "2"],
+                 ["distill", root, "--max-epochs", "1"]):
+        assert _run(args + ["--out-dir", tmp_path / args[0]]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert str(root) in err and "member count 1" in err
+        assert not (tmp_path / args[0]).exists()
 
 
 def test_crop_keeps_short_axes_whole(tmp_path):

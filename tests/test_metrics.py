@@ -174,6 +174,32 @@ def test_ranking_from_sorted_ignores_order_within_ties():
         assert ranking_from_sorted(s, shuffled) == want
 
 
+def _reverse_within_ties(s_desc, y):
+    """y with the order inside each run of equal sorted scores reversed."""
+    groups = np.split(y, np.flatnonzero(s_desc[:-1] != s_desc[1:]) + 1)
+    return np.concatenate([g[::-1] for g in groups])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ranking_is_tie_order_free_at_scale(dtype):
+    """128x128 maps with at most 4 levels: big enough that no sort falls
+    back to insertion sort, which would keep ties in input order."""
+    rng = np.random.default_rng(57)
+    for levels in (1, 2, 3, 4):
+        scores = (rng.integers(0, levels, size=(128, 128)) / 4.0).astype(dtype)
+        labels = (rng.random((128, 128)) < rng.uniform(0.1, 0.5)).astype(np.uint8)
+        region = rng.random((128, 128)) < 0.6
+        for reg in (None, region):
+            keep = np.ones(scores.shape, bool) if reg is None else reg
+            s, y = _sorted_desc(scores[keep], labels[keep])
+            want = ranking_from_sorted(s, y)
+            assert average_precision(scores, labels, reg) == want[0]
+            assert uq_auroc(scores, labels, reg) == want[1]
+            assert ranking_from_sorted(s, _reverse_within_ties(s, y)) == want
+            if levels == 1:
+                assert want[1] == 0.5
+
+
 def test_ranking_from_sorted_single_class_raises():
     s = np.array([0.9, 0.5, 0.1])
     for y in (np.ones(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8)):

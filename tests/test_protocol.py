@@ -326,6 +326,34 @@ def test_run_sweep_ranking_equals_per_region_metrics_bitwise():
     assert defined >= 4 * len(radii)
 
 
+def test_run_sweep_ranking_is_tie_order_free_at_scale():
+    """A 96x96 fire with at most 4 uncertainty levels: the one sort over
+    the largest FCER is long enough to reorder ties, and every radius
+    still equals uq_auroc/average_precision on its own FCER bitwise."""
+    rng = np.random.default_rng(61)
+    events, outputs, references = [], [], []
+    for i, levels in enumerate((2, 3, 4)):
+        gt = np.zeros((96, 96), dtype=np.uint8)
+        gt[30:66, 28:70] = rng.random((36, 42)) < 0.8
+        prob = rng.random((96, 96)).astype(np.float32)
+        unc = (rng.integers(0, levels, size=(96, 96)) / 4.0).astype(np.float32)
+        events.append(FireEvent(id=f"fire_{i}", year=2020, gt=gt, members=[prob] * 3))
+        outputs.append((prob, unc))
+        references.append(prob)
+    cfg = SweepConfig(radii_px=tuple(range(17)), anchor_px=40)
+    result = _sweep(events, outputs, references, cfg)
+    radii = tuple(range(17)) + (40,)
+    assert [rec.radius_px for rec in result.records] == list(radii) * len(events)
+    for k, rec in enumerate(result.records):
+        i = k // len(radii)
+        gt, unc = events[i].gt, outputs[i][1]
+        region = build_fcer(gt, rec.radius_px)
+        errors = error_map(references[i], gt)
+        assert rec.auroc == uq_auroc(unc, errors, region)
+        assert rec.auprc == average_precision(unc, errors, region)
+    assert result.records[-1].n_eval_px >= 64 * 64
+
+
 def _two_models(seed=17, n_fires=5):
     """Two models on one shared fire list, as the CLI builds them."""
     events = _scenario_events(seed=seed, n_fires=n_fires)
