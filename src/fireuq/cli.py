@@ -24,7 +24,6 @@ import csv
 import ctypes
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +90,8 @@ def _parse_radii(text: str) -> tuple[int, ...]:
             radii = tuple(int(t) for t in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad --radii value {text!r}") from exc
+    if not radii:
+        raise ValidationError(f"bad --radii value {text!r}: the range is empty")
     return tuple(sorted(set(radii)))
 
 
@@ -124,20 +125,21 @@ def parse_model_spec(text: str) -> tuple[str, Path, Path | None]:
     )
 
 
-def _crop_event(ev: FireEvent, crop_size: int) -> FireEvent:
-    """ev with every raster center-cropped to at most crop_size per axis."""
-
-    def crop(grid):
-        return None if grid is None else center_crop_at_most(grid, crop_size)
-
-    return replace(ev, gt=crop(ev.gt), members=[crop(m) for m in ev.members],
-                   features=crop(ev.features),
-                   student_uncertainty=crop(ev.student_uncertainty))
+def _crop_event(ev: FireEvent, crop_size: int):
+    """Center-crop every raster of a freshly loaded ev, in place, to at
+    most crop_size per axis.  A crop of a validated raster is valid, so
+    the event is not validated again."""
+    ev.gt = center_crop_at_most(ev.gt, crop_size)
+    ev.members = [center_crop_at_most(m, crop_size) for m in ev.members]
+    if ev.features is not None:
+        ev.features = center_crop_at_most(ev.features, crop_size)
 
 
 def _load_events(root: Path, geo: GeoConfig) -> list[FireEvent]:
     events = load_dataset(root)
-    return [_crop_event(ev, geo.crop_size) for ev in events]
+    for ev in events:
+        _crop_event(ev, geo.crop_size)
+    return events
 
 
 def middle_member_by_year(events: list[FireEvent]) -> dict[int, int]:
@@ -192,7 +194,7 @@ def _model_outputs(
 
 
 def _load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
-    """One Model per spec, plus the input paths it read.  Each distinct
+    """One Model per spec, plus the files it parsed.  Each distinct
     dataset root is loaded once and its fires are shared by its models."""
     fires_by_root: dict[Path, list[Fire]] = {}
     models, inputs = [], []
@@ -202,15 +204,21 @@ def _load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pa
         fires = fires_by_root.get(root.resolve())
         if fires is None:
             fires = fires_by_root[root.resolve()] = _load_fires(root, geo)
+            inputs += [p for fire in fires for p in fire.event.files]
         models.append(Model(fires, _model_outputs(kind, fires, head)))
-        inputs += [root] + ([head_path] if head_path else [])
+        inputs += [head_path] if head_path else []
     return models, inputs
 
 
 def _check_out_dir(out_dir: Path, force: bool):
-    """Refuse an out_dir that already holds a manifest.  It is not made
-    here: each writer makes its own parent, so a command that fails
-    before writing leaves nothing behind."""
+    """Refuse an out_dir that is not a directory or already holds a
+    manifest.  It is not made here: each writer makes its own parent, so
+    a command that fails before writing leaves nothing behind."""
+    for p in (out_dir, *out_dir.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ValidationError(f"--out-dir {out_dir}: {p} is not a directory")
+            break
     if has_manifest(out_dir) and not force:
         raise ValidationError(
             f"{out_dir} already contains {MANIFEST_NAME}; pass --force to overwrite"
@@ -426,15 +434,9 @@ def cmd_distill(args) -> int:
         unc = apply_head(result.head, ev.features).astype(np.float32)
         save_array(unc, root / str(ev.year) / ev.id / "student_unc.npy")
 
-    # digest only the files the training consumed, not the student maps
-    # just written, so reruns produce identical manifests
-    consumed = []
-    for ev_dir in sorted(
-        p for y in root.iterdir() if y.is_dir() for p in y.iterdir() if p.is_dir()
-    ):
-        for name in sorted(f.name for f in ev_dir.iterdir()):
-            if name == "gt.npy" or name == "features.npy" or name.startswith("member_"):
-                consumed.append(ev_dir / name)
+    # the files training parsed, not the student maps just written, so
+    # reruns produce identical manifests
+    consumed = [p for ev in events for p in ev.files]
     write_manifest(out_dir, "distill", _config_snapshot(args, None), consumed)
     return 0
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateClassError, ShapeError, ValidationError
+from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
 from .metrics import error_map, uq_auroc
 from .protocol import build_fcer
 
@@ -214,6 +214,11 @@ def _validate(
     return float(np.mean(losses)), (float(np.mean(scores)) if scores else None)
 
 
+def _check_finite(epoch: int, head: UncertaintyHead, *losses: float):
+    if not (np.isfinite(head.weights).all() and np.isfinite([head.bias, *losses]).all()):
+        raise DegenerateDataError(f"training diverged at epoch {epoch}")
+
+
 def train_head(
     train_set: list[tuple[np.ndarray, np.ndarray]],
     val_set: list[tuple[np.ndarray, np.ndarray]],
@@ -232,6 +237,8 @@ def train_head(
     no improvement of that selection key.  Default initialization is
     zero weights with the bias at the logit of the mean teacher
     uncertainty; init_head warm-starts from explicit parameters instead.
+    Training stops with DegenerateDataError at the first non-finite
+    parameter or loss.
     """
     if not train_set:
         raise ValidationError("train_head: empty training set")
@@ -282,24 +289,30 @@ def train_head(
             batch = order[start : start + cfg.batch_size]
             gw = np.zeros(c)
             gb = 0.0
-            for i in batch:
-                f, t = train_set[i]
-                _loss, gwi, gbi = rmsle_gradient(head, f, t)
-                gw += gwi
-                gb += gbi
-            gw /= len(batch)
-            gb /= len(batch)
-            gw += cfg.weight_decay * head.weights  # decay on weights only
-            vw = cfg.momentum * vw + gw
-            vb = cfg.momentum * vb + gb
-            head.weights = head.weights - lr * vw
-            head.bias = head.bias - lr * vb
+            # a diverging head overflows its logits, then its parameters:
+            # _check_finite reports the first non-finite value instead
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in batch:
+                    f, t = train_set[i]
+                    _loss, gwi, gbi = rmsle_gradient(head, f, t)
+                    gw += gwi
+                    gb += gbi
+                gw /= len(batch)
+                gb /= len(batch)
+                gw += cfg.weight_decay * head.weights  # decay on weights only
+                vw = cfg.momentum * vw + gw
+                vb = cfg.momentum * vb + gb
+                head.weights = head.weights - lr * vw
+                head.bias = head.bias - lr * vb
+            _check_finite(epoch, head)
 
-        train_loss = _mean_rmsle(head, train_set)
-        val_loss, val_auroc = (
-            _validate(head, val_set, val_errors, val_regions)
-            if val_set else (train_loss, None)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_loss = _mean_rmsle(head, train_set)
+            val_loss, val_auroc = (
+                _validate(head, val_set, val_errors, val_regions)
+                if val_set else (train_loss, None)
+            )
+        _check_finite(epoch, head, train_loss, val_loss)
         log.append(EpochLog(epoch, lr, train_loss, val_loss, val_auroc))
 
         key = (

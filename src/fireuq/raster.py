@@ -1,17 +1,21 @@
 """Grid data types, center-cropping and bit-exact NPY array I/O.
 
-All rasters are numpy arrays: probability and uncertainty maps are 2-D
-float32 in [0, 1] (uncertainty only bounded below in general), masks are
-2-D uint8 in {0, 1}, feature stacks are 3-D float32 laid out (C, H, W).
-Files use the NPY v1.0 format, little-endian, C-order, so a save/load
-round trip reproduces values bit-exactly.
+All rasters are numpy arrays: probability maps are 2-D float32 in
+[0, 1], masks are 2-D uint8 in {0, 1}, feature stacks are 3-D float32
+laid out (C, H, W).  Files use the NPY v1.0 format, little-endian,
+C-order, so a save/load round trip reproduces values bit-exactly.  Only
+bool, integer and float dtypes load; anything else is rejected with its
+path.
 
 Dataset directory layout::
 
     <root>/<year>/<fire_id>/gt.npy
     <root>/<year>/<fire_id>/member_<k>.npy      k = 0..n-1
     <root>/<year>/<fire_id>/features.npy        optional, (C, H, W)
-    <root>/<year>/<fire_id>/student_unc.npy     optional
+
+``distill`` also writes ``student_unc.npy`` beside each fire; it is an
+output, and nothing here reads it.  Each loaded FireEvent lists the
+files it was parsed from, which is what manifests digest.
 """
 
 from __future__ import annotations
@@ -49,7 +53,9 @@ class FireEvent:
     """One evaluation sample: ground truth plus per-member predictions.
 
     Rasters must all share the same height/width; ``members`` is ordered
-    by member index and that order is stable across runs.
+    by member index and that order is stable across runs.  ``files`` are
+    the paths the event was loaded from, empty for an event built in
+    memory.
     """
 
     id: str
@@ -57,7 +63,7 @@ class FireEvent:
     gt: np.ndarray
     members: list[np.ndarray]
     features: np.ndarray | None = None
-    student_uncertainty: np.ndarray | None = None
+    files: tuple[Path, ...] = ()
 
     def __post_init__(self):
         validate_mask(self.gt, name=f"{self.id}/gt")
@@ -77,10 +83,6 @@ class FireEvent:
                     f"fire {self.id}: features shape {self.features.shape[1:]} "
                     f"!= gt shape {shape}"
                 )
-        if self.student_uncertainty is not None:
-            validate_uncertainty_map(self.student_uncertainty, name=f"{self.id}/student_unc")
-            if self.student_uncertainty.shape != shape:
-                raise ShapeError(f"fire {self.id}: student_unc shape mismatch")
 
     @property
     def n_members(self) -> int:
@@ -110,15 +112,6 @@ def validate_mask(arr: np.ndarray, name: str = "mask") -> np.ndarray:
         raise ShapeError(f"{name}: empty dimension in shape {arr.shape}")
     if not np.isin(arr, (0, 1)).all():
         raise ValidationError(f"{name}: mask values must be exactly 0 or 1")
-    return arr
-
-
-def validate_uncertainty_map(arr: np.ndarray, name: str = "uncertainty map") -> np.ndarray:
-    if arr.ndim != 2:
-        raise ShapeError(f"{name}: expected 2-D array, got {arr.ndim}-D")
-    _require_finite(arr, name)
-    if arr.min() < 0.0:
-        raise ValidationError(f"{name}: negative uncertainty values")
     return arr
 
 
@@ -171,7 +164,8 @@ def save_array(arr: np.ndarray, path: str | Path):
 
 
 def load_array(path: str | Path, expect_ndim: int | None = None) -> np.ndarray:
-    """Read an NPY file; optionally require a specific dimensionality."""
+    """Read a bool, integer or float NPY file; optionally require a
+    specific dimensionality."""
     path = Path(path)
     try:
         arr = np.load(path, allow_pickle=False)
@@ -179,6 +173,8 @@ def load_array(path: str | Path, expect_ndim: int | None = None) -> np.ndarray:
         raise
     except (ValueError, OSError, EOFError) as exc:
         raise ParseError(f"{path}: not a readable NPY array ({exc})") from exc
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{path}: dtype {arr.dtype} is not bool, integer or float")
     if expect_ndim is not None and arr.ndim != expect_ndim:
         raise ShapeError(f"{path}: expected {expect_ndim}-D array, got {arr.ndim}-D")
     return arr
@@ -194,18 +190,13 @@ def load_mask(path: str | Path) -> np.ndarray:
     return validate_mask(arr, name=str(path)).astype(MASK_DTYPE, copy=False)
 
 
-def load_uncertainty_map(path: str | Path) -> np.ndarray:
-    arr = load_array(path, expect_ndim=2)
-    return validate_uncertainty_map(arr, name=str(path)).astype(PROB_DTYPE, copy=False)
-
-
 def load_features(path: str | Path) -> np.ndarray:
     arr = load_array(path, expect_ndim=3)
     return validate_features(arr, name=str(path)).astype(PROB_DTYPE, copy=False)
 
 
 def load_event(fire_dir: str | Path, year: int) -> FireEvent:
-    """Load one fire directory (gt + members + optional extras)."""
+    """Load one fire directory (gt + members + optional features)."""
     fire_dir = Path(fire_dir)
     gt_path = fire_dir / "gt.npy"
     if not gt_path.exists():
@@ -222,20 +213,18 @@ def load_event(fire_dir: str | Path, year: int) -> FireEvent:
     indices = sorted(member_paths)
     if indices != list(range(len(indices))):
         raise ValidationError(f"{fire_dir}: member indices not contiguous from 0: {indices}")
-    members = [load_probability_map(member_paths[k]) for k in indices]
+    files = [gt_path] + [member_paths[k] for k in indices]
+    members = [load_probability_map(p) for p in files[1:]]
 
     features = None
     fpath = fire_dir / "features.npy"
     if fpath.exists():
         features = load_features(fpath)
-    student = None
-    spath = fire_dir / "student_unc.npy"
-    if spath.exists():
-        student = load_uncertainty_map(spath)
+        files.append(fpath)
 
     return FireEvent(
         id=fire_dir.name, year=year, gt=gt, members=members,
-        features=features, student_uncertainty=student,
+        features=features, files=tuple(files),
     )
 
 
@@ -274,5 +263,3 @@ def save_event(root: str | Path, event: FireEvent):
         save_array(m.astype(PROB_DTYPE), fire_dir / f"member_{k}.npy")
     if event.features is not None:
         save_array(event.features.astype(PROB_DTYPE), fire_dir / "features.npy")
-    if event.student_uncertainty is not None:
-        save_array(event.student_uncertainty.astype(PROB_DTYPE), fire_dir / "student_unc.npy")

@@ -194,18 +194,12 @@ def _sha256(path: Path) -> str:
 
 
 def digest_inputs(paths: list[str | Path]) -> dict[str, str]:
-    """sha256 per input file; directories are walked in sorted order."""
+    """sha256 per input file, keyed by its path as given."""
     out: dict[str, str] = {}
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            for f in sorted(p.rglob("*")):
-                if f.is_file():
-                    out[str(f)] = _sha256(f)
-        elif p.is_file():
-            out[str(p)] = _sha256(p)
-        else:
-            raise ValidationError(f"manifest input {p} does not exist")
+    for p in map(Path, paths):
+        if not p.is_file():
+            raise ValidationError(f"manifest input {p} is not a file")
+        out[str(p)] = _sha256(p)
     return out
 
 

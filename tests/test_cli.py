@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from fireuq.cli import main, middle_member_by_year, parse_model_spec, _parse_radii
-from fireuq.distill import TrainConfig, UncertaintyHead, save_head
+from fireuq.distill import TrainConfig, UncertaintyHead, apply_head, load_head, save_head
 from fireuq.errors import ValidationError
 from fireuq.metrics import error_map
 from fireuq.raster import FireEvent, load_dataset, save_event
@@ -46,6 +47,8 @@ def test_parse_radii():
         _parse_radii("a..b")
     with pytest.raises(ValidationError):
         _parse_radii("1,x")
+    with pytest.raises(ValidationError):
+        _parse_radii("5..2")
 
 
 def test_parse_model_spec():
@@ -311,9 +314,11 @@ def test_distill_writes_head_and_student_maps(pack, tmp_path):
     assert rc == 0
     assert (out / "head.json").is_file()
     assert (out / "train_log.csv").is_file()
-    events = load_dataset(pack)
-    for ev in events:
-        assert ev.student_uncertainty is not None
+    head = load_head(out / "head.json")[0]
+    for ev in load_dataset(pack):
+        student = np.load(pack / str(ev.year) / ev.id / "student_unc.npy")
+        expect = apply_head(head, ev.features).astype(np.float32)
+        assert student.dtype == expect.dtype and student.tobytes() == expect.tobytes()
     with open(out / "train_log.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 3
@@ -542,3 +547,92 @@ def test_jobs_below_one_exits_before_any_work(tmp_path, capsys, command):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err and "--jobs must be an integer >= 1" in err
+
+
+def _small_pack(root):
+    """Four 16x16 fires, one per year, with four feature channels."""
+    spec = ScenarioSpec(rng_seed=5, grid_size=16, n_fires=4, feature_channels=4,
+                        blob_radius_range_px=(2, 5))
+    for ev in generate_scenario(spec):
+        save_event(root, ev)
+
+
+# case -> (arguments before --out-dir, expected exit code)
+_CORRUPTED_CASES = {
+    "complex-member": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1),
+    "out-dir-is-a-file": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1),
+    "reversed-radii": (["sweep", "--model-a", "ensemble:{root}",
+                        "--model-b", "ensemble:{root}", "--radii", "5..2"], 1),
+    "diverging-distill": (["distill", "{root}", "--lr0", "1e308", "--max-epochs", "3"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTED_CASES))
+def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
+    """Each malformed input or argument ends in exit 1 or 2 with one
+    stderr line, no traceback and no out-dir, in a fresh interpreter
+    that treats any RuntimeWarning as an error."""
+    root, out = tmp_path / "pack", tmp_path / "out"
+    _small_pack(root)
+    bad_member = root / "2019" / "fire_001" / "member_0.npy"
+    if case == "complex-member":
+        np.save(bad_member, np.load(bad_member).astype(np.complex64) + 0.5j)
+    if case == "out-dir-is-a-file":
+        out.write_text("not a directory")
+    args, code = _CORRUPTED_CASES[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fireuq.cli"]
+        + [a.format(root=root) for a in args] + ["--out-dir", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"},
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert not out.is_dir()
+    if case == "complex-member":
+        assert lines[0].startswith(f"error: {bad_member}: ")
+    if case == "out-dir-is-a-file":
+        assert out.read_text() == "not a directory"
+    if case == "diverging-distill":
+        assert "training diverged at epoch" in lines[0]
+        assert not list(root.glob("*/*/student_unc.npy"))
+
+
+def test_manifests_digest_exactly_the_parsed_files(tmp_path):
+    """eval's manifest lists each fire's gt, members and features (plus
+    the head of a student), whether or not distill has written student
+    maps into the pack; distill's lists the same pack files."""
+    root = tmp_path / "pack"
+    _small_pack(root)
+    head_path = tmp_path / "head.json"
+    head = UncertaintyHead(weights=np.array([0.5, -0.2, 0.1, 0.3]), bias=-0.4)
+    save_head(head_path, head, TrainConfig(), selection_metric=None, epoch=0)
+    specs = {"ensemble": f"ensemble:{root}", "student": f"student:{root}:{head_path}"}
+
+    def eval_inputs(tag):
+        inputs = {}
+        for kind, spec in specs.items():
+            out = tmp_path / f"{tag}_{kind}"
+            assert _run(["eval", "--model", spec, "--anchor", "2", "--out-dir", out]) == 0
+            inputs[kind] = json.loads((out / "manifest.json").read_text())["inputs"]
+        return inputs
+
+    before = eval_inputs("before")
+    assert _run(["distill", root, "--out-dir", tmp_path / "distill",
+                 "--max-epochs", "2"]) == 0
+    assert len(list(root.glob("*/*/student_unc.npy"))) == 4
+    assert eval_inputs("after") == before
+
+    parsed = {
+        str(fire / name)
+        for fire in root.glob("*/fire_*")
+        for name in ("gt.npy", "member_0.npy", "member_1.npy", "member_2.npy",
+                     "features.npy")
+    }
+    assert len(parsed) == 4 * 5
+    assert set(before["ensemble"]) == parsed
+    assert set(before["student"]) == parsed | {str(head_path)}
+    distill = json.loads((tmp_path / "distill" / "manifest.json").read_text())
+    assert set(distill["inputs"]) == parsed

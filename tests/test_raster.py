@@ -19,7 +19,6 @@ from fireuq.raster import (
     save_event,
     validate_mask,
     validate_probability_map,
-    validate_uncertainty_map,
 )
 
 
@@ -59,12 +58,6 @@ def test_validate_mask_rejects_non_binary():
     validate_mask(np.array([[0.0, 1.0]]))
     with pytest.raises(ValidationError):
         validate_mask(np.array([[0.0, 0.5]]))
-
-
-def test_validate_uncertainty_map_bounds():
-    validate_uncertainty_map(_prob([[0.0, 3.0]]))  # unbounded above by default
-    with pytest.raises(ValidationError):
-        validate_uncertainty_map(np.array([[-0.01]], dtype=np.float32))
 
 
 def test_geo_config_validation():
@@ -164,6 +157,24 @@ def test_save_array_normalizes_byte_order(tmp_path):
     assert (back == arr.astype("<f4")).all()
 
 
+@pytest.mark.parametrize("dtype", ["<c8", "<U3", "<M8[s]"])
+def test_load_array_rejects_non_numeric_dtypes(tmp_path, dtype):
+    p = tmp_path / "odd.npy"
+    np.save(p, np.zeros((2, 3), dtype=dtype))
+    with pytest.raises(ValidationError, match="not bool, integer or float"):
+        load_array(p)
+
+
+@pytest.mark.parametrize("dtype", ["<f2", ">f4", ">f8", "?", ">i2", "<u4"])
+def test_probability_map_loads_any_real_dtype(tmp_path, dtype):
+    arr = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=dtype)
+    p = tmp_path / "m.npy"
+    np.save(p, arr)
+    back = load_probability_map(p)
+    assert back.dtype == PROB_DTYPE
+    assert back.tobytes() == arr.astype(PROB_DTYPE).tobytes()
+
+
 def test_load_array_rejects_garbage(tmp_path):
     p = tmp_path / "junk.npy"
     p.write_bytes(b"not an npy file at all")
@@ -214,7 +225,10 @@ def test_save_load_event_round_trip(tmp_path):
     for a, b in zip(ev.members, back.members):
         assert a.tobytes() == b.tobytes()
     assert back.features.tobytes() == ev.features.tobytes()
-    assert back.student_uncertainty is None
+    fire_dir = tmp_path / "2019" / "fire_000"
+    assert back.files == (fire_dir / "gt.npy", fire_dir / "member_0.npy",
+                          fire_dir / "member_1.npy", fire_dir / "member_2.npy",
+                          fire_dir / "features.npy")
 
 
 def test_member_ordering_is_numeric_not_lexicographic(tmp_path):

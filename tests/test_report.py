@@ -1,5 +1,6 @@
 """CSV/JSON/Markdown emission and manifest determinism helpers."""
 
+import hashlib
 import json
 
 import pytest
@@ -107,13 +108,16 @@ def test_manifest_timestamp_honors_source_date_epoch(monkeypatch):
     assert manifest_timestamp() == "2023-11-14T22:13:20Z"
 
 
-def test_digest_inputs_walks_directories(tmp_path):
+def test_digest_inputs_hashes_listed_files_only(tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "b.txt").write_text("bb")
     (tmp_path / "a.txt").write_text("aa")
-    digest = digest_inputs([tmp_path])
-    assert set(digest) == {str(tmp_path / "a.txt"), str(tmp_path / "sub" / "b.txt")}
-    again = digest_inputs([tmp_path])
-    assert digest == again
-    with pytest.raises(ValidationError):
-        digest_inputs([tmp_path / "missing.txt"])
+    (tmp_path / "unlisted.txt").write_text("cc")
+    digest = digest_inputs([tmp_path / "sub" / "b.txt", str(tmp_path / "a.txt")])
+    assert digest == {
+        str(tmp_path / "a.txt"): hashlib.sha256(b"aa").hexdigest(),
+        str(tmp_path / "sub" / "b.txt"): hashlib.sha256(b"bb").hexdigest(),
+    }
+    for bad in (tmp_path / "missing.txt", tmp_path / "sub"):
+        with pytest.raises(ValidationError):
+            digest_inputs([bad])
