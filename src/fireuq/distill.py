@@ -142,7 +142,10 @@ def apply_head(head: UncertaintyHead, features: np.ndarray) -> np.ndarray:
             f"apply_head: {f.shape[0]} feature channels vs head with {head.channels}"
         )
     z = np.tensordot(head.weights, f, axes=1) + head.bias
-    return 1.0 / (1.0 + np.exp(-z))
+    # exp(-z) overflows to inf for z < -709, and 1 / (1 + inf) = 0 is the
+    # correct saturation
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def rmsle_gradient(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClassError, ShapeError, ValidationError
-from .morphology import edt, extract_boundary
+from .morphology import extract_boundary, squared_edt_at
 
 DEFAULT_NLL_EPSILON = 1e-7
 
@@ -97,8 +97,15 @@ def ranking_from_sorted(
     element of each distinct score and fp = (last + 1) - tp.  AP sums
     (R_n - R_{n-1}) * P_n over those thresholds; AUROC counts correctly
     ordered (positive, negative) pairs in int64, ties scoring half.
-    Raises DegenerateClassError when the labels are single-class.
+    Raises ValidationError on a NaN or infinite score: sorted by
+    argsort(-s), NaN and -inf come last and +inf first, so checking the
+    two ends is exact.  Raises DegenerateClassError when the labels are
+    single-class.
     """
+    if scores_desc.size and not (
+        np.isfinite(scores_desc[0]) and np.isfinite(scores_desc[-1])
+    ):
+        raise ValidationError("ranking: scores must be finite (found NaN or inf)")
     y = labels.astype(np.int64)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
@@ -156,6 +163,12 @@ def average_surface_distance(
     boundary pixel, pooled with the reverse direction, scaled to meters.
     Raises EmptyMaskError (via boundary extraction) when either mask is
     empty; callers record that fire as missing.
+
+    Each boundary's squared EDT is read only at the other boundary's
+    pixels (squared_edt_at, in np.argwhere's raster order), so no
+    full-grid transform is built.  The values are the full-grid EDT's
+    exact integers in the order a boolean mask selects them, so the sum
+    of their square roots has the full-grid computation's bits.
     """
     if mask_a.shape != mask_b.shape:
         raise ShapeError(f"shape mismatch: {mask_a.shape} vs {mask_b.shape}")
@@ -163,10 +176,24 @@ def average_surface_distance(
         raise ValidationError("meters_per_pixel must be > 0")
     ba = extract_boundary(mask_a)
     bb = extract_boundary(mask_b)
-    d_to_b = edt(bb)[ba.astype(bool)]
-    d_to_a = edt(ba)[bb.astype(bool)]
+    d_to_b = np.sqrt(squared_edt_at(bb, np.argwhere(ba)))
+    d_to_a = np.sqrt(squared_edt_at(ba, np.argwhere(bb)))
     total = float(np.sum(d_to_b) + np.sum(d_to_a))
     return meters_per_pixel * total / (d_to_b.size + d_to_a.size)
+
+
+def brier_terms(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-pixel Brier terms (p - y)^2 of float64 probabilities p and
+    0/1 labels y; brier is their mean."""
+    return (p - y) ** 2
+
+
+def nll_terms(p: np.ndarray, y: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per-pixel negative log-likelihoods of float64 probabilities p,
+    clipped to [epsilon, 1 - epsilon], and 0/1 labels y; nll is their
+    mean."""
+    p = np.clip(p, epsilon, 1.0 - epsilon)
+    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
 def brier(
@@ -178,7 +205,7 @@ def brier(
     y = _select(np.asarray(gt), region).astype(np.float64)
     if p.size == 0:
         raise ValidationError("brier: empty region")
-    return float(np.mean((p - y) ** 2))
+    return float(np.mean(brier_terms(p, y)))
 
 
 def nll(
@@ -196,8 +223,7 @@ def nll(
     y = _select(np.asarray(gt), region).astype(np.float64)
     if p.size == 0:
         raise ValidationError("nll: empty region")
-    p = np.clip(p, epsilon, 1.0 - epsilon)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    return float(np.mean(nll_terms(p, y, epsilon)))
 
 
 def error_map(

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import EmptyMaskError, ValidationError
 from .raster import validate_mask
 
+# (point, column) pairs per block of squared_edt_at, which bounds its memory
+_EDT_AT_BLOCK = 8192
+
 
 def squared_edt(mask: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distance to the nearest foreground pixel.
@@ -104,6 +107,58 @@ def squared_edt(mask: np.ndarray) -> np.ndarray:
         np.searchsorted(breaks, (xs + offset).ravel(), side="right") - 1
     ].reshape(h, w)
     return (xs * (xs - 2 * apex[which]) + apex_b[which]).astype(np.float64)
+
+
+def squared_edt_at(mask: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """squared_edt(mask) read at the pixels points, an (n, 2) integer
+    array of (row, col) inside the grid, in the order of points.
+
+    G[y, u], the distance from (y, u) to the nearest foreground pixel in
+    column u, comes from a running max and min of foreground row indices
+    down and up each occupied column.  Each point (y, x) then takes the
+    minimum of (x - u)^2 + G[y, u]^2 over the n occupied columns u, the
+    same integers whose minimum squared_edt finds by its parabola
+    envelope, so the values are exact and bitwise equal.  The (point,
+    column) pairs are formed in blocks of about _EDT_AT_BLOCK, which
+    bounds memory.  Cost: O(h*n + len(points)*n), at most O(h*w*w) for
+    any points, against O(h*w*log(h*n)) for the whole grid's transform;
+    it is the cheaper of the two when the points are few, as boundary
+    pixels are.  Raises ValidationError unless points are (n, 2) integer
+    pixels of the grid (a negative index would wrap), and EmptyMaskError
+    on an all-zero mask.
+    """
+    mask = np.asarray(mask)
+    validate_mask(mask, name="squared_edt_at input")
+    if not mask.any():
+        raise EmptyMaskError("squared_edt_at: mask has no foreground")
+    points = np.asarray(points)
+    h, w = mask.shape
+    if points.ndim != 2 or points.shape[1] != 2 or not (
+        points.size == 0
+        or np.issubdtype(points.dtype, np.integer)
+        and points.min() >= 0
+        and points[:, 0].max() < h
+        and points[:, 1].max() < w
+    ):
+        raise ValidationError("squared_edt_at: points must be (n, 2) integer pixels of the grid")
+    fg = mask.astype(bool)
+    cols = np.flatnonzero(fg.any(axis=0))
+    sub = fg[:, cols]
+    rows = np.arange(h)[:, None]
+    # nearest foreground row at or above, and at or below; the sentinels
+    # lie more than h rows away, past any real one in an occupied column
+    above = np.maximum.accumulate(np.where(sub, rows, -h), axis=0)
+    below = np.minimum.accumulate(np.where(sub, rows, 2 * h)[::-1], axis=0)[::-1]
+    g2 = np.minimum(rows - above, below - rows) ** 2
+    out = np.empty(len(points), dtype=np.int64)
+    step = max(1, _EDT_AT_BLOCK // cols.size)
+    for i in range(0, len(points), step):
+        p = points[i : i + step]
+        dx = p[:, 1, None] - cols
+        d2 = dx * dx
+        d2 += g2[p[:, 0]]
+        d2.min(axis=1, out=out[i : i + step])
+    return out.astype(np.float64)
 
 
 def edt(mask: np.ndarray) -> np.ndarray:

@@ -27,9 +27,9 @@ from .metrics import (
     MetricRecord,
     average_precision,
     average_surface_distance,
-    brier,
+    brier_terms,
     error_map,
-    nll,
+    nll_terms,
     ranking_from_sorted,
 )
 from .morphology import dilate, squared_edt, within_disk
@@ -160,14 +160,23 @@ def run_sweep(
     then the second model's, and so on.  The float mean depends on that
     order, so it is part of the contract.  Phase 2 scores the radii
     config.radii_px plus the anchor, which is always scored.  It visits
-    each distinct Fire once: the ground truth's squared EDT and the
-    error map are computed there, shared by every model that holds the
-    Fire, and dropped when its records are done.  Each model's
-    uncertainty is sorted once over the largest FCER; every radius ranks
-    the sorted subsequence inside its own FCER, as the FCERs are nested.
-    That sort is numpy's default argsort: the ranking kernel reads only
-    the counts at the end of each tie group, so the order within ties,
-    which such a sort leaves unspecified, changes no value.
+    each distinct Fire once, inside its window: the ground truth's
+    bounding box padded by the largest radius and clipped to the grid.
+    Every foreground and every FCER pixel lies in the window, so the
+    window's squared EDT equals the full grid's there, and raster order
+    in the window is the grid's order restricted to it; n_eval_px and
+    each region's values, in their order, are those of the full grid.
+    The EDT and the error map are shared by every model that holds the
+    Fire and dropped when its records are done.  Each model's per-pixel
+    Brier and NLL terms are computed once over the largest FCER, and
+    each radius averages the subsequence inside its own FCER, as the
+    FCERs are nested; the mean sees the values brier and nll would see,
+    in the same order.  Likewise each model's uncertainty is sorted once
+    over the largest FCER, and every radius ranks its sorted
+    subsequence.  That sort is numpy's default argsort: the ranking
+    kernel reads only the counts at the end of each tie group, so the
+    order within ties, which such a sort leaves unspecified, changes no
+    value.
 
     Degenerate per-fire cases (single-class region, empty ground truth,
     missing boundary) leave the affected metrics as None and the run
@@ -239,33 +248,49 @@ def run_sweep(
                 [MetricRecord(ev.id, ev.year, radius_px=r, n_eval_px=0) for r in radii]
                 for _ in group
             ]
-        d2 = squared_edt(gt)
-        errors = error_map(fire.reference, gt, threshold=config.error_threshold)
-        outer = within_disk(d2, radii[-1]).astype(bool)
+        # the window: gt's bounding box padded by the largest radius, which
+        # holds every foreground and every FCER pixel, so the EDT and the
+        # FCER inside it equal the full grid's, in the same raster order
+        pad = radii[-1]
+        rows, cols = (np.flatnonzero(gt.any(axis=a)) for a in (1, 0))
+        win = (
+            slice(max(rows[0] - pad, 0), rows[-1] + pad + 1),
+            slice(max(cols[0] - pad, 0), cols[-1] + pad + 1),
+        )
+        gt_w = gt[win]
+        d2 = squared_edt(gt_w)
+        outer = within_disk(d2, pad).astype(bool)
+        d2_outer = d2[outer]
+        y_outer = gt_w[outer].astype(np.float64)
+        errors = error_map(fire.reference[win], gt_w, config.error_threshold)[outer]
+        inside = [within_disk(d2_outer, r).astype(bool) for r in radii]
         out = []
         for m, i in group:
             prob, unc = models[m].outputs[i]
             ap, asd = ap_asd[(m, i)]
+            p = prob[win][outer].astype(np.float64)
+            b_terms = brier_terms(p, y_outer)
+            n_terms = nll_terms(p, y_outer, config.nll_epsilon)
             # one sort over the largest FCER; each smaller one is a sorted subsequence
-            order = np.argsort(-unc[outer])
-            s, y, d2_sorted = (a[outer][order] for a in (unc, errors, d2))
+            u = unc[win][outer]
+            order = np.argsort(-u)
+            s, y = u[order], errors[order]
             records = []
-            for r in radii:
-                region = within_disk(d2, r)
+            for r, keep in zip(radii, inside):
                 rec = MetricRecord(
                     ev.id,
                     ev.year,
                     radius_px=r,
                     ap=ap,
                     asd_m=asd,
-                    brier=brier(prob, gt, region),
-                    nll=nll(prob, gt, region, epsilon=config.nll_epsilon),
-                    n_eval_px=int(region.sum()),
+                    brier=float(np.mean(b_terms[keep])),
+                    nll=float(np.mean(n_terms[keep])),
+                    n_eval_px=int(np.count_nonzero(keep)),
                 )
-                keep = within_disk(d2_sorted, r).astype(bool)
+                ranked = keep[order]
                 try:
                     rec.auprc, rec.auroc, rec.error_prevalence = ranking_from_sorted(
-                        s[keep], y[keep]
+                        s[ranked], y[ranked]
                     )
                 except DegenerateClassError:
                     pass

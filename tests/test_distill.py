@@ -1,6 +1,7 @@
 """Ensemble fusion, RMSLE head math and the SGD training loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ def test_apply_head_output_strictly_inside_unit_interval():
     out = apply_head(head, f)
     assert 0.0 < out[0, 0] < 1e-6
     assert 1.0 - 1e-6 < out[0, 1] <= 1.0
+
+
+def test_apply_head_saturates_without_overflow_warning():
+    """Logits of -1e306 overflow exp(-z) to inf; the map saturates to 0
+    exactly, and under the pyproject filter a RuntimeWarning would fail."""
+    head = UncertaintyHead(weights=np.array([1e306, -1e306]), bias=0.0)
+    f = np.zeros((2, 1, 3))
+    f[:, 0, 0] = (1.0, 2.0)  # z = -1e306
+    f[:, 0, 1] = (2.0, 1.0)  # z = +1e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = apply_head(head, f)
+    assert out.tolist() == [[0.0, 1.0, 0.5]]
 
 
 def test_apply_head_shape_validation():

@@ -17,6 +17,7 @@ from fireuq.metrics import (
     ranking_from_sorted,
     uq_auroc,
 )
+from fireuq.morphology import _EDT_AT_BLOCK, edt, extract_boundary
 from fireuq.oracles import (
     oracle_asd,
     oracle_auprc,
@@ -209,6 +210,23 @@ def test_ranking_from_sorted_single_class_raises():
         ranking_from_sorted(s[:0], np.zeros(0, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 4, 8])
+def test_ranking_rejects_non_finite_scores(bad, at):
+    scores = np.linspace(0.9, 0.1, 9).reshape(3, 3)
+    labels = np.array([[1, 0, 1], [0, 0, 1], [0, 1, 0]], dtype=np.uint8)
+    scores.flat[at] = bad
+    for fn in (average_precision, uq_auroc):
+        with pytest.raises(ValidationError, match="finite"):
+            fn(scores, labels)
+    s, y = _sorted_desc(scores, labels)
+    with pytest.raises(ValidationError, match="finite"):
+        ranking_from_sorted(s, y)
+    # single-class labels do not hide a bad score
+    with pytest.raises(ValidationError, match="finite"):
+        uq_auroc(scores, np.ones_like(labels))
+
+
 def test_rank_metrics_invariant_to_monotone_transform():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -374,6 +392,57 @@ def test_asd_matches_oracle():
         fast = average_surface_distance(ma, mb, 1.0)
         slow = oracle_asd(ma, mb, 1.0)
         assert abs(fast - slow) <= 1e-12
+
+
+def _asd_full_grid(ma, mb):
+    """ASD from the two full-grid EDTs, each read at the other boundary
+    under a boolean mask, in the same float64 arithmetic."""
+    ba, bb = extract_boundary(ma), extract_boundary(mb)
+    d_to_b = edt(bb)[ba.astype(bool)]
+    d_to_a = edt(ba)[bb.astype(bool)]
+    return float(np.sum(d_to_b) + np.sum(d_to_a)) / (d_to_b.size + d_to_a.size)
+
+
+def test_asd_bitwise_equals_full_grid_edt_and_matches_oracle():
+    """Dense random masks, and blobs with stray pixels, up to the
+    oracle's 8192-pixel guard."""
+    rng = np.random.default_rng(71)
+    for k in range(24):
+        if k % 2:
+            h, w = (int(v) for v in rng.integers(18, 30, size=2))
+            ma = (rng.random((h, w)) < rng.uniform(0.3, 0.5)).astype(np.uint8)
+            mb = (rng.random((h, w)) < rng.uniform(0.3, 0.5)).astype(np.uint8)
+        else:
+            h, w = (int(v) for v in rng.integers(40, 90, size=2))
+            yy, xx = np.mgrid[:h, :w]
+            ma = (np.hypot(yy - h / 2, xx - w / 3) < rng.uniform(3, 12)).astype(np.uint8)
+            mb = (np.hypot(yy - h / 3, xx - w / 2) < rng.uniform(3, 12)).astype(np.uint8)
+            mb |= (rng.random((h, w)) < 0.005).astype(np.uint8)
+        fast = average_surface_distance(ma, mb, 1.0)
+        assert fast == _asd_full_grid(ma, mb)
+        assert abs(fast - oracle_asd(ma, mb, 1.0)) <= 1e-12
+
+
+def test_asd_boundaries_spanning_several_blocks():
+    """Boundary sets whose (pixel, column) pairs fill many blocks of
+    squared_edt_at give the bits of the full-grid EDTs."""
+    rng = np.random.default_rng(73)
+    yy, xx = np.mgrid[:128, :128]
+    disk = (np.hypot(yy - 60, xx - 64) < 40).astype(np.uint8)
+    ring = (np.hypot(yy - 70, xx - 58) < 45) & (rng.random((128, 128)) < 0.9)
+    ring = ring.astype(np.uint8)
+    dots = np.zeros((128, 128), dtype=np.uint8)
+    dots[[5, 64, 100, 127], [120, 64, 3, 0]] = 1
+    noise = (rng.random((128, 128)) < 0.6).astype(np.uint8)
+    for ma, mb in ((disk, ring), (dots, noise), (noise[:40, :60], disk[:40, :60])):
+        ba, bb = extract_boundary(ma), extract_boundary(mb)
+        pairs = (int(ba.sum()) * int(bb.any(axis=0).sum()),
+                 int(bb.sum()) * int(ba.any(axis=0).sum()))
+        assert max(pairs) > 3 * _EDT_AT_BLOCK
+        assert average_surface_distance(ma, mb, 1.0) == _asd_full_grid(ma, mb)
+    small = (rng.random((40, 60)) < 0.3).astype(np.uint8)
+    assert abs(average_surface_distance(small, disk[:40, :60], 1.0)
+               - oracle_asd(small, disk[:40, :60], 1.0)) <= 1e-12
 
 
 def test_shape_mismatch_raises():

@@ -1,12 +1,20 @@
 """Exact EDT, disk dilation and boundary extraction vs brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fireuq.errors import EmptyMaskError, ValidationError
-from fireuq.morphology import dilate, edt, extract_boundary, squared_edt
+from fireuq.morphology import (
+    _EDT_AT_BLOCK,
+    dilate,
+    edt,
+    extract_boundary,
+    squared_edt,
+    squared_edt_at,
+)
 from fireuq.oracles import oracle_dilate, oracle_edt
 
 
@@ -118,9 +126,63 @@ def test_edt_and_dilate_match_oracles_on_few_occupied_columns():
         assert (dilate(m, r) == oracle_dilate(m, r)).all()
 
 
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_CASES))
+def test_squared_edt_at_equals_squared_edt_on_envelope_edge_cases(name):
+    m = _ENVELOPE_CASES[name]
+    pts = np.argwhere(np.ones_like(m))
+    assert (squared_edt_at(m, pts) == squared_edt(m).ravel()).all()
+
+
+def test_squared_edt_at_equals_squared_edt_at_any_points():
+    """Random masks read at points in any order, repeated, and in
+    numbers that fill many blocks."""
+    rng = np.random.default_rng(31)
+    for k in range(30):
+        h, w = (int(v) for v in rng.integers(1, 70, size=2))
+        m = _random_mask(rng, h, w, p=float(rng.uniform(0.002, 0.7)))
+        m[int(rng.integers(h)), int(rng.integers(w))] = 1
+        n = int(rng.integers(0, 3 * h * w))
+        pts = np.stack([rng.integers(0, h, n), rng.integers(0, w, n)], axis=1)
+        got = squared_edt_at(m, pts)
+        assert got.dtype == np.float64
+        assert (got == squared_edt(m)[pts[:, 0], pts[:, 1]]).all()
+    # as ASD reads it: at another mask's boundary, in raster order
+    m = _random_mask(rng, 100, 120, p=0.3)
+    other = extract_boundary(_random_mask(rng, 100, 120, p=0.5)).astype(bool)
+    pts = np.argwhere(other)
+    assert len(pts) * int(m.any(axis=0).sum()) > 5 * _EDT_AT_BLOCK
+    assert (squared_edt_at(m, pts) == squared_edt(m)[other]).all()
+
+
+@pytest.mark.parametrize(
+    "points", [[[0, -1]], [[5, 0]], [[0, 7]], [[0.0, 1.0]], [0, 1], [[0, 1, 2]]]
+)
+def test_squared_edt_at_rejects_points_off_the_grid(points):
+    m = np.ones((5, 7), dtype=np.uint8)
+    with pytest.raises(ValidationError):
+        squared_edt_at(m, np.array(points))
+
+
+def test_squared_edt_at_memory_is_bounded_by_blocks():
+    """4M (point, column) pairs would take 32 MB per int64 temporary in
+    one block; in blocks the peak stays near the column table's size."""
+    rng = np.random.default_rng(37)
+    m = _random_mask(rng, 200, 200, p=0.3)
+    pts = np.stack([rng.integers(0, 200, 20000), rng.integers(0, 200, 20000)], axis=1)
+    tracemalloc.start()
+    try:
+        squared_edt_at(m, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_edt_empty_mask_raises():
     with pytest.raises(EmptyMaskError):
         squared_edt(np.zeros((5, 5), dtype=np.uint8))
+    with pytest.raises(EmptyMaskError):
+        squared_edt_at(np.zeros((5, 5), dtype=np.uint8), np.zeros((1, 2), dtype=np.int64))
     with pytest.raises(EmptyMaskError):
         edt(np.zeros((5, 5), dtype=np.uint8))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fireuq.errors import DegenerateDataError, EmptyMaskError, ShapeError, ValidationError
-from fireuq.metrics import MetricRecord, average_precision, error_map, uq_auroc
+from fireuq.metrics import MetricRecord, average_precision, brier, error_map, nll, uq_auroc
 from fireuq.morphology import dilate
 from fireuq.oracles import oracle_auroc, oracle_average_precision
 from fireuq import protocol
@@ -352,6 +352,99 @@ def test_run_sweep_ranking_is_tie_order_free_at_scale():
         assert rec.auroc == uq_auroc(unc, errors, region)
         assert rec.auprc == average_precision(unc, errors, region)
     assert result.records[-1].n_eval_px >= 64 * 64
+
+
+def _assert_records_equal_per_region(events, outputs, references, result, radii, eps):
+    """Every record bitwise equals the per-region metrics on build_fcer."""
+    assert [rec.radius_px for rec in result.records] == list(radii) * len(events)
+    for k, rec in enumerate(result.records):
+        i = k // len(radii)
+        gt, (prob, unc) = events[i].gt, outputs[i]
+        region = build_fcer(gt, rec.radius_px)
+        errors = error_map(references[i], gt)
+        assert rec.n_eval_px == int(region.sum())
+        assert rec.brier == brier(prob, gt, region)
+        assert rec.nll == nll(prob, gt, region, epsilon=eps)
+        y = errors[region.astype(bool)]
+        if y.all() or not y.any():
+            assert rec.auroc is None and rec.auprc is None
+            continue
+        assert rec.auroc == uq_auroc(unc, errors, region)
+        assert rec.auprc == average_precision(unc, errors, region)
+        assert rec.error_prevalence == y.mean()
+
+
+@pytest.mark.parametrize("case", ["edges", "all-foreground", "radius-past-grid", "corners"])
+def test_run_sweep_window_equals_per_region_metrics_bitwise(case):
+    """The fire window changes no value where it is clipped by, or
+    covers, the whole grid: each record equals brier, nll, uq_auroc and
+    average_precision on build_fcer(gt, r) over the full grid."""
+    rng = np.random.default_rng(83)
+    h, w = 19, 26
+    gts = []
+    for _ in range(3):
+        gt = np.zeros((h, w), dtype=np.uint8)
+        if case == "edges":
+            gt[6:12, 8:17] = rng.random((6, 9)) < 0.7
+            gt[0, int(rng.integers(w))] = gt[-1, int(rng.integers(w))] = 1
+            gt[int(rng.integers(h)), 0] = gt[int(rng.integers(h)), -1] = 1
+        elif case == "all-foreground":
+            gt[:] = 1
+        elif case == "radius-past-grid":
+            gt[8:11, 10:14] = 1
+        else:
+            gt[:2, :3] = 1
+            gts.append(gt)
+            gt = np.zeros((h, w), dtype=np.uint8)
+            gt[-3:, -2:] = rng.random((3, 2)) < 0.8
+            gt[-1, -1] = 1
+        gts.append(gt)
+    events, outputs, references = [], [], []
+    for i, gt in enumerate(gts):
+        prob = rng.random((h, w)).astype(np.float32)
+        prob[0, 0], prob[-1, -1] = 0.0, 1.0  # clipped by nll's epsilon
+        unc = (rng.integers(0, 3, size=(h, w)) / 4.0).astype(np.float32)
+        events.append(FireEvent(id=f"fire_{i}", year=2020, gt=gt, members=[prob] * 3))
+        outputs.append((prob, unc))
+        references.append(np.roll(prob, 3, axis=1))
+    largest = 40 if case == "radius-past-grid" else 7
+    cfg = SweepConfig(radii_px=(0, 1, 2, 3, 5), anchor_px=largest, nll_epsilon=1e-3)
+    result = _sweep(events, outputs, references, cfg)
+    radii = (0, 1, 2, 3, 5, largest)
+    _assert_records_equal_per_region(events, outputs, references, result, radii, 1e-3)
+    if case in ("all-foreground", "radius-past-grid"):
+        assert result.records[-1].n_eval_px == h * w
+
+
+def test_run_sweep_window_equals_per_region_metrics_on_scenario_fires():
+    events = _scenario_events(seed=29, n_fires=6, grid=48)
+    # some windows lie strictly inside the grid, clipped by no edge
+    assert any(
+        not (r[0].any() or r[-1].any() or r[:, 0].any() or r[:, -1].any())
+        for r in (build_fcer(ev.gt, 12) for ev in events if ev.gt.any())
+    )
+    outputs = [(ev.members[0], np.abs(ev.members[2] - 0.5)) for ev in events]
+    references = [ev.members[1] for ev in events]
+    cfg = SweepConfig(radii_px=tuple(range(9)), anchor_px=12)
+    result = _sweep(events, outputs, references, cfg)
+    radii = tuple(range(9)) + (12,)
+    eps = cfg.nll_epsilon
+    _assert_records_equal_per_region(events, outputs, references, result, radii, eps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (8, 7), (15, 15)])
+def test_run_sweep_rejects_non_finite_uncertainty(bad, at):
+    rng = np.random.default_rng(89)
+    gt = np.zeros((16, 16), dtype=np.uint8)
+    gt[6:10, 5:11] = 1
+    prob = rng.random((16, 16)).astype(np.float32)
+    unc = rng.random((16, 16)).astype(np.float32)
+    unc[at] = bad
+    events = [FireEvent(id="fire_0", year=2020, gt=gt, members=[prob] * 3)]
+    # radius 30 puts every pixel in the outer FCER
+    with pytest.raises(ValidationError, match="finite"):
+        _sweep(events, [(prob, unc)], [prob], SweepConfig(radii_px=(0, 2), anchor_px=30))
 
 
 def _two_models(seed=17, n_fires=5):
