@@ -264,6 +264,10 @@ def cmd_sweep(args) -> int:
 
     specs = [args.model_a, args.model_b]
     models, inputs = _load_models(specs, geo)
+    keys_a, keys_b = ({(f.event.year, f.event.id) for f in m.fires} for m in models)
+    if not keys_a & keys_b:
+        root_a, root_b = (parse_model_spec(s)[1] for s in specs)
+        raise DegenerateDataError(f"sweep: {root_a} and {root_b} share no (year, fire)")
     results = run_sweep(models, config, geo, jobs=args.jobs)
     anchor = results[0].anchor_radius_px
 
@@ -569,14 +573,20 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory() -> None:
     """Let glibc reuse freed numpy temporaries instead of remapping them.
 
-    By default glibc serves each block of 128 KiB or more (one 128x128
-    float64 map) with a fresh mmap and returns the heap top to the
-    kernel once 128 KiB of it is free; it raises both limits only after
-    freeing a block larger than the current one.  Loops over such maps,
-    as in distill's training epochs, then page-fault on nearly every
-    temporary until some large block happens to be freed.  Fixed limits
-    of 32 MiB (mmap) and 64 MiB (trim) make every command run as it does
-    after such a free.  C libraries without mallopt are left alone.
+    By default glibc serves each block of 128 KiB or more with a fresh
+    mmap and returns the heap top to the kernel once 128 KiB of it is
+    free; it raises both limits only after freeing a block larger than
+    the current one.  eval and sweep allocate per-call float64 and int64
+    temporaries of 16384 pixels, one 128x128 map and exactly that
+    128 KiB, while scoring each fire, and would page-fault on nearly
+    every one of them.  Without this call they ran up to 16% slower
+    (perfbench packs, seed 11, medians of 5 alternating runs on a 2-vCPU
+    host: members15 eval of the ensemble 0.55 -> 0.64 s and sweep
+    0.66 -> 0.72 s; pack128 sweep 0.60 -> 0.67 s).  distill trains in
+    one reusable workspace and no longer depends on it.
+    Fixed limits of 32 MiB (mmap) and 64 MiB (trim) make every command
+    run as it does after such a free.  C libraries without mallopt are
+    left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
-from .metrics import error_map, uq_auroc
+from .metrics import error_map, ranking_of
 from .protocol import build_fcer
 
 
@@ -120,32 +120,98 @@ def select_middle_member(per_member_ap: list[float]) -> int:
     return values.index(median)
 
 
+class _Workspace:
+    """Float64 buffers for the head math on images of up to n pixels with
+    c channels: the widened (c, n) feature stack and three n-vectors.
+
+    Each step writes into them with out=, so a loop over images widens
+    every feature stack into the same memory and allocates nothing per
+    pixel.  The steps are the formulas of apply_head, rmsle and
+    rmsle_gradient in their operand order; two sign folds, (-w).f - b
+    for -(w.f + b) and x / -(L N) for -(x / (L N)), are exact because
+    rounding to nearest is symmetric in sign.
+    """
+
+    def __init__(self, c: int, n: int):
+        self.f = np.empty(c * n)
+        self.s = np.empty(n)
+        self.d = np.empty(n)
+        self.tmp = np.empty(n)
+
+    def load(self, features: np.ndarray) -> np.ndarray:
+        """features (c, ...) copied into the buffer, as a (c, n) view."""
+        c = features.shape[0]
+        n = math.prod(features.shape[1:])
+        flat = self.f[: c * n].reshape(c, n)
+        np.copyto(flat.reshape(features.shape), features)
+        return flat
+
+    def student(self, head: UncertaintyHead, flat: np.ndarray) -> np.ndarray:
+        """s = sigmoid(w . f + b) per pixel of a loaded stack."""
+        s = self.s[: flat.shape[1]]
+        np.dot(-head.weights, flat, out=s)
+        np.subtract(s, head.bias, out=s)
+        np.exp(s, out=s)
+        np.add(1.0, s, out=s)
+        np.divide(1.0, s, out=s)
+        return s
+
+    def rmsle(self, s: np.ndarray, log1p_t: np.ndarray) -> float:
+        """sqrt(mean(d^2)) of d = log1p(t) - log1p(s), left in self.d."""
+        d = self.d[: s.size]
+        np.log1p(s, out=d)
+        np.subtract(log1p_t, d, out=d)
+        sq = self.tmp[: s.size]
+        np.multiply(d, d, out=sq)
+        # np.mean's own sum and division, without its per-call overhead
+        return math.sqrt(float(np.add.reduce(sq)) / s.size)
+
+    def gradient(
+        self, head: UncertaintyHead, flat: np.ndarray, log1p_t: np.ndarray
+    ) -> tuple[float, np.ndarray, float]:
+        """rmsle_gradient of a loaded stack against log1p(t), raveled."""
+        s = self.student(head, flat)
+        loss = self.rmsle(s, log1p_t)
+        if loss == 0.0:
+            return 0.0, np.zeros(flat.shape[0]), 0.0
+        n = s.size
+        d = self.d[:n]
+        tmp = self.tmp[:n]
+        np.multiply(d, s, out=d)
+        np.subtract(1.0, s, out=tmp)
+        np.multiply(d, tmp, out=d)
+        np.add(1.0, s, out=tmp)
+        np.divide(d, tmp, out=d)
+        np.divide(d, -(loss * n), out=d)
+        return loss, np.dot(flat, d), float(d.sum())
+
+
 def rmsle(student: np.ndarray, teacher: np.ndarray) -> float:
-    """Root mean squared error between log(1+x)-transformed maps."""
+    """Root mean squared error between log(1+x)-transformed maps, taken
+    over the pixels in C order."""
     s = np.asarray(student, dtype=np.float64)
     t = np.asarray(teacher, dtype=np.float64)
     if s.shape != t.shape:
         raise ShapeError(f"rmsle: shape mismatch {s.shape} vs {t.shape}")
     if s.min() < 0 or t.min() < 0:
         raise ValidationError("rmsle: values must be >= 0")
-    d = np.log1p(t) - np.log1p(s)
-    return float(np.sqrt(np.mean(d * d)))
+    return _Workspace(0, s.size).rmsle(s.ravel(), np.log1p(t.ravel()))
 
 
 def apply_head(head: UncertaintyHead, features: np.ndarray) -> np.ndarray:
     """sigmoid(w . f + b) per pixel over a (C, H, W) feature stack."""
-    f = np.asarray(features, dtype=np.float64)
+    f = np.asarray(features)
     if f.ndim != 3:
         raise ShapeError("apply_head: features must be (C, H, W)")
     if f.shape[0] != head.channels:
         raise ShapeError(
             f"apply_head: {f.shape[0]} feature channels vs head with {head.channels}"
         )
-    z = np.tensordot(head.weights, f, axes=1) + head.bias
+    ws = _Workspace(f.shape[0], math.prod(f.shape[1:]))
     # exp(-z) overflows to inf for z < -709, and 1 / (1 + inf) = 0 is the
     # correct saturation
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        return ws.student(head, ws.load(f)).reshape(f.shape[1:])
 
 
 def rmsle_gradient(
@@ -157,23 +223,12 @@ def rmsle_gradient(
     dL/dz_i = -d_i s_i (1 - s_i) / ((1 + s_i) L N); at L = 0 the loss is
     at its minimum and the (sub)gradient is taken as zero.
     """
-    f = np.asarray(features, dtype=np.float64)
+    f = np.asarray(features)
     t = np.asarray(teacher_unc, dtype=np.float64)
     if f.shape[1:] != t.shape:
         raise ShapeError("rmsle_gradient: feature and target shapes differ")
-    c = f.shape[0]
-    n = t.size
-    flat = f.reshape(c, n)
-    z = head.weights @ flat + head.bias
-    s = 1.0 / (1.0 + np.exp(-z))
-    d = np.log1p(t.ravel()) - np.log1p(s)
-    loss = math.sqrt(float(np.mean(d * d)))
-    if loss == 0.0:
-        return 0.0, np.zeros(c), 0.0
-    gz = -(d * s * (1.0 - s) / (1.0 + s)) / (loss * n)
-    gw = flat @ gz
-    gb = float(gz.sum())
-    return loss, gw, gb
+    ws = _Workspace(f.shape[0], t.size)
+    return ws.gradient(head, ws.load(f), np.log1p(t.ravel()))
 
 
 @dataclass
@@ -193,25 +248,21 @@ class TrainResult:
     selection_metric: float | None  # val AUROC at the anchor, if defined
 
 
-def _mean_rmsle(head: UncertaintyHead, images: list) -> float:
-    losses = [rmsle(apply_head(head, f), t) for f, t in images]
-    return float(np.mean(losses))
-
-
 def _validate(
-    head: UncertaintyHead, val_set: list, val_errors: list, val_regions: list
+    ws: _Workspace, head: UncertaintyHead, val_set: list, val_lt: list, val_ranked: list
 ) -> tuple[float, float | None]:
     """Mean validation RMSLE, and mean AUROC inside the anchor FCERs
     (None when no image has both classes there), from one student map
     per validation image."""
     losses, scores = [], []
-    for (f, t), errors, region in zip(val_set, val_errors, val_regions):
-        unc = apply_head(head, f)
-        losses.append(rmsle(unc, t))
-        if errors is None:
+    for (f, _t), lt, ranked in zip(val_set, val_lt, val_ranked):
+        s = ws.student(head, ws.load(f))
+        losses.append(ws.rmsle(s, lt))
+        if ranked is None:
             continue
+        idx, errors = ranked
         try:
-            scores.append(uq_auroc(unc, errors, region))
+            scores.append(ranking_of(s[idx], errors)[1])
         except DegenerateClassError:
             continue
     return float(np.mean(losses)), (float(np.mean(scores)) if scores else None)
@@ -248,21 +299,31 @@ def train_head(
     if len(val_selection) != len(val_set):
         raise ValidationError("train_head: val_selection must align with val_set")
     c = train_set[0][0].shape[0]
-    for f, t in list(train_set) + list(val_set):
+    images = list(train_set) + list(val_set)
+    for f, t in images:
         if f.ndim != 3 or f.shape[0] != c:
             raise ShapeError(f"train_head: inconsistent channel count ({f.shape})")
         if f.shape[1:] != t.shape:
             raise ShapeError("train_head: feature/target shape mismatch")
+        if np.min(t) < 0:
+            raise ValidationError("train_head: teacher uncertainty must be >= 0")
 
-    # selection prerequisites, fixed across epochs
-    val_errors, val_regions = [], []
-    for (gt, reference) in val_selection:
+    # fixed across epochs: log1p of every teacher map, and per validation
+    # image the anchor-FCER pixels with their error labels (None when
+    # the ground truth is empty)
+    ws = _Workspace(c, max(t.size for _f, t in images))
+    log1p_t = [np.log1p(np.asarray(t, dtype=np.float64).ravel()) for _f, t in images]
+    train_lt, val_lt = log1p_t[: len(train_set)], log1p_t[len(train_set) :]
+    val_ranked = []
+    for (f, _t), (gt, reference) in zip(val_set, val_selection):
+        if np.shape(gt) != f.shape[1:]:
+            raise ShapeError("train_head: selection mask/feature shape mismatch")
         if not np.asarray(gt).any():
-            val_errors.append(None)
-            val_regions.append(None)
+            val_ranked.append(None)
             continue
-        val_errors.append(error_map(reference, gt, threshold=error_threshold))
-        val_regions.append(build_fcer(gt, cfg.selection_anchor_px))
+        errors = error_map(reference, gt, threshold=error_threshold)
+        idx = np.flatnonzero(build_fcer(gt, cfg.selection_anchor_px))
+        val_ranked.append((idx, errors.ravel()[idx]))
 
     if init_head is not None:
         if init_head.channels != c:
@@ -296,8 +357,8 @@ def train_head(
             # _check_finite reports the first non-finite value instead
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in batch:
-                    f, t = train_set[i]
-                    _loss, gwi, gbi = rmsle_gradient(head, f, t)
+                    flat = ws.load(train_set[i][0])
+                    _loss, gwi, gbi = ws.gradient(head, flat, train_lt[i])
                     gw += gwi
                     gb += gbi
                 gw /= len(batch)
@@ -310,9 +371,12 @@ def train_head(
             _check_finite(epoch, head)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            train_loss = _mean_rmsle(head, train_set)
+            train_loss = float(np.mean([
+                ws.rmsle(ws.student(head, ws.load(f)), lt)
+                for (f, _t), lt in zip(train_set, train_lt)
+            ]))
             val_loss, val_auroc = (
-                _validate(head, val_set, val_errors, val_regions)
+                _validate(ws, head, val_set, val_lt, val_ranked)
                 if val_set else (train_loss, None)
             )
         _check_finite(epoch, head, train_loss, val_loss)

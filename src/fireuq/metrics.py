@@ -124,21 +124,25 @@ def ranking_from_sorted(
     return ap, auroc, n_pos / y.size
 
 
-def _ranking(
-    scores: np.ndarray, labels: np.ndarray, region: np.ndarray | None
-) -> tuple[float, float, float]:
-    """ranking_from_sorted over the region, after one descending sort.
+def ranking_of(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
+    """ranking_from_sorted of flat float64 scores and their labels,
+    after one descending sort.
 
     The sort is numpy's default argsort, which may order ties any way:
     the kernel reads only the counts at the end of each tie group, so
-    the result is bitwise that of a stable sort.  Only the region is
-    widened to float64.
+    the result is bitwise that of a stable sort.
     """
+    order = np.argsort(-scores)
+    return ranking_from_sorted(scores[order], labels[order])
+
+
+def _ranking(
+    scores: np.ndarray, labels: np.ndarray, region: np.ndarray | None
+) -> tuple[float, float, float]:
+    """ranking_of over the region; only the region is widened to float64."""
     _check_shapes(np.asarray(scores), np.asarray(labels), region)
     s = _select(np.asarray(scores), region).astype(np.float64, copy=False)
-    y = _select(np.asarray(labels), region)
-    order = np.argsort(-s)
-    return ranking_from_sorted(s[order], y[order])
+    return ranking_of(s, _select(np.asarray(labels), region))
 
 
 def average_precision(

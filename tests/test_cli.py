@@ -521,6 +521,23 @@ def test_one_member_pack_exits_one_where_read(tmp_path, capsys):
         assert not (tmp_path / args[0]).exists()
 
 
+def test_sweep_without_common_fires_exits_degenerate(tmp_path, capsys):
+    root_a, root_b = tmp_path / "a", tmp_path / "b"
+    _hand_pack(root_a, [(12, 12), (12, 12)])
+    _hand_pack(root_b, [(12, 12), (12, 12)])
+    for fire_dir in root_b.glob("*/fire_*"):
+        fire_dir.rename(fire_dir.with_name(fire_dir.name.replace("fire_", "other_")))
+    out = tmp_path / "sweep"
+    assert _run(["sweep", "--model-a", f"ensemble:{root_a}",
+                 "--model-b", f"ensemble:{root_b}", "--anchor", "2",
+                 "--radii", "0..2", "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert str(root_a) in err and str(root_b) in err
+    assert not out.exists()
+
+
 def test_crop_keeps_short_axes_whole(tmp_path):
     root = tmp_path / "mixed"
     _hand_pack(root, [(200, 100), (12, 12)])

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from fireuq.errors import ShapeError, ValidationError
+from fireuq.errors import DegenerateClassError, ShapeError, ValidationError
 from fireuq.distill import (
+    EpochLog,
     TrainConfig,
+    TrainResult,
     UncertaintyHead,
     apply_head,
     fuse_ensemble,
@@ -20,7 +22,9 @@ from fireuq.distill import (
     sigma_max,
     train_head,
 )
+from fireuq.metrics import error_map, uq_auroc
 from fireuq.oracles import oracle_rmsle
+from fireuq.protocol import build_fcer
 
 
 def test_sigma_max_by_grid_search():
@@ -300,6 +304,11 @@ def test_train_head_validation_errors():
     bad = [(np.zeros((2, 3, 3)), np.zeros((4, 4)))]
     with pytest.raises(ShapeError):
         train_head(bad, [], cfg, [])
+    negative = [(data[0][0], data[0][1] - 1.0)]
+    with pytest.raises(ValidationError, match="teacher"):
+        train_head(negative, [], cfg, [])
+    with pytest.raises(ShapeError, match="selection"):
+        train_head(data, data[:1], cfg, _plain_selection(1, hw=5))
 
 
 def test_train_config_validation():
@@ -347,3 +356,167 @@ def test_load_head_rejects_malformed(tmp_path):
             load_head(p)
     with pytest.raises(ValidationError, match="missing.json"):
         load_head(tmp_path / "missing.json")
+
+
+def _cropped_stack(rng, c, h, w, scale=1.0):
+    """A float32 (c, h, w) view cropped out of a larger stack, as the CLI
+    passes cropped features: not contiguous."""
+    big = (rng.normal(size=(c, h + 5, w + 3)) * scale).astype(np.float32)
+    view = big[:, 2 : 2 + h, 1 : 1 + w]
+    assert not view.flags.c_contiguous
+    return view
+
+
+def test_head_wrappers_match_reference_formulas_bitwise():
+    """apply_head, rmsle and rmsle_gradient give the bits of their
+    one-line formulas, on cropped float32 views and logits past +-709."""
+    rng = np.random.default_rng(80)
+    for c, h, w, scale in ((1, 7, 9, 1.0), (5, 24, 20, 1.0), (16, 16, 16, 1.0),
+                           (3, 12, 11, 400.0)):
+        f = _cropped_stack(rng, c, h, w)
+        head = UncertaintyHead(weights=rng.normal(size=c) * scale, bias=float(rng.normal()))
+        t = rng.random((h, w))
+        with np.errstate(over="ignore"):
+            f64 = np.asarray(f, dtype=np.float64)
+            ref_s = 1.0 / (1.0 + np.exp(-(np.tensordot(head.weights, f64, axes=1) + head.bias)))
+            s = apply_head(head, f)
+            flat = f64.reshape(c, h * w)
+            zs = 1.0 / (1.0 + np.exp(-(head.weights @ flat + head.bias)))
+            d = np.log1p(t.ravel()) - np.log1p(zs)
+            ref_loss = math.sqrt(float(np.mean(d * d)))
+            gz = -(d * zs * (1.0 - zs) / (1.0 + zs)) / (ref_loss * t.size)
+            loss, gw, gb = rmsle_gradient(head, f, t)
+        if scale > 1.0:
+            z = np.tensordot(head.weights, f64, axes=1) + head.bias
+            assert z.min() < -709 and z.max() > 709
+            assert (s == 0.0).any() and (s == 1.0).any()
+        assert s.tobytes() == ref_s.tobytes()
+        assert rmsle(s, t) == float(np.sqrt(np.mean(
+            (np.log1p(t) - np.log1p(ref_s)) * (np.log1p(t) - np.log1p(ref_s))
+        )))
+        assert loss == ref_loss
+        assert gw.tobytes() == (flat @ gz).tobytes()
+        assert gb == float(gz.sum())
+
+
+def _reference_train_head(train_set, val_set, cfg, val_selection,
+                          error_threshold=0.5, init_head=None):
+    """The training loop as it was written before the shared workspace,
+    from the public head functions and uq_auroc; kept as the reference
+    train_head must match bit for bit."""
+    c = train_set[0][0].shape[0]
+    val_errors, val_regions = [], []
+    for gt, reference in val_selection:
+        if not np.asarray(gt).any():
+            val_errors.append(None)
+            val_regions.append(None)
+            continue
+        val_errors.append(error_map(reference, gt, threshold=error_threshold))
+        val_regions.append(build_fcer(gt, cfg.selection_anchor_px))
+
+    if init_head is not None:
+        head = UncertaintyHead(weights=init_head.weights.copy(), bias=init_head.bias)
+    else:
+        mean_t = float(np.mean([t.mean() for _f, t in train_set]))
+        mean_t = min(max(mean_t, 1e-6), 1.0 - 1e-6)
+        head = UncertaintyHead(weights=np.zeros(c), bias=math.log(mean_t / (1.0 - mean_t)))
+
+    def validate():
+        losses, scores = [], []
+        for (f, t), errors, region in zip(val_set, val_errors, val_regions):
+            unc = apply_head(head, f)
+            losses.append(rmsle(unc, t))
+            if errors is None:
+                continue
+            try:
+                scores.append(uq_auroc(unc, errors, region))
+            except DegenerateClassError:
+                continue
+        return float(np.mean(losses)), (float(np.mean(scores)) if scores else None)
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    vw, vb = np.zeros(c), 0.0
+    log = []
+    best_key = None
+    best_state = (head.weights.copy(), head.bias, 0, None)
+    stall = 0
+    for epoch in range(cfg.max_epochs):
+        lr = cfg.lr0 * (1.0 - epoch / cfg.max_epochs) ** cfg.poly_power
+        order = rng.permutation(len(train_set))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            gw, gb = np.zeros(c), 0.0
+            for i in batch:
+                f, t = train_set[i]
+                _loss, gwi, gbi = rmsle_gradient(head, f, t)
+                gw += gwi
+                gb += gbi
+            gw /= len(batch)
+            gb /= len(batch)
+            gw += cfg.weight_decay * head.weights
+            vw = cfg.momentum * vw + gw
+            vb = cfg.momentum * vb + gb
+            head.weights = head.weights - lr * vw
+            head.bias = head.bias - lr * vb
+        train_loss = float(np.mean([rmsle(apply_head(head, f), t) for f, t in train_set]))
+        val_loss, val_auroc = validate() if val_set else (train_loss, None)
+        log.append(EpochLog(epoch, lr, train_loss, val_loss, val_auroc))
+        key = (val_auroc if val_auroc is not None else -math.inf, -val_loss)
+        if best_key is None or key > best_key:
+            best_key = key
+            best_state = (head.weights.copy(), head.bias, epoch, val_auroc)
+            stall = 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                break
+    weights, bias, sel_epoch, sel_metric = best_state
+    return TrainResult(UncertaintyHead(weights, bias), log, sel_epoch, sel_metric)
+
+
+def _blob_fire(rng, c, h, w):
+    """(features, teacher) and (gt, reference) of one fire whose features
+    carry a weak signal of the teacher uncertainty."""
+    yy, xx = np.mgrid[:h, :w]
+    cy, cx = rng.integers(3, h - 3), rng.integers(3, w - 3)
+    gt = ((yy - cy) ** 2 + (xx - cx) ** 2 <= rng.integers(2, 5) ** 2).astype(np.uint8)
+    reference = np.clip(gt * 0.7 + rng.normal(0.15, 0.2, size=(h, w)), 0.0, 1.0)
+    teacher = np.clip(np.abs(reference - gt) + rng.normal(0.0, 0.05, size=(h, w)), 0.0, 1.0)
+    features = _cropped_stack(rng, c, h, w)
+    features[0] += (2.0 * teacher - 1.0).astype(np.float32)
+    return (features, teacher), (gt, reference)
+
+
+@pytest.mark.parametrize("c", [1, 16])
+def test_train_head_matches_reference_loop_bitwise(c):
+    rng = np.random.default_rng(90 + c)
+    shapes = [(24, 20), (16, 16), (24, 20), (16, 16), (24, 20)]
+    train = [_blob_fire(rng, c, h, w) for h, w in shapes]
+    val = [_blob_fire(rng, c, h, w) for h, w in [(16, 16), (24, 20), (16, 16), (24, 20)]]
+    train_set = [pair for pair, _sel in train]
+    val_set = [pair for pair, _sel in val]
+    selection = [sel for _pair, sel in val]
+    # empty ground truth: scored for RMSLE only
+    selection[2] = (np.zeros_like(selection[2][0]), selection[2][1])
+    # a reference equal to the ground truth makes no errors anywhere, so
+    # the anchor FCER is single-class and the image is skipped
+    gt3 = selection[3][0]
+    selection[3] = (gt3, gt3.astype(np.float64))
+    with pytest.raises(DegenerateClassError):
+        uq_auroc(apply_head(UncertaintyHead(np.zeros(c), 0.0), val_set[3][0]),
+                 error_map(selection[3][1], gt3), build_fcer(gt3, 4))
+    init = UncertaintyHead(weights=rng.normal(size=c) * 0.1, bias=-0.5)
+    cfgs = [
+        (TrainConfig(lr0=0.5, batch_size=2, max_epochs=12, patience=4, rng_seed=3), None),
+        (TrainConfig(lr0=0.2, momentum=0.5, batch_size=3, max_epochs=8, patience=8,
+                     selection_anchor_px=2, rng_seed=5), init),
+    ]
+    for cfg, init_head in cfgs:
+        got = train_head(train_set, val_set, cfg, selection, init_head=init_head)
+        want = _reference_train_head(train_set, val_set, cfg, selection, init_head=init_head)
+        assert got.head.weights.tobytes() == want.head.weights.tobytes()
+        assert got.head.bias == want.head.bias
+        assert (got.selected_epoch, got.selection_metric) == (
+            want.selected_epoch, want.selection_metric)
+        assert got.log == want.log
+        assert any(e.val_auroc_at_anchor is not None for e in got.log)
