@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import json
 import sys
 from pathlib import Path
@@ -38,13 +37,12 @@ from .distill import (
     train_head,
 )
 from .errors import (
-    DegenerateClassError,
     DegenerateDataError,
     FireUQError,
     ParseError,
     ValidationError,
 )
-from .metrics import DEFAULT_NLL_EPSILON, average_precision
+from .metrics import DEFAULT_NLL_EPSILON, average_precisions
 from .protocol import (
     METRIC_COLUMNS,
     Fire,
@@ -143,26 +141,18 @@ def _load_events(root: Path, geo: GeoConfig) -> list[FireEvent]:
 
 
 def middle_member_by_year(events: list[FireEvent]) -> dict[int, int]:
-    """Per year, the member whose mean per-fire AP is the median."""
+    """Per year, the member whose mean per-fire AP is the median.  Fires
+    whose ground truth is single-class have no AP and are left out; a
+    year in which no fire has an AP gets member 0."""
     out: dict[int, int] = {}
     for year in sorted({ev.year for ev in events}):
         evs = [ev for ev in events if ev.year == year]
-        n = evs[0].n_members
-        means = []
-        for k in range(n):
-            vals = []
-            for ev in evs:
-                try:
-                    vals.append(average_precision(ev.members[k], ev.gt))
-                except DegenerateClassError:
-                    continue
-            means.append(float(np.mean(vals)) if vals else None)
-        if all(v is None for v in means):
+        per_fire = [average_precisions(ev.members, ev.gt) for ev in evs]
+        per_fire = [aps for aps in per_fire if aps is not None]
+        if not per_fire:
             out[year] = 0
             continue
-        out[year] = select_middle_member(
-            [v if v is not None else -np.inf for v in means]
-        )
+        out[year] = select_middle_member([float(np.mean(v)) for v in zip(*per_fire)])
     return out
 
 
@@ -383,7 +373,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    geo = GeoConfig(meters_per_pixel=args.mpp, crop_size=args.crop)
+    geo = GeoConfig(crop_size=args.crop)
     root = Path(args.dataset)
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir, args.force)
@@ -408,6 +398,9 @@ def cmd_distill(args) -> int:
     train_set = [(ev.features, teacher_unc[id(ev)]) for ev in train_events]
     val_set = [(ev.features, teacher_unc[id(ev)]) for ev in val_events]
     val_selection = [(ev.gt, ev.members[mids[ev.year]]) for ev in val_events]
+    # training reads only the features, the teacher maps and these references
+    for ev in events:
+        ev.members.clear()
 
     cfg = TrainConfig(
         lr0=args.lr0,
@@ -484,18 +477,22 @@ def _config_snapshot(args, anchor) -> dict:
     return snapshot
 
 
-def _add_common(p: argparse.ArgumentParser, *, geo=True):
+def _add_common(p: argparse.ArgumentParser, *, fires=True, scores=True):
+    """Flags shared by the subcommands.  fires adds --crop and
+    --threshold, for commands that load and threshold fires; scores adds
+    --mpp and --epsilon, which only the metrics read."""
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--force", action="store_true",
                    help="overwrite an out-dir that already has a manifest")
     p.add_argument("--jobs", type=_parse_jobs, default=1,
                    help="worker threads; affects wall time only")
-    if geo:
+    if fires:
         p.add_argument("--crop", type=int, default=128,
                        help="center-crop size; axes shorter than this stay uncropped")
-        p.add_argument("--mpp", type=float, default=375.0, help="meters per pixel")
         p.add_argument("--threshold", type=float, default=0.5,
                        help="probability threshold for masks and error maps")
+    if scores:
+        p.add_argument("--mpp", type=float, default=375.0, help="meters per pixel")
         p.add_argument("--epsilon", type=float, default=DEFAULT_NLL_EPSILON,
                        help="NLL probability clip")
 
@@ -525,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", type=_parse_anchor, default=None, metavar="auto|PX")
     p.add_argument("--direction", choices=("a_gt_b", "b_gt_a"), default="a_gt_b",
                    help="one-sided alternative: which model is hypothesized better")
-    _add_common(p, geo=False)
+    _add_common(p, fires=False, scores=False)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("distill", help="train the uncertainty head on cached features")
@@ -542,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--selection-anchor", type=int, default=4,
                    help="FCER radius (px) for checkpoint selection")
-    _add_common(p)
+    _add_common(p, scores=False)
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario pack")
@@ -559,47 +556,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature-channels", type=int, default=6)
     p.add_argument("--feature-noise-sigma", type=float, default=1.0)
     p.add_argument("--years", type=int, nargs="+", default=[2018, 2019, 2020, 2021])
-    _add_common(p, geo=False)
+    _add_common(p, fires=False, scores=False)
     p.set_defaults(func=cmd_synth)
 
     return parser
 
 
-# glibc mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory() -> None:
-    """Let glibc reuse freed numpy temporaries instead of remapping them.
-
-    By default glibc serves each block of 128 KiB or more with a fresh
-    mmap and returns the heap top to the kernel once 128 KiB of it is
-    free; it raises both limits only after freeing a block larger than
-    the current one.  eval and sweep allocate per-call float64 and int64
-    temporaries of 16384 pixels, one 128x128 map and exactly that
-    128 KiB, while scoring each fire, and would page-fault on nearly
-    every one of them.  Without this call they ran up to 16% slower
-    (perfbench packs, seed 11, medians of 5 alternating runs on a 2-vCPU
-    host: members15 eval of the ensemble 0.55 -> 0.64 s and sweep
-    0.66 -> 0.72 s; pack128 sweep 0.60 -> 0.67 s).  distill trains in
-    one reusable workspace and no longer depends on it.
-    Fixed limits of 32 MiB (mmap) and 64 MiB (trim) make every command
-    run as it does after such a free.  C libraries without mallopt are
-    left alone.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None) -> int:
-    _keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

@@ -91,7 +91,8 @@ def fuse_ensemble(members: list[np.ndarray]) -> TeacherOutput:
 
     Uncertainty is the per-pixel sample standard deviation (divisor
     n-1) divided by sigma_max(n), clipped to 1 against float roundoff,
-    so it lies in [0, 1] with 1 meaning maximal disagreement.
+    so it lies in [0, 1] with 1 meaning maximal disagreement.  Both are
+    taken over one float64 array of the members, built in one step.
     """
     n = len(members)
     if n < 2:
@@ -100,7 +101,7 @@ def fuse_ensemble(members: list[np.ndarray]) -> TeacherOutput:
     for k, m in enumerate(members):
         if m.shape != shape:
             raise ShapeError(f"fuse_ensemble: member {k} shape {m.shape} != {shape}")
-    stack = np.stack([np.asarray(m, dtype=np.float64) for m in members])
+    stack = np.array(members, dtype=np.float64)
     mean_prob = stack.mean(axis=0)
     std = stack.std(axis=0, ddof=1)
     unc = np.minimum(std / sigma_max(n), 1.0)
@@ -298,6 +299,8 @@ def train_head(
         raise ValidationError("train_head: empty training set")
     if len(val_selection) != len(val_set):
         raise ValidationError("train_head: val_selection must align with val_set")
+    if not 0.0 <= error_threshold <= 1.0:
+        raise ValidationError("train_head: error_threshold must lie in [0, 1]")
     c = train_set[0][0].shape[0]
     images = list(train_set) + list(val_set)
     for f, t in images:

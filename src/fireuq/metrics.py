@@ -106,27 +106,45 @@ def ranking_from_sorted(
         np.isfinite(scores_desc[0]) and np.isfinite(scores_desc[-1])
     ):
         raise ValidationError("ranking: scores must be finite (found NaN or inf)")
-    y = labels.astype(np.int64)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
+    n = labels.size
+    if n == 0:
+        raise DegenerateClassError("ranking: labels are single-class")
+    # per distinct score, highest first: the pixels scored at or above it
+    # (cnt) and the positives among them (tp)
+    cnt = np.flatnonzero(np.append(scores_desc[:-1] != scores_desc[1:], True))
+    tp = np.cumsum(labels, dtype=np.int64)[cnt]
+    cnt += 1
+    n_pos = int(tp[-1])
+    n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateClassError("ranking: labels are single-class")
-    last = np.nonzero(np.append(scores_desc[:-1] != scores_desc[1:], True))[0]
-    tp = np.cumsum(y)[last]
-    fp = (last + 1) - tp
+    ap = _ap_from_counts(tp, cnt, n_pos)
+    fp = np.subtract(cnt, tp, out=cnt)
+    auroc = (_wins2_from_counts(tp, fp, n_neg) / 2.0) / (n_pos * n_neg)
+    return ap, auroc, n_pos / n
+
+
+def _ap_from_counts(tp: np.ndarray, cnt: np.ndarray, n_pos: int) -> float:
+    """Sum over the thresholds of (R_n - R_{n-1}) * P_n."""
     recall = tp / n_pos
-    prev = np.concatenate([[0.0], recall[:-1]])
-    ap = float(np.sum((recall - prev) * (tp / (last + 1))))
-    pos_g = np.diff(tp, prepend=0)
-    neg_g = np.diff(fp, prepend=0)
-    wins2 = int(np.sum(pos_g * (2 * (n_neg - fp) + neg_g)))
-    auroc = (wins2 / 2.0) / (n_pos * n_neg)
-    return ap, auroc, n_pos / y.size
+    terms = np.diff(recall, prepend=0.0)
+    terms *= np.divide(tp, cnt, out=recall)
+    return float(np.sum(terms))
+
+
+def _wins2_from_counts(tp: np.ndarray, fp: np.ndarray, n_neg: int) -> int:
+    """Twice the correctly ordered (positive, negative) pairs, ties
+    counting half: per group pos_g * (2 * (negatives below) + neg_g)."""
+    wins2 = n_neg - fp
+    wins2 *= 2
+    wins2 += np.diff(fp, prepend=0)
+    wins2 *= np.diff(tp, prepend=0)
+    return int(wins2.sum())
 
 
 def ranking_of(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
-    """ranking_from_sorted of flat float64 scores and their labels,
-    after one descending sort.
+    """ranking_from_sorted of flat float scores and their labels, after
+    one descending sort.
 
     The sort is numpy's default argsort, which may order ties any way:
     the kernel reads only the counts at the end of each tie group, so
@@ -136,12 +154,20 @@ def ranking_of(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float, fl
     return ranking_from_sorted(scores[order], labels[order])
 
 
+def _sort_dtype(dtype: np.dtype) -> np.dtype:
+    """The dtype scores are negated in for the descending sort: their own
+    if float, else the float numpy promotes them to (float32 or float64),
+    because negating them would wrap (unsigned) or fail (bool)."""
+    return np.promote_types(dtype, np.float32)
+
+
 def _ranking(
     scores: np.ndarray, labels: np.ndarray, region: np.ndarray | None
 ) -> tuple[float, float, float]:
-    """ranking_of over the region; only the region is widened to float64."""
-    _check_shapes(np.asarray(scores), np.asarray(labels), region)
-    s = _select(np.asarray(scores), region).astype(np.float64, copy=False)
+    """ranking_of over the region, in the scores' _sort_dtype."""
+    scores = np.asarray(scores)
+    _check_shapes(scores, np.asarray(labels), region)
+    s = _select(scores, region).astype(_sort_dtype(scores.dtype), copy=False)
     return ranking_of(s, _select(np.asarray(labels), region))
 
 
@@ -156,6 +182,32 @@ def average_precision(
     DegenerateClassError when the labels are single-class.
     """
     return _ranking(scores, labels, region)[0]
+
+
+def average_precisions(
+    score_maps: list[np.ndarray], labels: np.ndarray
+) -> list[float] | None:
+    """average_precision of each score map against the same labels, or
+    None when the labels are single-class.
+
+    The maps are ranked by one argsort over their stack, so n maps cost
+    one sort call and a few large allocations instead of n of each.
+    """
+    labels = np.asarray(labels)
+    for m in score_maps:
+        _check_shapes(np.asarray(m), labels, None)
+    keys = np.array(score_maps).reshape(len(score_maps), -1)
+    keys = keys.astype(_sort_dtype(keys.dtype), copy=False)
+    np.negative(keys, out=keys)
+    orders = np.argsort(keys, axis=1)
+    y = labels.ravel()
+    try:
+        return [
+            ranking_from_sorted(np.ravel(m)[o], y[o])[0]
+            for m, o in zip(score_maps, orders)
+        ]
+    except DegenerateClassError:
+        return None
 
 
 def average_surface_distance(

@@ -12,7 +12,7 @@ import pytest
 from fireuq.cli import main, middle_member_by_year, parse_model_spec, _parse_radii
 from fireuq.distill import TrainConfig, UncertaintyHead, apply_head, load_head, save_head
 from fireuq.errors import ValidationError
-from fireuq.metrics import error_map
+from fireuq.metrics import average_precision, error_map
 from fireuq.raster import FireEvent, load_dataset, save_event
 from fireuq.synth import ScenarioSpec, generate_scenario
 
@@ -167,6 +167,21 @@ def test_eval_all_empty_gt_exits_degenerate(tmp_path, capsys):
     rc = _run(["eval", "--model", f"ensemble:{root}", "--out-dir", tmp_path / "o"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_middle_member_by_year_is_the_median_of_per_member_mean_ap():
+    events = generate_scenario(ScenarioSpec(
+        rng_seed=17, grid_size=24, n_fires=8, n_members=5,
+        member_noise_sigma=0.3, blob_radius_range_px=(2, 6),
+    ))
+    events[0].gt[:] = 0  # a fire without AP is left out of its year's means
+    want = {}
+    for year in sorted({ev.year for ev in events}):
+        evs = [ev for ev in events if ev.year == year and ev.gt.any()]
+        means = [float(np.mean([average_precision(ev.members[k], ev.gt) for ev in evs]))
+                 for k in range(5)]
+        want[year] = means.index(sorted(means)[2])
+    assert middle_member_by_year(events) == want
 
 
 def _error_indicator_pack(tmp_path, seed=9):
@@ -328,6 +343,13 @@ def test_distill_writes_head_and_student_maps(pack, tmp_path):
                  "--patience", "5", "--lr0", "0.05", "--selection-anchor", "3",
                  "--force"]) == 0
     assert (out / "manifest.json").read_bytes() == manifest
+    # distill reads no metric flags, so it neither takes nor records them
+    config = json.loads(manifest)["config"]
+    assert {"crop", "threshold"} <= set(config)
+    assert not {"mpp", "epsilon"} & set(config)
+    for flag in ("--mpp", "--epsilon"):
+        assert _run(["distill", pack, "--out-dir", tmp_path / "o", flag, "0.1"]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_distill_needs_two_years(tmp_path, capsys):
@@ -581,6 +603,7 @@ _CORRUPTED_CASES = {
     "reversed-radii": (["sweep", "--model-a", "ensemble:{root}",
                         "--model-b", "ensemble:{root}", "--radii", "5..2"], 1),
     "diverging-distill": (["distill", "{root}", "--lr0", "1e308", "--max-epochs", "3"], 2),
+    "distill-threshold": (["distill", "{root}", "--threshold", "2"], 1),
 }
 
 
@@ -614,6 +637,9 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         assert out.read_text() == "not a directory"
     if case == "diverging-distill":
         assert "training diverged at epoch" in lines[0]
+    if case == "distill-threshold":
+        assert "error_threshold" in lines[0]
+    if args[0] == "distill":
         assert not list(root.glob("*/*/student_unc.npy"))
 
 

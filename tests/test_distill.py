@@ -77,6 +77,20 @@ def test_fuse_uncertainty_bounded_and_permutation_invariant():
         assert perm.uncertainty == pytest.approx(out.uncertainty, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [3, 15])
+def test_fuse_bitwise_equals_widen_then_stack(n):
+    """One float64 array of the members holds the same values as the
+    float64 copies stacked, so mean and std keep their bits, also for
+    cropped float32 views."""
+    rng = np.random.default_rng(n)
+    members = [rng.random((40, 36)).astype(np.float32)[3:35, 2:33] for _ in range(n)]
+    stack = np.stack([np.asarray(m, dtype=np.float64) for m in members])
+    out = fuse_ensemble(members)
+    assert out.mean_prob.tobytes() == stack.mean(axis=0).tobytes()
+    unc = np.minimum(stack.std(axis=0, ddof=1) / sigma_max(n), 1.0)
+    assert out.uncertainty.tobytes() == unc.tobytes()
+
+
 def test_fuse_validation():
     with pytest.raises(ValidationError):
         fuse_ensemble([np.zeros((2, 2))])
@@ -309,6 +323,9 @@ def test_train_head_validation_errors():
         train_head(negative, [], cfg, [])
     with pytest.raises(ShapeError, match="selection"):
         train_head(data, data[:1], cfg, _plain_selection(1, hw=5))
+    for threshold in (2.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="error_threshold"):
+            train_head(data, data, cfg, _plain_selection(2), error_threshold=threshold)
 
 
 def test_train_config_validation():

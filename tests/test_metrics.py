@@ -9,6 +9,7 @@ from fireuq.errors import DegenerateClassError, ShapeError, ValidationError
 from fireuq.metrics import (
     MetricRecord,
     average_precision,
+    average_precisions,
     average_surface_distance,
     brier,
     error_map,
@@ -82,13 +83,27 @@ def test_average_precision_worked_example():
     assert ap == pytest.approx(5.0 / 6.0, abs=1e-12)
 
 
+# bool and integer scores must be widened before the descending sort:
+# negating uint8 scores wraps (AP 7/12 here) and negating bool raises
+_PERFECT_SCORES = {
+    np.float64: [0.9, 0.8, 0.2, 0.1],
+    np.uint8: [3, 2, 1, 0],
+    np.int32: [3, 2, 1, 0],
+    np.bool_: [1, 1, 0, 0],
+}
+
+
 def test_average_precision_perfect_and_tied():
-    scores = np.array([[0.9, 0.8, 0.2, 0.1]])
     labels = np.array([[1, 1, 0, 0]])
-    assert average_precision(scores, labels) == 1.0
-    # all-tied scores collapse to a single threshold: AP = prevalence
-    const = np.full((1, 4), 0.5)
-    assert average_precision(const, labels) == 0.5
+    for dtype, values in _PERFECT_SCORES.items():
+        scores = np.array([values], dtype=dtype)
+        for region in (None, np.array([[1, 1, 1, 1]], dtype=np.uint8)):
+            assert average_precision(scores, labels, region) == 1.0
+            assert uq_auroc(scores, labels, region) == 1.0
+        # all-tied scores collapse to a single threshold: AP = prevalence
+        const = np.full((1, 4), 0.5 if dtype is np.float64 else 1, dtype=dtype)
+        assert average_precision(const, labels) == 0.5
+        assert uq_auroc(const, labels) == 0.5
 
 
 def test_average_precision_single_class_raises():
@@ -199,6 +214,78 @@ def test_ranking_is_tie_order_free_at_scale(dtype):
             assert ranking_from_sorted(s, _reverse_within_ties(s, y)) == want
             if levels == 1:
                 assert want[1] == 0.5
+
+
+def _reference_ranking_from_sorted(scores_desc, labels):
+    """Reference for ranking_from_sorted: the same arithmetic with the
+    labels copied to int64, recall shifted by concatenation and a fresh
+    array for every step."""
+    y = labels.astype(np.int64)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    last = np.nonzero(np.append(scores_desc[:-1] != scores_desc[1:], True))[0]
+    tp = np.cumsum(y)[last]
+    fp = (last + 1) - tp
+    recall = tp / n_pos
+    prev = np.concatenate([[0.0], recall[:-1]])
+    ap = float(np.sum((recall - prev) * (tp / (last + 1))))
+    pos_g = np.diff(tp, prepend=0)
+    neg_g = np.diff(fp, prepend=0)
+    wins2 = int(np.sum(pos_g * (2 * (n_neg - fp) + neg_g)))
+    auroc = (wins2 / 2.0) / (n_pos * n_neg)
+    return ap, auroc, n_pos / y.size
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ranking_bitwise_equals_reference_kernel(dtype):
+    """The kernel, and AP/AUROC that sort scores in their own dtype,
+    equal the reference kernel over float64-widened scores bitwise: on
+    tied and continuous scores, a single score group, and with and
+    without a region."""
+    rng = np.random.default_rng(93)
+    for trial in range(300):
+        n = int(rng.integers(2, 400))
+        if trial % 3 == 0:
+            scores = rng.integers(0, 1 + trial % 5, size=n) / 4.0  # 1 to 5 groups
+        else:
+            scores = rng.random(n)
+        scores = scores.astype(dtype)
+        labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+        labels[:2] = (0, 1)
+        s, y = _sorted_desc(scores, labels)
+        want = _reference_ranking_from_sorted(s, y)
+        assert ranking_from_sorted(s, y) == want
+        assert ranking_from_sorted(s.astype(dtype), y.astype(bool)) == want
+        assert (average_precision(scores, labels), uq_auroc(scores, labels)) == want[:2]
+        region = rng.random(n) < 0.7
+        region[:2] = True
+        s, y = _sorted_desc(scores[region], labels[region])
+        want = _reference_ranking_from_sorted(s, y)
+        got = (average_precision(scores, labels, region), uq_auroc(scores, labels, region))
+        assert got == want[:2]
+
+
+def test_average_precisions_equal_average_precision_per_map():
+    """One sort over the stack gives each map's average_precision
+    bitwise, for float, integer and bool maps and cropped views."""
+    rng = np.random.default_rng(61)
+    labels = (rng.random((24, 20)) < 0.3).astype(np.uint8)
+    crop = (slice(2, 26), slice(1, 21))
+    float32 = [rng.random((28, 22)).astype(np.float32)[crop] for _ in range(5)]
+    ties = [(rng.integers(0, 4, (24, 20)) / 4.0) for _ in range(3)]
+    uint8 = [rng.integers(0, 256, (24, 20)).astype(np.uint8) for _ in range(3)]
+    bools = [rng.random((24, 20)) < 0.4 for _ in range(3)]
+    for maps in (float32, ties, uint8, bools, float32 + ties):
+        want = [average_precision(m, labels) for m in maps]
+        assert average_precisions(maps, labels) == want
+    assert average_precisions(float32, np.zeros_like(labels)) is None
+    assert average_precisions(float32, np.ones_like(labels)) is None
+    with pytest.raises(ShapeError):
+        average_precisions(float32 + [np.zeros((20, 24))], labels)
+    bad = float32[0].copy()
+    bad[3, 4] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        average_precisions(float32 + [bad], labels)
 
 
 def test_ranking_from_sorted_single_class_raises():
