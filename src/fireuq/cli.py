@@ -377,6 +377,20 @@ def cmd_distill(args) -> int:
     root = Path(args.dataset)
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir, args.force)
+    # the flags that need no data are checked before the pack is read
+    cfg = TrainConfig(
+        lr0=args.lr0,
+        momentum=args.momentum,
+        weight_decay=args.weight_decay,
+        batch_size=args.batch_size,
+        poly_power=args.poly_power,
+        max_epochs=args.max_epochs,
+        patience=args.patience,
+        selection_anchor_px=args.selection_anchor,
+        rng_seed=args.seed,
+    )
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ValidationError("--threshold: error_threshold must lie in [0, 1]")
 
     events = _load_events(root, geo)
     for ev in events:
@@ -402,17 +416,6 @@ def cmd_distill(args) -> int:
     for ev in events:
         ev.members.clear()
 
-    cfg = TrainConfig(
-        lr0=args.lr0,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        poly_power=args.poly_power,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        selection_anchor_px=args.selection_anchor,
-        rng_seed=args.seed,
-    )
     result = train_head(
         train_set, val_set, cfg, val_selection, error_threshold=args.threshold
     )

@@ -21,14 +21,13 @@ import numpy as np
 
 from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
 from .metrics import error_map, ranking_of
-from .protocol import build_fcer
+from .protocol import fcer_pixels
 
 
 @dataclass
 class TeacherOutput:
     mean_prob: np.ndarray
     uncertainty: np.ndarray
-    n_members: int
 
 
 @dataclass
@@ -62,6 +61,9 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("lr0", "momentum", "weight_decay", "poly_power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         # lr0 = 0 is allowed so a no-op run stays expressible
         if self.lr0 < 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValidationError("lr0, momentum, weight_decay must be >= 0")
@@ -105,7 +107,7 @@ def fuse_ensemble(members: list[np.ndarray]) -> TeacherOutput:
     mean_prob = stack.mean(axis=0)
     std = stack.std(axis=0, ddof=1)
     unc = np.minimum(std / sigma_max(n), 1.0)
-    return TeacherOutput(mean_prob=mean_prob, uncertainty=unc, n_members=n)
+    return TeacherOutput(mean_prob=mean_prob, uncertainty=unc)
 
 
 def select_middle_member(per_member_ap: list[float]) -> int:
@@ -280,7 +282,6 @@ def train_head(
     cfg: TrainConfig,
     val_selection: list[tuple[np.ndarray, np.ndarray]],
     error_threshold: float = 0.5,
-    init_head: UncertaintyHead | None = None,
 ) -> TrainResult:
     """SGD on the head over cached (features, teacher uncertainty) pairs.
 
@@ -289,9 +290,8 @@ def train_head(
     selection: the retained head maximizes mean validation AUROC inside
     the FCER at cfg.selection_anchor_px, with lower validation RMSLE as
     the tie-break.  Early stopping fires after cfg.patience epochs with
-    no improvement of that selection key.  Default initialization is
-    zero weights with the bias at the logit of the mean teacher
-    uncertainty; init_head warm-starts from explicit parameters instead.
+    no improvement of that selection key.  The head starts from zero
+    weights with the bias at the logit of the mean teacher uncertainty.
     Training stops with DegenerateDataError at the first non-finite
     parameter or loss.
     """
@@ -319,27 +319,18 @@ def train_head(
     train_lt, val_lt = log1p_t[: len(train_set)], log1p_t[len(train_set) :]
     val_ranked = []
     for (f, _t), (gt, reference) in zip(val_set, val_selection):
-        if np.shape(gt) != f.shape[1:]:
-            raise ShapeError("train_head: selection mask/feature shape mismatch")
+        if not np.shape(gt) == np.shape(reference) == f.shape[1:]:
+            raise ShapeError("train_head: selection map/feature shape mismatch")
         if not np.asarray(gt).any():
             val_ranked.append(None)
             continue
-        errors = error_map(reference, gt, threshold=error_threshold)
-        idx = np.flatnonzero(build_fcer(gt, cfg.selection_anchor_px))
-        val_ranked.append((idx, errors.ravel()[idx]))
+        idx, _d2 = fcer_pixels(gt, cfg.selection_anchor_px)
+        errors = error_map(np.ravel(reference)[idx], np.ravel(gt)[idx], error_threshold)
+        val_ranked.append((idx, errors))
 
-    if init_head is not None:
-        if init_head.channels != c:
-            raise ShapeError("train_head: init_head channel mismatch")
-        head = UncertaintyHead(
-            weights=init_head.weights.copy(), bias=init_head.bias
-        )
-    else:
-        mean_t = float(np.mean([t.mean() for _f, t in train_set]))
-        mean_t = min(max(mean_t, 1e-6), 1.0 - 1e-6)
-        head = UncertaintyHead(
-            weights=np.zeros(c), bias=math.log(mean_t / (1.0 - mean_t))
-        )
+    mean_t = float(np.mean([t.mean() for _f, t in train_set]))
+    mean_t = min(max(mean_t, 1e-6), 1.0 - 1e-6)
+    head = UncertaintyHead(weights=np.zeros(c), bias=math.log(mean_t / (1.0 - mean_t)))
 
     rng = np.random.default_rng(cfg.rng_seed)
     vw = np.zeros(c)

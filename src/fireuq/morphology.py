@@ -18,24 +18,45 @@ from .raster import validate_mask
 _EDT_AT_BLOCK = 8192
 
 
+def _column_distances(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first pass of both exact transforms over a 0/1 mask.
+
+    Returns the n occupied columns, and G^2 as an (h, n) int64 array:
+    G[y, j] is the distance from (y, cols[j]) to the nearest foreground
+    pixel in column cols[j].  It comes from a running max and min of
+    foreground row indices down and up each occupied column; empty
+    columns have no finite G and are left out.
+    """
+    fg = mask.astype(bool)
+    h = fg.shape[0]
+    cols = np.flatnonzero(fg.any(axis=0))
+    sub = fg[:, cols]
+    rows = np.arange(h, dtype=np.int64)[:, None]
+    # nearest foreground row at or above, and at or below; the sentinels
+    # lie more than h rows away, past any real one in an occupied column
+    above = np.maximum.accumulate(np.where(sub, rows, -h), axis=0)
+    below = np.minimum.accumulate(np.where(sub, rows, 2 * h)[::-1], axis=0)[::-1]
+    return cols, np.minimum(rows - above, below - rows) ** 2
+
+
 def squared_edt(mask: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distance to the nearest foreground pixel.
 
-    Separable scheme.  A vertical scan gives G[y, u], the distance from
-    (y, u) to the nearest foreground pixel in column u.  Each row then
-    takes the lower envelope of the parabolas (x - u)^2 + G[y, u]^2
-    (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
-    Functions", Theory of Computing 8, 2012; in the integer form of
-    Meijster et al. 2000).  Only occupied columns carry parabolas, as an
+    Separable scheme.  The column pass (_column_distances) gives G[y, u],
+    the distance from (y, u) to the nearest foreground pixel in column u.
+    Each row then takes the lower envelope of the parabolas
+    (x - u)^2 + G[y, u]^2 (Felzenszwalb & Huttenlocher, "Distance
+    Transforms of Sampled Functions", Theory of Computing 8, 2012; in the
+    integer form of Meijster et al. 2000).  Only occupied columns carry parabolas, as an
     empty column has no finite G; their positions need not be adjacent.
 
     The envelope is built for all rows at once, in lock-step over the n
     occupied columns, with one stack per row; a parabola is pushed and
     popped at most once per row.  Each output pixel then finds its
     parabola with one searchsorted over all rows' breakpoints.  Cost:
-    O(h*w) for the scans, O(h*n) for the envelope and O(h*w*log(h*n))
-    for the search, against O(h*w*w) for a brute-force minimum over
-    columns.
+    O(h*w) for the column pass, O(h*n) for the envelope and
+    O(h*w*log(h*n)) for the search, against O(h*w*w) for a brute-force
+    minimum over columns.
 
     Exactness: the breakpoint of a parabola is the first integer x at
     which it is strictly lower than the one below it on the stack, an
@@ -51,21 +72,11 @@ def squared_edt(mask: np.ndarray) -> np.ndarray:
     if not mask.any():
         raise EmptyMaskError("squared_edt: mask has no foreground")
 
-    inf = float(h * h + w * w + 1)
-
-    # vertical pass: per column, distance to nearest foreground row
-    g = np.full((h, w), inf)
-    g[mask.astype(bool)] = 0.0
-    for y in range(1, h):
-        np.minimum(g[y], g[y - 1] + 1.0, out=g[y])
-    for y in range(h - 2, -1, -1):
-        np.minimum(g[y], g[y + 1] + 1.0, out=g[y])
-
-    # horizontal pass: in row y the parabola of occupied column u is
+    # row pass: in row y the parabola of occupied column u is
     # x*x - 2*x*u + u*u + G[y, u]^2; b holds the last two terms, one row per column
-    cols = np.flatnonzero(mask.any(axis=0))
+    cols, g2 = _column_distances(mask)
     n = cols.size
-    b = g[:, cols].T.astype(np.int64) ** 2 + (cols * cols)[:, None]
+    b = np.ascontiguousarray((g2 + cols * cols).T)
     # per-row stacks, row y at y*m + k: apex column, its b, first x it wins;
     # slot n takes the writes of rows that do not push
     m = n + 1
@@ -114,16 +125,15 @@ def squared_edt_at(mask: np.ndarray, points: np.ndarray) -> np.ndarray:
     array of (row, col) inside the grid, in the order of points.
 
     G[y, u], the distance from (y, u) to the nearest foreground pixel in
-    column u, comes from a running max and min of foreground row indices
-    down and up each occupied column.  Each point (y, x) then takes the
-    minimum of (x - u)^2 + G[y, u]^2 over the n occupied columns u, the
-    same integers whose minimum squared_edt finds by its parabola
-    envelope, so the values are exact and bitwise equal.  The (point,
-    column) pairs are formed in blocks of about _EDT_AT_BLOCK, which
-    bounds memory.  Cost: O(h*n + len(points)*n), at most O(h*w*w) for
-    any points, against O(h*w*log(h*n)) for the whole grid's transform;
-    it is the cheaper of the two when the points are few, as boundary
-    pixels are.  Raises ValidationError unless points are (n, 2) integer
+    column u, comes from the column pass squared_edt also uses
+    (_column_distances).  Each point (y, x) then takes the minimum of
+    (x - u)^2 + G[y, u]^2 over the n occupied columns u, the integers
+    whose minimum squared_edt finds by its parabola envelope, so the
+    values are exact and bitwise equal.  The (point, column) pairs are
+    formed in blocks of about _EDT_AT_BLOCK, which bounds memory.  Cost:
+    O(h*n + len(points)*n), at most O(h*w*w) for any points, against
+    O(h*w*log(h*n)) for the whole grid's transform; it is the cheaper of
+    the two when the points are few, as boundary pixels are.  Raises ValidationError unless points are (n, 2) integer
     pixels of the grid (a negative index would wrap), and EmptyMaskError
     on an all-zero mask.
     """
@@ -141,15 +151,7 @@ def squared_edt_at(mask: np.ndarray, points: np.ndarray) -> np.ndarray:
         and points[:, 1].max() < w
     ):
         raise ValidationError("squared_edt_at: points must be (n, 2) integer pixels of the grid")
-    fg = mask.astype(bool)
-    cols = np.flatnonzero(fg.any(axis=0))
-    sub = fg[:, cols]
-    rows = np.arange(h)[:, None]
-    # nearest foreground row at or above, and at or below; the sentinels
-    # lie more than h rows away, past any real one in an occupied column
-    above = np.maximum.accumulate(np.where(sub, rows, -h), axis=0)
-    below = np.minimum.accumulate(np.where(sub, rows, 2 * h)[::-1], axis=0)[::-1]
-    g2 = np.minimum(rows - above, below - rows) ** 2
+    cols, g2 = _column_distances(mask)
     out = np.empty(len(points), dtype=np.int64)
     step = max(1, _EDT_AT_BLOCK // cols.size)
     for i in range(0, len(points), step):
@@ -166,21 +168,11 @@ def edt(mask: np.ndarray) -> np.ndarray:
     return np.sqrt(squared_edt(mask))
 
 
-def within_disk(d2: np.ndarray, radius: int) -> np.ndarray:
-    """Pixels at squared distance d2 <= radius^2, as a uint8 mask.
-
-    With d2 = squared_edt(mask) this is the mask dilated by a disk of
-    the integer radius, and at radius 0 it is the mask itself, since d2
-    is 0 exactly on the foreground.
-    """
-    return (d2 <= float(radius * radius)).astype(np.uint8)
-
-
 def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Dilate a binary mask by a Euclidean disk of integer radius.
 
     Implemented by thresholding the exact squared distance transform at
-    radius^2 (within_disk), which matches stamping the disk
+    radius^2, which matches stamping the disk
     {(dy, dx): dy*dy + dx*dx <= radius*radius} on every foreground
     pixel.  Radius 0 is the identity and skips the transform.  An empty
     mask dilates to an empty mask of the same shape.
@@ -193,7 +185,7 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
         return np.zeros_like(mask, dtype=np.uint8)
     if radius == 0:
         return mask.astype(np.uint8, copy=True)
-    return within_disk(squared_edt(mask), radius)
+    return (squared_edt(mask) <= float(radius * radius)).astype(np.uint8)
 
 
 def extract_boundary(mask: np.ndarray) -> np.ndarray:

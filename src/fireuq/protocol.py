@@ -32,7 +32,7 @@ from .metrics import (
     nll_terms,
     ranking_from_sorted,
 )
-from .morphology import dilate, squared_edt, within_disk
+from .morphology import dilate, squared_edt
 from .raster import FireEvent, GeoConfig
 
 METRIC_COLUMNS = ("ap", "asd_m", "brier", "nll", "auroc", "auprc", "error_prevalence")
@@ -122,6 +122,28 @@ def build_fcer(gt: np.ndarray, radius_px: int) -> np.ndarray:
     return dilate(gt, radius_px)
 
 
+def fcer_pixels(gt: np.ndarray, radius_px: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels of build_fcer(gt, radius_px) as flat indices into the
+    grid, in raster order, and gt's squared EDT at each; the FCER at a
+    smaller radius r is the subsequence with squared EDT <= r*r.
+
+    Both come from gt's window: its bounding box padded by radius_px and
+    clipped to the grid.  The window holds every foreground and every
+    FCER pixel, so its squared EDT equals the full grid's there, and its
+    raster order is the grid's restricted to it.  Raises like build_fcer.
+    """
+    gt = np.asarray(gt)
+    if not gt.any():
+        raise EmptyMaskError("fcer_pixels: empty ground truth")
+    if radius_px < 0:
+        raise ValidationError("fcer_pixels: radius must be >= 0")
+    rows, cols = (np.flatnonzero(gt.any(axis=a)) for a in (1, 0))
+    y0, x0 = max(rows[0] - radius_px, 0), max(cols[0] - radius_px, 0)
+    d2 = squared_edt(gt[y0 : rows[-1] + radius_px + 1, x0 : cols[-1] + radius_px + 1])
+    wy, wx = np.nonzero(d2 <= float(radius_px * radius_px))
+    return (wy + y0) * gt.shape[1] + (wx + x0), d2[wy, wx]
+
+
 def resolve_anchor(asd_values_m, geo: GeoConfig) -> int:
     """Anchor radius in pixels from per-fire ASDs in metres.
 
@@ -160,14 +182,13 @@ def run_sweep(
     then the second model's, and so on.  The float mean depends on that
     order, so it is part of the contract.  Phase 2 scores the radii
     config.radii_px plus the anchor, which is always scored.  It visits
-    each distinct Fire once, inside its window: the ground truth's
-    bounding box padded by the largest radius and clipped to the grid.
-    Every foreground and every FCER pixel lies in the window, so the
-    window's squared EDT equals the full grid's there, and raster order
-    in the window is the grid's order restricted to it; n_eval_px and
-    each region's values, in their order, are those of the full grid.
-    The EDT and the error map are shared by every model that holds the
-    Fire and dropped when its records are done.  Each model's per-pixel
+    each distinct Fire once and takes the pixels of its largest FCER,
+    with their squared distances, from fcer_pixels; every smaller FCER
+    is the subsequence within its radius, so n_eval_px and each region's
+    values, in their order, are those of the full grid.  The ground
+    truth and the error labels are read only at those pixels.  The
+    pixels, distances and labels are shared by every model that holds
+    the Fire and dropped when its records are done.  Each model's per-pixel
     Brier and NLL terms are computed once over the largest FCER, and
     each radius averages the subsequence inside its own FCER, as the
     FCERs are nested; the mean sees the values brier and nll would see,
@@ -248,31 +269,20 @@ def run_sweep(
                 [MetricRecord(ev.id, ev.year, radius_px=r, n_eval_px=0) for r in radii]
                 for _ in group
             ]
-        # the window: gt's bounding box padded by the largest radius, which
-        # holds every foreground and every FCER pixel, so the EDT and the
-        # FCER inside it equal the full grid's, in the same raster order
-        pad = radii[-1]
-        rows, cols = (np.flatnonzero(gt.any(axis=a)) for a in (1, 0))
-        win = (
-            slice(max(rows[0] - pad, 0), rows[-1] + pad + 1),
-            slice(max(cols[0] - pad, 0), cols[-1] + pad + 1),
-        )
-        gt_w = gt[win]
-        d2 = squared_edt(gt_w)
-        outer = within_disk(d2, pad).astype(bool)
-        d2_outer = d2[outer]
-        y_outer = gt_w[outer].astype(np.float64)
-        errors = error_map(fire.reference[win], gt_w, config.error_threshold)[outer]
-        inside = [within_disk(d2_outer, r).astype(bool) for r in radii]
+        idx, d2 = fcer_pixels(gt, radii[-1])
+        labels = gt.ravel()[idx]
+        y_outer = labels.astype(np.float64)
+        errors = error_map(fire.reference.ravel()[idx], labels, config.error_threshold)
+        inside = [d2 <= float(r * r) for r in radii]
         out = []
         for m, i in group:
             prob, unc = models[m].outputs[i]
             ap, asd = ap_asd[(m, i)]
-            p = prob[win][outer].astype(np.float64)
+            p = prob.ravel()[idx].astype(np.float64)
             b_terms = brier_terms(p, y_outer)
             n_terms = nll_terms(p, y_outer, config.nll_epsilon)
             # one sort over the largest FCER; each smaller one is a sorted subsequence
-            u = unc[win][outer]
+            u = unc.ravel()[idx]
             order = np.argsort(-u)
             s, y = u[order], errors[order]
             records = []

@@ -54,8 +54,9 @@ class ScenarioSpec:
             raise ValidationError("blob_radius_range_px must be nonempty with min >= 1")
         if rhi >= self.grid_size:
             raise ValidationError("blob radius must be smaller than the grid")
-        if self.member_noise_sigma < 0 or self.feature_noise_sigma < 0:
-            raise ValidationError("noise sigmas must be >= 0")
+        for name in ("member_noise_sigma", "feature_noise_sigma"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and >= 0")
         if not -1.0 < self.member_bias < 1.0:
             raise ValidationError("member_bias must lie in (-1, 1)")
         # member logits + boundary proximity must fit

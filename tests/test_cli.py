@@ -596,14 +596,26 @@ def _small_pack(root):
         save_event(root, ev)
 
 
-# case -> (arguments before --out-dir, expected exit code)
+# case -> (arguments before --out-dir, expected exit code, a substring of
+# the one stderr line or None)
 _CORRUPTED_CASES = {
-    "complex-member": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1),
-    "out-dir-is-a-file": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1),
+    "complex-member": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1, None),
+    "out-dir-is-a-file": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
+                          "is not a directory"),
     "reversed-radii": (["sweep", "--model-a", "ensemble:{root}",
-                        "--model-b", "ensemble:{root}", "--radii", "5..2"], 1),
-    "diverging-distill": (["distill", "{root}", "--lr0", "1e308", "--max-epochs", "3"], 2),
-    "distill-threshold": (["distill", "{root}", "--threshold", "2"], 1),
+                        "--model-b", "ensemble:{root}", "--radii", "5..2"], 1, None),
+    "diverging-distill": (["distill", "{root}", "--lr0", "1e308", "--max-epochs", "3"], 2,
+                          "training diverged at epoch"),
+    "distill-threshold": (["distill", "{root}", "--threshold", "2"], 1, "error_threshold"),
+    # flags are checked before the pack is read, so a missing root is not reported
+    "distill-threshold-missing-root": (["distill", "{root}/missing", "--threshold", "2"], 1,
+                                       "error_threshold"),
+    "distill-nan-lr0-missing-root": (["distill", "{root}/missing", "--lr0", "nan"], 1,
+                                     "lr0 must be finite"),
+    "distill-nan-poly-power": (["distill", "{root}", "--poly-power", "nan"], 1,
+                               "poly_power must be finite"),
+    "synth-inf-noise-sigma": (["synth", "--noise-sigma", "inf"], 1,
+                              "member_noise_sigma must be finite"),
 }
 
 
@@ -619,7 +631,7 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         np.save(bad_member, np.load(bad_member).astype(np.complex64) + 0.5j)
     if case == "out-dir-is-a-file":
         out.write_text("not a directory")
-    args, code = _CORRUPTED_CASES[case]
+    args, code, message = _CORRUPTED_CASES[case]
     proc = subprocess.run(
         [sys.executable, "-m", "fireuq.cli"]
         + [a.format(root=root) for a in args] + ["--out-dir", str(out)],
@@ -631,14 +643,12 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1, proc.stderr
     assert not out.is_dir()
+    if message is not None:
+        assert message in lines[0]
     if case == "complex-member":
         assert lines[0].startswith(f"error: {bad_member}: ")
     if case == "out-dir-is-a-file":
         assert out.read_text() == "not a directory"
-    if case == "diverging-distill":
-        assert "training diverged at epoch" in lines[0]
-    if case == "distill-threshold":
-        assert "error_threshold" in lines[0]
     if args[0] == "distill":
         assert not list(root.glob("*/*/student_unc.npy"))
 

@@ -56,14 +56,31 @@ def test_squared_edt_values_are_integers():
     assert (d2[m.astype(bool)] == 0).all()
 
 
+def _thin_and_full_masks(rng):
+    """Random 1-row and 1-column masks, and all-foreground masks of
+    random shape."""
+    masks = []
+    for _ in range(6):
+        n = int(rng.integers(1, 90))
+        for shape in ((1, n), (n, 1)):
+            m = _random_mask(rng, *shape, p=float(rng.uniform(0.02, 0.5)))
+            m.flat[int(rng.integers(n))] = 1
+            masks.append(m)
+        masks.append(np.ones(tuple(int(v) for v in rng.integers(1, 60, size=2)), dtype=np.uint8))
+    return masks
+
+
 def test_edt_matches_oracle_random_masks():
     rng = np.random.default_rng(42)
+    masks = _thin_and_full_masks(rng)
     for _ in range(40):
         h = int(rng.integers(1, 17))
         w = int(rng.integers(1, 17))
         m = _random_mask(rng, h, w, p=float(rng.uniform(0.05, 0.6)))
         if not m.any():
             m[int(rng.integers(h)), int(rng.integers(w))] = 1
+        masks.append(m)
+    for m in masks:
         # both take sqrt of the same exact integer, so equality is bitwise
         assert (edt(m) == oracle_edt(m)).all()
 
@@ -146,6 +163,10 @@ def test_squared_edt_at_equals_squared_edt_at_any_points():
         got = squared_edt_at(m, pts)
         assert got.dtype == np.float64
         assert (got == squared_edt(m)[pts[:, 0], pts[:, 1]]).all()
+    for m in _thin_and_full_masks(rng):
+        pts = np.argwhere(np.ones_like(m))[rng.permutation(m.size)]
+        want = oracle_edt(m)[pts[:, 0], pts[:, 1]]
+        assert (np.sqrt(squared_edt_at(m, pts)) == want).all()
     # as ASD reads it: at another mask's boundary, in raster order
     m = _random_mask(rng, 100, 120, p=0.3)
     other = extract_boundary(_random_mask(rng, 100, 120, p=0.5)).astype(bool)

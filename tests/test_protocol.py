@@ -5,7 +5,7 @@ import pytest
 
 from fireuq.errors import DegenerateDataError, EmptyMaskError, ShapeError, ValidationError
 from fireuq.metrics import MetricRecord, average_precision, brier, error_map, nll, uq_auroc
-from fireuq.morphology import dilate
+from fireuq.morphology import dilate, squared_edt
 from fireuq.oracles import oracle_auroc, oracle_average_precision
 from fireuq import protocol
 from fireuq.protocol import (
@@ -14,6 +14,7 @@ from fireuq.protocol import (
     SweepConfig,
     aggregate_mean_std,
     build_fcer,
+    fcer_pixels,
     per_year_table,
     relative_to_baseline,
     resolve_anchor,
@@ -57,6 +58,31 @@ def test_build_fcer_nested_in_radius():
         assert (cur >= prev).all()
         assert (prev[gt.astype(bool)] == 1).all()
         prev = cur
+
+
+def test_fcer_pixels_equal_build_fcer_and_full_grid_edt():
+    """Random ground truths, some touching the grid edges, at radius 0,
+    small radii and radii past the grid: the pixels are those of
+    build_fcer in raster order, and each distance is the full grid's."""
+    rng = np.random.default_rng(14)
+    for k in range(40):
+        h, w = (int(v) for v in rng.integers(1, 40, size=2))
+        gt = np.zeros((h, w), dtype=np.uint8)
+        y0, x0 = int(rng.integers(h)), int(rng.integers(w))
+        y1, x1 = int(rng.integers(y0, h)) + 1, int(rng.integers(x0, w)) + 1
+        gt[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0)) < rng.uniform(0.05, 0.9)
+        if k % 4 == 0:  # touch the grid's edges
+            gt[0, int(rng.integers(w))] = gt[int(rng.integers(h)), -1] = 1
+        gt[int(rng.integers(y0, y1)), int(rng.integers(x0, x1))] = 1
+        d2_full = squared_edt(gt).ravel()
+        for r in (0, 1, int(rng.integers(2, 9)), h + w):
+            idx, d2 = fcer_pixels(gt, r)
+            assert idx.tolist() == np.flatnonzero(build_fcer(gt, r)).tolist()
+            assert d2.tobytes() == d2_full[idx].tobytes()
+    with pytest.raises(EmptyMaskError):
+        fcer_pixels(np.zeros((5, 5), dtype=np.uint8), 3)
+    with pytest.raises(ValidationError):
+        fcer_pixels(gt, -1)
 
 
 def test_resolve_anchor_mean_asd_rounds_to_pixels():

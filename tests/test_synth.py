@@ -1,6 +1,7 @@
 """Synthetic scenario generation: determinism, structure, error geometry."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +117,10 @@ def test_spec_validation_errors():
         ScenarioSpec(n_members=3, feature_channels=3)
     with pytest.raises(ValidationError):
         ScenarioSpec(years=())
+    for name in ("member_noise_sigma", "feature_noise_sigma"):
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                ScenarioSpec(**{name: bad})
 
 
 def test_write_scenario_round_trips_through_dataset_loader(tmp_path):
