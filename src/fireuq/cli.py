@@ -13,8 +13,10 @@ uncertainty applied to cached features.
 Exit codes: 0 success, 1 validation failure (bad arguments, bad layout,
 bad shapes), 2 degenerate data (well-formed inputs on which a requested
 quantity is undefined).  Commands refuse to reuse an out_dir that
-already holds a manifest unless --force is given.  --jobs changes wall
-time only; every emitted byte is independent of it.
+already holds a manifest unless --force is given.  --jobs sets the
+worker threads of eval and sweep and changes wall time only; every
+emitted byte is independent of it.  distill, synth and stats accept it
+and ignore it, so one flag set can drive every command.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .protocol import (
 )
 from .raster import FireEvent, GeoConfig, center_crop_at_most, load_dataset, save_array
 from .report import (
+    CSV_COLUMNS,
     MANIFEST_NAME,
     has_manifest,
     write_diff_csv,
@@ -290,8 +293,7 @@ def _read_sweep_csv(path: Path) -> list[dict]:
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         header = set(reader.fieldnames or ())
-        needed = ("fire_id", "year", "radius_px") + METRIC_COLUMNS
-        missing = [c for c in needed if c not in header]
+        missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise ParseError(f"{path}: missing columns {', '.join(missing)}")
         for row in reader:
@@ -488,7 +490,8 @@ def _add_common(p: argparse.ArgumentParser, *, fires=True, scores=True):
     p.add_argument("--force", action="store_true",
                    help="overwrite an out-dir that already has a manifest")
     p.add_argument("--jobs", type=_parse_jobs, default=1,
-                   help="worker threads; affects wall time only")
+                   help="worker threads for eval and sweep (other commands "
+                        "ignore it); affects wall time only")
     if fires:
         p.add_argument("--crop", type=int, default=128,
                        help="center-crop size; axes shorter than this stay uncropped")

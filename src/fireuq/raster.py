@@ -2,10 +2,12 @@
 
 All rasters are numpy arrays: probability maps are 2-D float32 in
 [0, 1], masks are 2-D uint8 in {0, 1}, feature stacks are 3-D float32
-laid out (C, H, W).  Files use the NPY v1.0 format, little-endian,
-C-order, so a save/load round trip reproduces values bit-exactly.  Only
-bool, integer and float dtypes load; anything else is rejected with its
-path.
+laid out (C, H, W).  FireEvent owns that contract: its constructor
+checks each raster's shape and values, then casts it to its dtype, and
+names the file the raster came from in every error.  The loaders only
+parse.  Files use the NPY v1.0 format, little-endian, C-order, so a
+save/load round trip reproduces values bit-exactly.  Only bool, integer
+and float dtypes load; anything else is rejected with its path.
 
 Dataset directory layout::
 
@@ -13,6 +15,8 @@ Dataset directory layout::
     <root>/<year>/<fire_id>/member_<k>.npy      k = 0..n-1
     <root>/<year>/<fire_id>/features.npy        optional, (C, H, W)
 
+Each year and each member index comes from one path: ``2020/`` beside
+``02020/``, or ``member_0.npy`` beside ``member_00.npy``, is refused.
 ``distill`` also writes ``student_unc.npy`` beside each fire; it is an
 output, and nothing here reads it.  Each loaded FireEvent lists the
 files it was parsed from, which is what manifests digest.
@@ -66,22 +70,28 @@ class FireEvent:
     files: tuple[Path, ...] = ()
 
     def __post_init__(self):
-        validate_mask(self.gt, name=f"{self.id}/gt")
+        def name(i: int, role: str) -> str:
+            return str(self.files[i]) if self.files else f"{self.id}/{role}"
+
+        self.gt = validate_mask(self.gt, name(0, "gt")).astype(MASK_DTYPE, copy=False)
         if len(self.members) < 1:
             raise ValidationError(f"fire {self.id}: needs at least one member map")
         shape = self.gt.shape
         for k, m in enumerate(self.members):
-            validate_probability_map(m, name=f"{self.id}/member_{k}")
+            m_name = name(1 + k, f"member_{k}")
+            validate_probability_map(m, m_name)
             if m.shape != shape:
-                raise ShapeError(
-                    f"fire {self.id}: member_{k} shape {m.shape} != gt shape {shape}"
-                )
+                raise ShapeError(f"{m_name}: shape {m.shape} != gt shape {shape}")
+        self.members = [m.astype(PROB_DTYPE, copy=False) for m in self.members]
         if self.features is not None:
-            validate_features(self.features, name=f"{self.id}/features")
+            f_name = name(1 + len(self.members), "features")
+            # cast first, so a value beyond float32's range fails as non-finite
+            with np.errstate(over="ignore"):
+                self.features = self.features.astype(PROB_DTYPE, copy=False)
+            validate_features(self.features, f_name)
             if self.features.shape[1:] != shape:
                 raise ShapeError(
-                    f"fire {self.id}: features shape {self.features.shape[1:]} "
-                    f"!= gt shape {shape}"
+                    f"{f_name}: shape {self.features.shape[1:]} != gt shape {shape}"
                 )
 
     @property
@@ -110,7 +120,7 @@ def validate_mask(arr: np.ndarray, name: str = "mask") -> np.ndarray:
         raise ShapeError(f"{name}: expected 2-D array, got {arr.ndim}-D")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"{name}: empty dimension in shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValidationError(f"{name}: mask values must be exactly 0 or 1")
     return arr
 
@@ -163,9 +173,8 @@ def save_array(arr: np.ndarray, path: str | Path):
         np.lib.format.write_array(f, out, version=(1, 0), allow_pickle=False)
 
 
-def load_array(path: str | Path, expect_ndim: int | None = None) -> np.ndarray:
-    """Read a bool, integer or float NPY file; optionally require a
-    specific dimensionality."""
+def load_array(path: str | Path) -> np.ndarray:
+    """Read a bool, integer or float NPY file."""
     path = Path(path)
     try:
         arr = np.load(path, allow_pickle=False)
@@ -175,53 +184,44 @@ def load_array(path: str | Path, expect_ndim: int | None = None) -> np.ndarray:
         raise ParseError(f"{path}: not a readable NPY array ({exc})") from exc
     if arr.dtype.kind not in "biuf":
         raise ValidationError(f"{path}: dtype {arr.dtype} is not bool, integer or float")
-    if expect_ndim is not None and arr.ndim != expect_ndim:
-        raise ShapeError(f"{path}: expected {expect_ndim}-D array, got {arr.ndim}-D")
     return arr
 
 
-def load_probability_map(path: str | Path) -> np.ndarray:
-    arr = load_array(path, expect_ndim=2)
-    return validate_probability_map(arr, name=str(path)).astype(PROB_DTYPE, copy=False)
-
-
-def load_mask(path: str | Path) -> np.ndarray:
-    arr = load_array(path, expect_ndim=2)
-    return validate_mask(arr, name=str(path)).astype(MASK_DTYPE, copy=False)
-
-
-def load_features(path: str | Path) -> np.ndarray:
-    arr = load_array(path, expect_ndim=3)
-    return validate_features(arr, name=str(path)).astype(PROB_DTYPE, copy=False)
+def _by_number(numbered, what: str) -> dict[int, Path]:
+    """{number: path} in number order from (number, path) pairs.  Two
+    paths spelling one number (``7`` and ``07``) are refused, naming the
+    longer spelling first."""
+    out: dict[int, Path] = {}
+    for n, p in sorted(numbered, key=lambda t: (t[0], len(t[1].name), t[1].name)):
+        if n in out:
+            raise ValidationError(f"{p}: {what} {n} is also parsed from {out[n]}")
+        out[n] = p
+    return out
 
 
 def load_event(fire_dir: str | Path, year: int) -> FireEvent:
-    """Load one fire directory (gt + members + optional features)."""
+    """Parse one fire directory (gt + members + optional features)."""
     fire_dir = Path(fire_dir)
     gt_path = fire_dir / "gt.npy"
     if not gt_path.exists():
         raise ValidationError(f"{fire_dir}: missing gt.npy")
-    gt = load_mask(gt_path)
-
-    member_paths = {}
-    for p in fire_dir.iterdir():
-        m = _MEMBER_RE.match(p.name)
-        if m:
-            member_paths[int(m.group(1))] = p
+    member_paths = _by_number(
+        ((int(m.group(1)), p) for p in fire_dir.iterdir() if (m := _MEMBER_RE.match(p.name))),
+        "member index",
+    )
     if not member_paths:
         raise ValidationError(f"{fire_dir}: no member_<k>.npy files")
-    indices = sorted(member_paths)
+    indices = list(member_paths)
     if indices != list(range(len(indices))):
         raise ValidationError(f"{fire_dir}: member indices not contiguous from 0: {indices}")
-    files = [gt_path] + [member_paths[k] for k in indices]
-    members = [load_probability_map(p) for p in files[1:]]
-
+    files = [gt_path, *member_paths.values()]
+    gt = load_array(gt_path)
+    members = [load_array(p) for p in member_paths.values()]
     features = None
     fpath = fire_dir / "features.npy"
     if fpath.exists():
-        features = load_features(fpath)
+        features = load_array(fpath)
         files.append(fpath)
-
     return FireEvent(
         id=fire_dir.name, year=year, gt=gt, members=members,
         features=features, files=tuple(files),
@@ -234,15 +234,15 @@ def load_dataset(root: str | Path) -> list[FireEvent]:
     if not root.is_dir():
         raise ValidationError(f"dataset root {root} is not a directory")
     events = []
-    year_dirs = sorted(
-        (d for d in root.iterdir() if d.is_dir() and d.name.isdigit()),
-        key=lambda d: int(d.name),
+    year_dirs = _by_number(
+        ((int(d.name), d) for d in root.iterdir() if d.is_dir() and d.name.isdecimal()),
+        "year",
     )
     if not year_dirs:
         raise ValidationError(f"dataset root {root}: no <year> directories")
-    for ydir in year_dirs:
+    for year, ydir in year_dirs.items():
         for fdir in sorted(d for d in ydir.iterdir() if d.is_dir()):
-            events.append(load_event(fdir, year=int(ydir.name)))
+            events.append(load_event(fdir, year=year))
     if not events:
         raise ValidationError(f"dataset root {root}: no fire directories")
     n_members = {e.n_members for e in events}
@@ -258,8 +258,8 @@ def load_dataset(root: str | Path) -> list[FireEvent]:
 def save_event(root: str | Path, event: FireEvent):
     """Write one fire in the dataset layout under <root>/<year>/<fire_id>/."""
     fire_dir = Path(root) / str(event.year) / event.id
-    save_array(event.gt.astype(MASK_DTYPE), fire_dir / "gt.npy")
+    save_array(event.gt, fire_dir / "gt.npy")
     for k, m in enumerate(event.members):
-        save_array(m.astype(PROB_DTYPE), fire_dir / f"member_{k}.npy")
+        save_array(m, fire_dir / f"member_{k}.npy")
     if event.features is not None:
-        save_array(event.features.astype(PROB_DTYPE), fire_dir / "features.npy")
+        save_array(event.features, fire_dir / "features.npy")

@@ -24,11 +24,7 @@ from .protocol import METRIC_COLUMNS, SweepResult, aggregate_mean_std
 
 MANIFEST_NAME = "manifest.json"
 
-CSV_COLUMNS = (
-    "fire_id", "year", "radius_px",
-    "ap", "asd_m", "brier", "nll", "auroc", "auprc", "error_prevalence",
-    "n_eval_px",
-)
+CSV_COLUMNS = ("fire_id", "year", "radius_px", *METRIC_COLUMNS, "n_eval_px")
 
 _MARKDOWN_METRICS = (
     ("ap", "AP", 2, 1.0),
@@ -55,12 +51,7 @@ def write_sweep_csv(path: str | Path, records: list[MetricRecord]):
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow([
-                rec.fire_id, rec.year, _cell(rec.radius_px),
-                _cell(rec.ap), _cell(rec.asd_m), _cell(rec.brier), _cell(rec.nll),
-                _cell(rec.auroc), _cell(rec.auprc), _cell(rec.error_prevalence),
-                _cell(rec.n_eval_px),
-            ])
+            writer.writerow([_cell(getattr(rec, c)) for c in CSV_COLUMNS])
 
 
 def write_diff_csv(

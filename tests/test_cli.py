@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -600,6 +601,12 @@ def _small_pack(root):
 # the one stderr line or None)
 _CORRUPTED_CASES = {
     "complex-member": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1, None),
+    "features-beyond-float32": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
+                                "contains NaN or Inf"),
+    "duplicate-member-index": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
+                               "member index 0 is also parsed from"),
+    "duplicate-year-dir": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
+                           "year 2019 is also parsed from"),
     "out-dir-is-a-file": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
                           "is not a directory"),
     "reversed-radii": (["sweep", "--model-a", "ensemble:{root}",
@@ -626,9 +633,24 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
     that treats any RuntimeWarning as an error."""
     root, out = tmp_path / "pack", tmp_path / "out"
     _small_pack(root)
-    bad_member = root / "2019" / "fire_001" / "member_0.npy"
+    fire = root / "2019" / "fire_001"
+    # the file or directory the one stderr line must start with, and the
+    # path it duplicates, which the line must name too
+    offending, original = None, None
     if case == "complex-member":
-        np.save(bad_member, np.load(bad_member).astype(np.complex64) + 0.5j)
+        offending = fire / "member_0.npy"
+        np.save(offending, np.load(offending).astype(np.complex64) + 0.5j)
+    if case == "features-beyond-float32":
+        offending = fire / "features.npy"
+        features = np.load(offending).astype(np.float64)
+        features[1, 3, 4] = 1e39
+        np.save(offending, features)
+    if case == "duplicate-member-index":
+        offending, original = fire / "member_00.npy", fire / "member_0.npy"
+        shutil.copyfile(original, offending)
+    if case == "duplicate-year-dir":
+        offending, original = root / "02019", root / "2019"
+        shutil.copytree(original, offending)
     if case == "out-dir-is-a-file":
         out.write_text("not a directory")
     args, code, message = _CORRUPTED_CASES[case]
@@ -645,8 +667,10 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
     assert not out.is_dir()
     if message is not None:
         assert message in lines[0]
-    if case == "complex-member":
-        assert lines[0].startswith(f"error: {bad_member}: ")
+    if offending is not None:
+        assert lines[0].startswith(f"error: {offending}: ")
+    if original is not None:
+        assert str(original) in lines[0]
     if case == "out-dir-is-a-file":
         assert out.read_text() == "not a directory"
     if args[0] == "distill":

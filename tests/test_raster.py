@@ -1,8 +1,12 @@
 """Raster validation, center cropping and NPY round trips."""
 
+import re
+import shutil
+
 import numpy as np
 import pytest
 
+import fireuq.raster as raster
 from fireuq.errors import ParseError, ShapeError, ValidationError
 from fireuq.raster import (
     MASK_DTYPE,
@@ -13,8 +17,6 @@ from fireuq.raster import (
     load_array,
     load_dataset,
     load_event,
-    load_mask,
-    load_probability_map,
     save_array,
     save_event,
     validate_mask,
@@ -58,6 +60,25 @@ def test_validate_mask_rejects_non_binary():
     validate_mask(np.array([[0.0, 1.0]]))
     with pytest.raises(ValidationError):
         validate_mask(np.array([[0.0, 0.5]]))
+    # the verdict is np.isin's for every real dtype
+    cases = [
+        (np.array([[True, False]]), True),
+        (np.array([[False, False]]), True),
+        (_mask([[0, 1], [1, 1]]), True),
+        (np.array([[0, 1, -1]], dtype=np.int8), False),
+        (np.array([[0, 1, 2]], dtype=np.int8), False),
+        (np.array([[1, 0]], dtype=np.int8), True),
+        (np.array([[0.0, np.nan]]), False),
+        (np.array([[-0.0, 1.0]]), True),
+        (np.array([[1.0, 0.5]], dtype=np.float32), False),
+    ]
+    for arr, binary in cases:
+        assert bool(np.isin(arr, (0, 1)).all()) == binary
+        if binary:
+            validate_mask(arr)
+        else:
+            with pytest.raises(ValidationError, match="exactly 0 or 1"):
+                validate_mask(arr)
 
 
 def test_geo_config_validation():
@@ -132,13 +153,32 @@ def test_npy_round_trip_is_bit_exact(tmp_path):
     assert raw[:8] == b"\x93NUMPY\x01\x00"
 
 
+def _fire_dir(root, gt, members, features=None):
+    """A fire directory holding the arrays as given, in any dtype."""
+    d = root / "2020" / "fire"
+    d.mkdir(parents=True)
+    np.save(d / "gt.npy", gt)
+    for k, m in enumerate(members):
+        np.save(d / f"member_{k}.npy", m)
+    if features is not None:
+        np.save(d / "features.npy", features)
+    return d
+
+
 def test_npy_round_trip_mask(tmp_path):
     m = (np.random.default_rng(1).random((9, 9)) < 0.4).astype(MASK_DTYPE)
-    p = tmp_path / "m.npy"
-    save_array(m, p)
-    back = load_mask(p)
+    d = tmp_path / "2020" / "fire"
+    save_array(m, d / "gt.npy")
+    save_array(_prob(np.zeros((9, 9))), d / "member_0.npy")
+    back = load_event(d, year=2020).gt
     assert back.dtype == MASK_DTYPE
     assert (back == m).all()
+    # a bool or 0.0/1.0 float mask loads as the same uint8 mask
+    for dtype in ("?", "<f8"):
+        d = _fire_dir(tmp_path / dtype, m.astype(dtype), [_prob(np.zeros((9, 9)))])
+        back = load_event(d, year=2020).gt
+        assert back.dtype == MASK_DTYPE
+        assert back.tobytes() == m.tobytes()
 
 
 def test_save_array_rejects_nonfinite(tmp_path):
@@ -168,9 +208,8 @@ def test_load_array_rejects_non_numeric_dtypes(tmp_path, dtype):
 @pytest.mark.parametrize("dtype", ["<f2", ">f4", ">f8", "?", ">i2", "<u4"])
 def test_probability_map_loads_any_real_dtype(tmp_path, dtype):
     arr = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=dtype)
-    p = tmp_path / "m.npy"
-    np.save(p, arr)
-    back = load_probability_map(p)
+    d = _fire_dir(tmp_path, _mask(np.eye(2)), [arr])
+    back = load_event(d, year=2020).members[0]
     assert back.dtype == PROB_DTYPE
     assert back.tobytes() == arr.astype(PROB_DTYPE).tobytes()
 
@@ -182,11 +221,74 @@ def test_load_array_rejects_garbage(tmp_path):
         load_array(p)
 
 
-def test_load_probability_map_rejects_out_of_range_file(tmp_path):
-    p = tmp_path / "p.npy"
-    save_array(np.array([[0.5, 0.9]], dtype=np.float32) * 2.0, p)
-    with pytest.raises(ValidationError):
-        load_probability_map(p)
+def test_load_event_rejects_out_of_range_member_file(tmp_path):
+    d = tmp_path / "2020" / "fire"
+    save_array(_mask([[0, 1]]), d / "gt.npy")
+    save_array(np.array([[0.5, 0.9]], dtype=np.float32) * 2.0, d / "member_0.npy")
+    with pytest.raises(ValidationError, match=re.escape(f"{d / 'member_0.npy'}: values")):
+        load_event(d, year=2020)
+
+
+def _bad_gt(tmp_path):
+    return _fire_dir(tmp_path, np.array([[0.0, 0.5]]), [_prob([[0.1, 0.2]])]), "gt.npy"
+
+
+def _bad_member(tmp_path):
+    return _fire_dir(tmp_path, _mask([[0, 1]]), [_prob([[0.1, 0.2]]),
+                                                 np.array([[0.1, np.nan]])]), "member_1.npy"
+
+
+def _member_shape(tmp_path):
+    return _fire_dir(tmp_path, _mask([[0, 1]]), [_prob([[0.1], [0.2]])]), "member_0.npy"
+
+
+def _bad_features(tmp_path):
+    # float64 beyond float32's range: non-finite once cast, with no warning
+    features = np.array([[[0.0, 1e39]]])
+    return _fire_dir(tmp_path, _mask([[0, 1]]), [_prob([[0.1, 0.2]])], features), "features.npy"
+
+
+def _features_shape(tmp_path):
+    features = np.zeros((2, 2, 2))
+    return _fire_dir(tmp_path, _mask([[0, 1]]), [_prob([[0.1, 0.2]])], features), "features.npy"
+
+
+@pytest.mark.parametrize("make", [_bad_gt, _bad_member, _member_shape, _bad_features,
+                                  _features_shape], ids=lambda f: f.__name__.strip("_"))
+def test_loaded_event_errors_name_the_file(tmp_path, make):
+    d, name = make(tmp_path)
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{d / name}: ")):
+        load_event(d, year=2020)
+
+
+def test_fire_event_casts_rasters_once_checked():
+    rng = np.random.default_rng(4)
+    gt = rng.random((6, 7)) < 0.4
+    members = [rng.random((6, 7)) for _ in range(3)]
+    features = rng.normal(size=(2, 6, 7))
+    ev = FireEvent(id="f", year=2020, gt=gt, members=members, features=features)
+    assert ev.gt.dtype == MASK_DTYPE
+    assert ev.gt.tobytes() == gt.astype(MASK_DTYPE).tobytes()
+    assert [m.dtype for m in ev.members] == [PROB_DTYPE] * 3
+    for m, raw in zip(ev.members, members):
+        assert m.tobytes() == raw.astype(PROB_DTYPE).tobytes()
+    assert ev.features.dtype == PROB_DTYPE
+    assert ev.features.tobytes() == features.astype(PROB_DTYPE).tobytes()
+    # arrays already in their dtype are kept, not copied
+    kept = FireEvent(id="g", year=2020, gt=ev.gt, members=ev.members, features=ev.features)
+    assert kept.gt is ev.gt and kept.features is ev.features
+    assert all(a is b for a, b in zip(kept.members, ev.members))
+
+
+def test_fire_event_checks_before_casting():
+    # a 0.5 in a float mask must not become 0, nor 1.5 a member value below 2
+    with pytest.raises(ValidationError, match="^f/gt: "):
+        FireEvent(id="f", year=2020, gt=np.array([[0.5, 1.0]]), members=[_prob([[0.1, 0.2]])])
+    with pytest.raises(ValidationError, match="^f/member_0: "):
+        FireEvent(id="f", year=2020, gt=_mask([[0, 1]]), members=[np.array([[0.1, 1.5]])])
+    with pytest.raises(ValidationError, match="^f/features: contains NaN or Inf"):
+        FireEvent(id="f", year=2020, gt=_mask([[0, 1]]), members=[_prob([[0.1, 0.2]])],
+                  features=np.array([[[-1e39, 0.0]]]))
 
 
 def test_fire_event_shape_validation():
@@ -275,9 +377,48 @@ def test_load_dataset_rejects_inconsistent_member_counts(tmp_path):
         load_dataset(tmp_path)
 
 
+def test_load_dataset_validates_each_file_once(tmp_path, monkeypatch):
+    for i, year in enumerate((2018, 2019, 2019)):
+        save_event(tmp_path, _demo_event(f"fire_{i}", year, seed=i))
+    calls = {}
+    for fn in ("validate_mask", "validate_probability_map", "validate_features"):
+        def counted(arr, name, _fn=getattr(raster, fn), _key=fn):
+            calls.setdefault(_key, []).append(name)
+            return _fn(arr, name)
+        monkeypatch.setattr(raster, fn, counted)
+    events = load_dataset(tmp_path)
+    files = [str(p) for ev in events for p in ev.files]
+    assert sorted(calls["validate_mask"]) == sorted(f for f in files if f.endswith("gt.npy"))
+    assert sorted(calls["validate_probability_map"]) == sorted(
+        f for f in files if "member_" in f)
+    assert len(calls["validate_probability_map"]) == 9
+    assert sorted(calls["validate_features"]) == sorted(
+        f for f in files if f.endswith("features.npy"))
+
+
+def test_load_event_refuses_two_files_for_one_member_index(tmp_path):
+    save_event(tmp_path, _demo_event("fire", 2020, seed=5))
+    d = tmp_path / "2020" / "fire"
+    shutil.copyfile(d / "member_1.npy", d / "member_001.npy")
+    pattern = f"{d / 'member_001.npy'}: member index 1 is also parsed from {d / 'member_1.npy'}"
+    with pytest.raises(ValidationError, match="^" + re.escape(pattern) + "$"):
+        load_event(d, year=2020)
+
+
+def test_load_dataset_refuses_two_directories_for_one_year(tmp_path):
+    save_event(tmp_path, _demo_event("a", 2019, seed=1))
+    save_event(tmp_path, _demo_event("b", 2020, seed=2))
+    shutil.copytree(tmp_path / "2020", tmp_path / "002020")
+    pattern = f"{tmp_path / '002020'}: year 2020 is also parsed from {tmp_path / '2020'}"
+    with pytest.raises(ValidationError, match="^" + re.escape(pattern) + "$"):
+        load_dataset(tmp_path)
+
+
 def test_load_dataset_rejects_empty_root(tmp_path):
     with pytest.raises(ValidationError):
         load_dataset(tmp_path)
     (tmp_path / "notayear").mkdir()
-    with pytest.raises(ValidationError):
+    # a digit that int() cannot parse names no year either
+    (tmp_path / "²").mkdir()
+    with pytest.raises(ValidationError, match="no <year> directories"):
         load_dataset(tmp_path)
