@@ -13,10 +13,10 @@ uncertainty applied to cached features.
 Exit codes: 0 success, 1 validation failure (bad arguments, bad layout,
 bad shapes), 2 degenerate data (well-formed inputs on which a requested
 quantity is undefined).  Commands refuse to reuse an out_dir that
-already holds a manifest unless --force is given.  --jobs sets the
-worker threads of eval and sweep and changes wall time only; every
-emitted byte is independent of it.  distill, synth and stats accept it
-and ignore it, so one flag set can drive every command.
+already holds a manifest unless --force is given.  Every command
+accepts --jobs and checks that it is an integer >= 1, but it changes
+nothing: every command runs serially.  It stays so that one flag set
+can drive every command.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .errors import (
 )
 from .metrics import DEFAULT_NLL_EPSILON, average_precisions
 from .protocol import (
+    MAX_RADIUS_PX,
     METRIC_COLUMNS,
     Fire,
     Model,
@@ -81,12 +82,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_radii(text: str) -> tuple[int, ...]:
     """Radii list: 'lo..hi' inclusive range or comma-separated ints,
-    returned sorted without duplicates."""
+    returned sorted without duplicates.  A range's ends are checked
+    against MAX_RADIUS_PX before the range is built."""
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            radii = tuple(range(int(lo), int(hi) + 1))
+            lo, hi = (int(t) for t in text.split(".."))
+            if lo < 0 or hi > MAX_RADIUS_PX:
+                raise ValidationError(
+                    f"bad --radii value {text!r}: radii must lie in [0, {MAX_RADIUS_PX}]"
+                )
+            radii = tuple(range(lo, hi + 1))
         else:
             radii = tuple(int(t) for t in text.split(","))
     except ValueError as exc:
@@ -234,7 +240,7 @@ def cmd_eval(args) -> int:
     _check_out_dir(out_dir, args.force)
 
     models, inputs = _load_models([args.model], geo)
-    [sweep] = run_sweep(models, config, geo, jobs=args.jobs)
+    [sweep] = run_sweep(models, config, geo)
     anchor = sweep.anchor_radius_px
     per_year = per_year_table(sweep.records, anchor)
 
@@ -261,7 +267,7 @@ def cmd_sweep(args) -> int:
     if not keys_a & keys_b:
         root_a, root_b = (parse_model_spec(s)[1] for s in specs)
         raise DegenerateDataError(f"sweep: {root_a} and {root_b} share no (year, fire)")
-    results = run_sweep(models, config, geo, jobs=args.jobs)
+    results = run_sweep(models, config, geo)
     anchor = results[0].anchor_radius_px
 
     for label, spec, result in zip(("a", "b"), specs, results):
@@ -467,8 +473,8 @@ def cmd_synth(args) -> int:
 def _config_snapshot(args, anchor) -> dict:
     """Manifest config: every flag that can influence emitted values.
 
-    --jobs and --force are deliberately excluded (wall-time/overwrite
-    controls only), so reruns with different parallelism produce
+    --jobs and --force are deliberately excluded (an inert flag and an
+    overwrite control), so reruns that differ only in them produce
     byte-identical manifests.
     """
     skip = {"func", "jobs", "force", "out_dir"}
@@ -490,8 +496,8 @@ def _add_common(p: argparse.ArgumentParser, *, fires=True, scores=True):
     p.add_argument("--force", action="store_true",
                    help="overwrite an out-dir that already has a manifest")
     p.add_argument("--jobs", type=_parse_jobs, default=1,
-                   help="worker threads for eval and sweep (other commands "
-                        "ignore it); affects wall time only")
+                   help="accepted and checked (>= 1) but changes nothing; "
+                        "kept so one flag set drives every command")
     if fires:
         p.add_argument("--crop", type=int, default=128,
                        help="center-crop size; axes shorter than this stay uncropped")

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
 from .metrics import error_map, ranking_of
-from .protocol import fcer_pixels
+from .protocol import MAX_RADIUS_PX, fcer_pixels
+from .report import write_json
 
 
 @dataclass
@@ -75,8 +76,8 @@ class TrainConfig:
             raise ValidationError("batch_size and max_epochs must be >= 1")
         if self.patience < 1:
             raise ValidationError("patience must be >= 1")
-        if self.selection_anchor_px < 0:
-            raise ValidationError("selection_anchor_px must be >= 0")
+        if not 0 <= self.selection_anchor_px <= MAX_RADIUS_PX:
+            raise ValidationError(f"selection_anchor_px must lie in [0, {MAX_RADIUS_PX}]")
 
 
 def sigma_max(n: int) -> float:
@@ -413,9 +414,7 @@ def save_head(
         "selection_metric": selection_metric,
         "epoch": epoch,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def load_head(path: str | Path) -> tuple[UncertaintyHead, dict]:

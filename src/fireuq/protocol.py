@@ -10,7 +10,6 @@ quality itself (r = mean ASD in pixels).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,10 @@ from .raster import FireEvent, GeoConfig
 
 METRIC_COLUMNS = ("ap", "asd_m", "brier", "nll", "auroc", "auprc", "error_prevalence")
 
+# the largest radius or anchor accepted, in pixels: longer than the diagonal
+# of any raster that fits in memory, and safe in int64 index arithmetic
+MAX_RADIUS_PX = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -54,14 +57,15 @@ class SweepConfig:
     nll_epsilon: float = DEFAULT_NLL_EPSILON
 
     def __post_init__(self):
-        if any(int(r) != r or r < 0 for r in self.radii_px):
-            raise ValidationError("radii_px must be nonnegative integers")
+        if any(int(r) != r or not 0 <= r <= MAX_RADIUS_PX for r in self.radii_px):
+            raise ValidationError(f"radii_px must be integers in [0, {MAX_RADIUS_PX}]")
         if any(b <= a for a, b in zip(self.radii_px, self.radii_px[1:])):
             raise ValidationError("radii_px must be strictly increasing")
-        if self.anchor_px is not None and (
-            int(self.anchor_px) != self.anchor_px or self.anchor_px < 0
-        ):
-            raise ValidationError("fixed anchor radius must be a nonnegative integer")
+        a = self.anchor_px
+        if a is not None and (int(a) != a or not 0 <= a <= MAX_RADIUS_PX):
+            raise ValidationError(
+                f"fixed anchor radius must be an integer in [0, {MAX_RADIUS_PX}]"
+            )
         if not 0.0 <= self.error_threshold <= 1.0:
             raise ValidationError("error_threshold must lie in [0, 1]")
         if not 0.0 < self.nll_epsilon < 0.5:
@@ -169,10 +173,7 @@ def _mean_and_count(values) -> tuple[float | None, int]:
 
 
 def run_sweep(
-    models: list[Model],
-    config: SweepConfig,
-    geo: GeoConfig,
-    jobs: int = 1,
+    models: list[Model], config: SweepConfig, geo: GeoConfig
 ) -> list[SweepResult]:
     """Evaluate every model on each of its fires at every radius.
 
@@ -203,9 +204,10 @@ def run_sweep(
     missing boundary) leave the affected metrics as None and the run
     continues; only defined values enter the per-radius aggregates.
     Raises DegenerateDataError when the anchor is to be resolved and no
-    fire has a defined ASD.  jobs > 1 spreads fires over threads without
-    changing any value or any ordering.  Returns one SweepResult per
-    model, in order.
+    fire has a defined ASD.  Everything runs serially in the calling
+    thread: the CLI's --jobs is accepted and validated but changes
+    nothing, and stays so that one flag set drives every command.
+    Returns one SweepResult per model, in order.
     """
     if not models:
         raise ValidationError("run_sweep: no models")
@@ -217,21 +219,8 @@ def run_sweep(
         for fire, maps in zip(model.fires, model.outputs):
             if any(np.shape(a) != fire.event.gt.shape for a in maps):
                 raise ShapeError(f"run_sweep: fire {fire.event.id}: map shape != gt shape")
-    if jobs < 1:
-        raise ValidationError("run_sweep: jobs must be >= 1")
 
-    def each(fn, items):
-        if jobs == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-
-    # phase 1: unmasked metrics per (model, fire), then the anchor
-    pairs = [(m, i) for m, model in enumerate(models) for i in range(len(model.fires))]
-
-    def unmasked(pair: tuple[int, int]) -> tuple[float | None, float | None]:
-        m, i = pair
-        gt, prob = models[m].fires[i].event.gt, models[m].outputs[i][0]
+    def unmasked(gt: np.ndarray, prob: np.ndarray) -> tuple[float | None, float | None]:
         if not gt.any():
             return None, None
         try:
@@ -245,10 +234,14 @@ def run_sweep(
             asd = None
         return ap, asd
 
-    ap_asd = dict(zip(pairs, each(unmasked, pairs)))
+    # phase 1: (AP, ASD) per model and fire, in model-then-fire order; then the anchor
+    ap_asd = [
+        [unmasked(fire.event.gt, prob) for fire, (prob, _unc) in zip(m.fires, m.outputs)]
+        for m in models
+    ]
     anchor = config.anchor_px
     if anchor is None:
-        pooled = [asd for _ap, asd in ap_asd.values() if asd is not None]
+        pooled = [asd for per_model in ap_asd for _ap, asd in per_model if asd is not None]
         if not pooled:
             raise DegenerateDataError(
                 "anchor=auto needs at least one fire with a defined ASD"
@@ -258,26 +251,31 @@ def run_sweep(
 
     # phase 2: per distinct fire, the (model, position) pairs that hold it
     holders: dict[int, list[tuple[int, int]]] = {}
-    for m, i in pairs:
-        holders.setdefault(id(models[m].fires[i]), []).append((m, i))
+    for m, model in enumerate(models):
+        for i, fire in enumerate(model.fires):
+            holders.setdefault(id(fire), []).append((m, i))
 
-    def score(group: list[tuple[int, int]]) -> list[list[MetricRecord]]:
+    # per model, each fire's records, in the model's fire order
+    per_fire: list[list] = [[None] * len(m.fires) for m in models]
+
+    def score(group: list[tuple[int, int]]):
+        """Put the records of each (model, position) in group into per_fire."""
         fire = models[group[0][0]].fires[group[0][1]]
         ev, gt = fire.event, fire.event.gt
         if not gt.any():
-            return [
-                [MetricRecord(ev.id, ev.year, radius_px=r, n_eval_px=0) for r in radii]
-                for _ in group
-            ]
+            for m, i in group:
+                per_fire[m][i] = [
+                    MetricRecord(ev.id, ev.year, radius_px=r, n_eval_px=0) for r in radii
+                ]
+            return
         idx, d2 = fcer_pixels(gt, radii[-1])
         labels = gt.ravel()[idx]
         y_outer = labels.astype(np.float64)
         errors = error_map(fire.reference.ravel()[idx], labels, config.error_threshold)
         inside = [d2 <= float(r * r) for r in radii]
-        out = []
         for m, i in group:
             prob, unc = models[m].outputs[i]
-            ap, asd = ap_asd[(m, i)]
+            ap, asd = ap_asd[m][i]
             p = prob.ravel()[idx].astype(np.float64)
             b_terms = brier_terms(p, y_outer)
             n_terms = nll_terms(p, y_outer, config.nll_epsilon)
@@ -285,7 +283,7 @@ def run_sweep(
             u = unc.ravel()[idx]
             order = np.argsort(-u)
             s, y = u[order], errors[order]
-            records = []
+            records = per_fire[m][i] = []
             for r, keep in zip(radii, inside):
                 rec = MetricRecord(
                     ev.id,
@@ -305,17 +303,13 @@ def run_sweep(
                 except DegenerateClassError:
                     pass
                 records.append(rec)
-            out.append(records)
-        return out
 
-    per_pair: dict[tuple[int, int], list[MetricRecord]] = {}
-    groups = list(holders.values())
-    for group, fire_records in zip(groups, each(score, groups)):
-        per_pair.update(zip(group, fire_records))
+    for group in holders.values():
+        score(group)
 
     results = []
-    for m, model in enumerate(models):
-        records = [rec for i in range(len(model.fires)) for rec in per_pair[(m, i)]]
+    for fire_records in per_fire:
+        records = [rec for recs in fire_records for rec in recs]
         aggregates: dict[int, dict[str, float | None]] = {}
         counts: dict[int, dict[str, int]] = {}
         for r in radii:

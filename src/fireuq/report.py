@@ -44,14 +44,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_sweep_csv(path: str | Path, records: list[MetricRecord]):
+def _write_csv(path: str | Path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([_cell(getattr(rec, c)) for c in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_sweep_csv(path: str | Path, records: list[MetricRecord]):
+    rows = ([_cell(getattr(rec, c)) for c in CSV_COLUMNS] for rec in records)
+    _write_csv(path, CSV_COLUMNS, rows)
 
 
 def write_diff_csv(
@@ -63,22 +67,19 @@ def write_diff_csv(
     columns are copied through.
     """
     by_key = {(r.fire_id, r.year, r.radius_px): r for r in records_b}
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for ra in records_a:
-            rb = by_key.get((ra.fire_id, ra.year, ra.radius_px))
-            if rb is None:
-                continue
-            row = [ra.fire_id, ra.year, _cell(ra.radius_px)]
-            for name in METRIC_COLUMNS:
-                va, vb = getattr(ra, name), getattr(rb, name)
-                row.append("" if va is None or vb is None else repr(va - vb))
-            na, nb = ra.n_eval_px, rb.n_eval_px
-            row.append("" if na is None or nb is None else str(na - nb))
-            writer.writerow(row)
+    rows = []
+    for ra in records_a:
+        rb = by_key.get((ra.fire_id, ra.year, ra.radius_px))
+        if rb is None:
+            continue
+        row = [ra.fire_id, ra.year, _cell(ra.radius_px)]
+        for name in METRIC_COLUMNS:
+            va, vb = getattr(ra, name), getattr(rb, name)
+            row.append("" if va is None or vb is None else repr(va - vb))
+        na, nb = ra.n_eval_px, rb.n_eval_px
+        row.append("" if na is None or nb is None else str(na - nb))
+        rows.append(row)
+    _write_csv(path, CSV_COLUMNS, rows)
 
 
 def per_year_mean_std(
@@ -164,16 +165,13 @@ def write_stats_json(path: str | Path, blocks: list[dict], meta: dict | None = N
 
 
 def write_train_log_csv(path: str | Path, log):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["epoch", "lr", "train_rmsle", "val_rmsle", "val_auroc_at_anchor"])
-        for row in log:
-            writer.writerow([
-                row.epoch, repr(row.lr), repr(row.train_rmsle), repr(row.val_rmsle),
-                "" if row.val_auroc_at_anchor is None else repr(row.val_auroc_at_anchor),
-            ])
+    rows = (
+        [row.epoch, repr(row.lr), repr(row.train_rmsle), repr(row.val_rmsle),
+         "" if row.val_auroc_at_anchor is None else repr(row.val_auroc_at_anchor)]
+        for row in log
+    )
+    header = ["epoch", "lr", "train_rmsle", "val_rmsle", "val_auroc_at_anchor"]
+    _write_csv(path, header, rows)
 
 
 def _sha256(path: Path) -> str:

@@ -11,7 +11,6 @@ fully determined by its spec.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .morphology import edt, extract_boundary
 from .raster import FireEvent
+from .report import write_json
 
 DEFAULT_YEARS = (2018, 2019, 2020, 2021)
 
@@ -66,6 +66,9 @@ class ScenarioSpec:
             )
         if not self.years:
             raise ValidationError("years must be nonempty")
+        # the dataset layout names a year's directory by its decimal digits
+        if min(self.years) < 0:
+            raise ValidationError(f"years must be >= 0, got {min(self.years)}")
 
 
 def _box_blur(img: np.ndarray, half_width: int = 2) -> np.ndarray:
@@ -153,7 +156,5 @@ def write_scenario(spec: ScenarioSpec, out_dir: str | Path) -> list[FireEvent]:
     events = generate_scenario(spec)
     for ev in events:
         save_event(out_dir, ev)
-    (out_dir / "scenario.json").write_text(
-        json.dumps(scenario_manifest(spec), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "scenario.json", scenario_manifest(spec))
     return events

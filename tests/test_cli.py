@@ -623,6 +623,24 @@ _CORRUPTED_CASES = {
                                "poly_power must be finite"),
     "synth-inf-noise-sigma": (["synth", "--noise-sigma", "inf"], 1,
                               "member_noise_sigma must be finite"),
+    # the dataset layout has no directory name for a negative year
+    "synth-negative-year": (["synth", "--years", "-1", "2020", "--n-fires", "4"], 1,
+                            "years must be >= 0"),
+    # radii beyond MAX_RADIUS_PX are refused before any index arithmetic
+    "eval-anchor-beyond-int64": (["eval", "--model", "ensemble:{root}",
+                                  "--anchor", "99999999999999999999"], 1, "anchor radius"),
+    "eval-anchor-near-int64-max": (["eval", "--model", "ensemble:{root}",
+                                    "--anchor", "9223372036854775805"], 1, "anchor radius"),
+    "distill-selection-anchor-beyond-int64": (["distill", "{root}", "--selection-anchor",
+                                               "99999999999999999999"], 1,
+                                              "selection_anchor_px"),
+    "sweep-radii-range-beyond-int64": (["sweep", "--model-a", "ensemble:{root}",
+                                        "--model-b", "ensemble:{root}",
+                                        "--radii", "0..99999999999999999999"], 1,
+                                       "radii must lie in"),
+    "sweep-radii-list-beyond-bound": (["sweep", "--model-a", "ensemble:{root}",
+                                       "--model-b", "ensemble:{root}",
+                                       "--radii", "0,2147483648"], 1, "radii_px"),
 }
 
 

@@ -24,7 +24,7 @@ from fireuq.distill import (
 )
 from fireuq.metrics import error_map, uq_auroc
 from fireuq.oracles import oracle_rmsle
-from fireuq.protocol import build_fcer
+from fireuq.protocol import MAX_RADIUS_PX, build_fcer
 
 
 def test_sigma_max_by_grid_search():
@@ -314,6 +314,10 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValidationError):
         TrainConfig(patience=0)
+    TrainConfig(selection_anchor_px=MAX_RADIUS_PX)
+    for bad in (-1, MAX_RADIUS_PX + 1):
+        with pytest.raises(ValidationError, match="selection_anchor_px"):
+            TrainConfig(selection_anchor_px=bad)
     for name in ("lr0", "momentum", "weight_decay", "poly_power"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError, match=f"{name} must be finite"):

@@ -9,6 +9,7 @@ from fireuq.morphology import dilate, squared_edt
 from fireuq.oracles import oracle_auroc, oracle_average_precision
 from fireuq import protocol
 from fireuq.protocol import (
+    MAX_RADIUS_PX,
     Fire,
     Model,
     SweepConfig,
@@ -79,6 +80,10 @@ def test_fcer_pixels_equal_build_fcer_and_full_grid_edt():
             idx, d2 = fcer_pixels(gt, r)
             assert idx.tolist() == np.flatnonzero(build_fcer(gt, r)).tolist()
             assert d2.tobytes() == d2_full[idx].tobytes()
+    # the largest accepted radius covers the grid without overflowing
+    idx, d2 = fcer_pixels(gt, MAX_RADIUS_PX)
+    assert idx.tolist() == list(range(gt.size))
+    assert d2.tobytes() == d2_full.tobytes()
     with pytest.raises(EmptyMaskError):
         fcer_pixels(np.zeros((5, 5), dtype=np.uint8), 3)
     with pytest.raises(ValidationError):
@@ -122,6 +127,11 @@ def test_sweep_config_validation():
         SweepConfig(anchor_px=-2)
     with pytest.raises(ValidationError):
         SweepConfig(anchor_px=1.5)
+    SweepConfig(radii_px=(MAX_RADIUS_PX,), anchor_px=MAX_RADIUS_PX)
+    with pytest.raises(ValidationError, match="radii_px"):
+        SweepConfig(radii_px=(0, MAX_RADIUS_PX + 1))
+    with pytest.raises(ValidationError, match="anchor"):
+        SweepConfig(anchor_px=MAX_RADIUS_PX + 1)
     with pytest.raises(ValidationError):
         SweepConfig(error_threshold=1.5)
     with pytest.raises(ValidationError):
@@ -142,10 +152,8 @@ def _model(events, outputs, references):
     return Model([Fire(ev, ref) for ev, ref in zip(events, references)], outputs)
 
 
-def _sweep(events, outputs, references, cfg, jobs=1):
-    [result] = protocol.run_sweep(
-        [_model(events, outputs, references)], cfg, GEO, jobs=jobs
-    )
+def _sweep(events, outputs, references, cfg):
+    [result] = protocol.run_sweep([_model(events, outputs, references)], cfg, GEO)
     return result
 
 
@@ -217,18 +225,6 @@ def test_run_sweep_empty_gt_fire_recorded_as_missing():
     assert result.counts[3]["brier"] == 3
 
 
-def test_run_sweep_thread_jobs_do_not_change_records():
-    events = _scenario_events(seed=11, n_fires=5)
-    outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
-    references = [ev.members[0] for ev in events]
-    cfg = SweepConfig(radii_px=(0, 1, 3))
-    a = _sweep(events, outputs, references, cfg, jobs=1)
-    b = _sweep(events, outputs, references, cfg, jobs=4)
-    assert a.records == b.records
-    assert a.aggregates == b.aggregates
-    assert a.anchor_radius_px == b.anchor_radius_px
-
-
 def test_run_sweep_aggregates_are_order_invariant():
     events = _scenario_events(seed=13, n_fires=5)
     outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
@@ -262,8 +258,6 @@ def test_run_sweep_alignment_validation():
         run_sweep([], SweepConfig(), GEO)
     with pytest.raises(ValidationError):
         run_sweep([Model([], [])], SweepConfig(), GEO)
-    with pytest.raises(ValidationError):
-        run_sweep([_model(events, outputs, references)], SweepConfig(), GEO, jobs=0)
     cut = [(prob, unc[:, :-1]) for prob, unc in outputs]
     with pytest.raises(ShapeError):
         run_sweep([_model(events, cut, references)], SweepConfig(), GEO)
@@ -484,9 +478,11 @@ def _two_models(seed=17, n_fires=5):
 
 def test_run_sweep_shared_fires_match_each_model_alone():
     model_a, model_b = _two_models()
+    # the shared Fire objects in another order: records follow each model's order
+    model_c = Model(model_b.fires[::-1], model_b.outputs[::-1])
     cfg = SweepConfig(radii_px=(0, 2, 5), anchor_px=3)
-    together = run_sweep([model_a, model_b], cfg, GEO)
-    for model, result in zip((model_a, model_b), together):
+    together = run_sweep([model_a, model_b, model_c], cfg, GEO)
+    for model, result in zip((model_a, model_b, model_c), together):
         [alone] = run_sweep([model], cfg, GEO)
         assert result.records == alone.records
         assert result.aggregates == alone.aggregates
@@ -510,7 +506,7 @@ def test_run_sweep_computes_each_fire_edt_once(monkeypatch):
     calls = []
     real = protocol.squared_edt
     monkeypatch.setattr(protocol, "squared_edt", lambda m: calls.append(1) or real(m))
-    run_sweep([model_a, model_b], SweepConfig(radii_px=(0, 4), anchor_px=2), GEO, jobs=2)
+    run_sweep([model_a, model_b], SweepConfig(radii_px=(0, 4), anchor_px=2), GEO)
     assert len(calls) == len(model_a.fires)
 
 

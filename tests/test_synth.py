@@ -99,6 +99,8 @@ def test_feature_stack_composition():
 def test_spec_validation_errors():
     with pytest.raises(ValidationError):
         ScenarioSpec(grid_size=4)
+    with pytest.raises(ValidationError, match="years"):
+        ScenarioSpec(years=(-1, 2020))
     with pytest.raises(ValidationError):
         ScenarioSpec(n_fires=0)
     with pytest.raises(ValidationError):
