@@ -31,7 +31,7 @@ import numpy as np
 
 from .distill import (
     TrainConfig,
-    apply_head,
+    apply_head_each,
     fuse_ensemble,
     load_head,
     save_head,
@@ -142,22 +142,28 @@ def _crop_event(ev: FireEvent, crop_size: int):
         ev.features = center_crop_at_most(ev.features, crop_size)
 
 
-def _load_events(root: Path, geo: GeoConfig) -> list[FireEvent]:
-    events = load_dataset(root)
+def _load_events(root: Path, geo: GeoConfig, features: bool = True) -> list[FireEvent]:
+    events = load_dataset(root, features=features)
     for ev in events:
         _crop_event(ev, geo.crop_size)
     return events
 
 
-def middle_member_by_year(events: list[FireEvent]) -> dict[int, int]:
+def middle_member_by_year(
+    events: list[FireEvent], member_aps: list | None = None
+) -> dict[int, int]:
     """Per year, the member whose mean per-fire AP is the median.  Fires
     whose ground truth is single-class have no AP and are left out; a
-    year in which no fire has an AP gets member 0."""
+    year in which no fire has an AP gets member 0.  A given member_aps
+    list receives each event's member APs, in event order, as
+    average_precisions gives them (None for a single-class ground
+    truth)."""
+    aps = [average_precisions(ev.members, ev.gt) for ev in events]
+    if member_aps is not None:
+        member_aps[:] = aps
     out: dict[int, int] = {}
     for year in sorted({ev.year for ev in events}):
-        evs = [ev for ev in events if ev.year == year]
-        per_fire = [average_precisions(ev.members, ev.gt) for ev in evs]
-        per_fire = [aps for aps in per_fire if aps is not None]
+        per_fire = [a for ev, a in zip(events, aps) if ev.year == year and a is not None]
         if not per_fire:
             out[year] = 0
             continue
@@ -165,44 +171,52 @@ def middle_member_by_year(events: list[FireEvent]) -> dict[int, int]:
     return out
 
 
-def _load_fires(root: Path, geo: GeoConfig) -> list[Fire]:
+def _load_fires(root: Path, geo: GeoConfig, features: bool) -> list[Fire]:
     """Every fire under root, with its year's middle-AP member as the
-    error-map reference."""
-    events = _load_events(root, geo)
-    mids = middle_member_by_year(events)
-    return [Fire(ev, ev.members[mids[ev.year]]) for ev in events]
+    error-map reference and that member's AP, features.npy included only
+    if features."""
+    events = _load_events(root, geo, features)
+    aps: list = []
+    mids = middle_member_by_year(events, aps)
+    return [
+        Fire(ev, ev.members[mids[ev.year]], None if a is None else a[mids[ev.year]])
+        for ev, a in zip(events, aps)
+    ]
 
 
 def _model_outputs(
     kind: str, fires: list[Fire], head
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(prob, unc) per fire for the spec'd model."""
-    outputs = []
+    """(prob, unc) per fire for the spec'd model.  A student's maps come
+    from one head workspace, each copied out of it."""
+    if kind == "ensemble":
+        teachers = (fuse_ensemble(fire.event.members) for fire in fires)
+        return [(t.mean_prob, t.uncertainty) for t in teachers]
     for fire in fires:
-        ev = fire.event
-        if kind == "ensemble":
-            teacher = fuse_ensemble(ev.members)
-            outputs.append((teacher.mean_prob, teacher.uncertainty))
-        else:
-            if ev.features is None:
-                raise ValidationError(
-                    f"fire {ev.id}: student model needs features.npy"
-                )
-            outputs.append((fire.reference, apply_head(head, ev.features)))
-    return outputs
+        if fire.event.features is None:
+            raise ValidationError(
+                f"fire {fire.event.id}: student model needs features.npy"
+            )
+    maps = apply_head_each(head, [fire.event.features for fire in fires])
+    return [(fire.reference, unc.copy()) for fire, unc in zip(fires, maps)]
 
 
 def _load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
     """One Model per spec, plus the files it parsed.  Each distinct
-    dataset root is loaded once and its fires are shared by its models."""
+    dataset root is loaded once and its fires are shared by its models;
+    its features.npy files are loaded only if a student spec reads that
+    root."""
+    parsed = [parse_model_spec(text) for text in specs]
+    students = {root.resolve() for kind, root, _head in parsed if kind == "student"}
     fires_by_root: dict[Path, list[Fire]] = {}
     models, inputs = [], []
-    for text in specs:
-        kind, root, head_path = parse_model_spec(text)
+    for kind, root, head_path in parsed:
         head = load_head(head_path)[0] if head_path is not None else None
         fires = fires_by_root.get(root.resolve())
         if fires is None:
-            fires = fires_by_root[root.resolve()] = _load_fires(root, geo)
+            fires = fires_by_root[root.resolve()] = _load_fires(
+                root, geo, features=root.resolve() in students
+            )
             inputs += [p for fire in fires for p in fire.event.files]
         models.append(Model(fires, _model_outputs(kind, fires, head)))
         inputs += [head_path] if head_path else []
@@ -438,9 +452,9 @@ def cmd_distill(args) -> int:
     write_train_log_csv(out_dir / "train_log.csv", result.log)
 
     # student maps go into the dataset layout beside their fires
-    for ev in events:
-        unc = apply_head(result.head, ev.features).astype(np.float32)
-        save_array(unc, root / str(ev.year) / ev.id / "student_unc.npy")
+    maps = apply_head_each(result.head, [ev.features for ev in events])
+    for ev, unc in zip(events, maps):
+        save_array(unc.astype(np.float32), root / str(ev.year) / ev.id / "student_unc.npy")
 
     # the files training parsed, not the student maps just written, so
     # reruns produce identical manifests

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
-from .metrics import error_map, ranking_of
+from .metrics import error_map, uq_auroc
 from .protocol import MAX_RADIUS_PX, fcer_pixels
 from .report import write_json
 
@@ -204,18 +204,30 @@ def rmsle(student: np.ndarray, teacher: np.ndarray) -> float:
 
 def apply_head(head: UncertaintyHead, features: np.ndarray) -> np.ndarray:
     """sigmoid(w . f + b) per pixel over a (C, H, W) feature stack."""
-    f = np.asarray(features)
-    if f.ndim != 3:
-        raise ShapeError("apply_head: features must be (C, H, W)")
-    if f.shape[0] != head.channels:
-        raise ShapeError(
-            f"apply_head: {f.shape[0]} feature channels vs head with {head.channels}"
-        )
-    ws = _Workspace(f.shape[0], math.prod(f.shape[1:]))
-    # exp(-z) overflows to inf for z < -709, and 1 / (1 + inf) = 0 is the
-    # correct saturation
-    with np.errstate(over="ignore"):
-        return ws.student(head, ws.load(f)).reshape(f.shape[1:])
+    return next(apply_head_each(head, [features]))
+
+
+def apply_head_each(head: UncertaintyHead, stacks: list[np.ndarray]):
+    """Yield apply_head of each (C, H, W) feature stack in turn, all
+    computed in one workspace sized to the largest stack.  Each map is a
+    view of the workspace, overwritten by the next one: a caller that
+    keeps a map copies it.  Every stack is checked before the first map
+    is computed."""
+    stacks = [np.asarray(f) for f in stacks]
+    for f in stacks:
+        if f.ndim != 3:
+            raise ShapeError("apply_head: features must be (C, H, W)")
+        if f.shape[0] != head.channels:
+            raise ShapeError(
+                f"apply_head: {f.shape[0]} feature channels vs head with {head.channels}"
+            )
+    ws = _Workspace(head.channels, max((math.prod(f.shape[1:]) for f in stacks), default=0))
+    for f in stacks:
+        # exp(-z) overflows to inf for z < -709, and 1 / (1 + inf) = 0 is
+        # the correct saturation
+        with np.errstate(over="ignore"):
+            s = ws.student(head, ws.load(f))
+        yield s.reshape(f.shape[1:])
 
 
 def rmsle_gradient(
@@ -266,7 +278,7 @@ def _validate(
             continue
         idx, errors = ranked
         try:
-            scores.append(ranking_of(s[idx], errors)[1])
+            scores.append(uq_auroc(s[idx], errors))
         except DegenerateClassError:
             continue
     return float(np.mean(losses)), (float(np.mean(scores)) if scores else None)

@@ -4,7 +4,9 @@ Segmentation: precision/recall, step-wise average precision, average
 surface distance.  Calibration: Brier score, negative log-likelihood.
 Uncertainty ranking: error map construction, AUROC of uncertainty
 scores against the error map, and AUPRC as their average precision.
-AP and AUROC share one kernel over scores sorted descending.
+AP and AUROC share one counting kernel, ranking_counts, fed by the
+scores sorted ascending and the positives' scores sorted ascending; a
+caller that reads only one of them skips the other's arithmetic.
 
 Every masked metric funnels through one region-selection path, so a
 region of all ones reproduces the unmasked value bitwise.
@@ -87,41 +89,47 @@ def precision_recall(
     return precision, recall
 
 
-def ranking_from_sorted(
-    scores_desc: np.ndarray, labels: np.ndarray
-) -> tuple[float, float, float]:
-    """AP, AUROC and prevalence of 0/1 labels ranked by scores sorted
-    descending, ties in any order.
+def ranking_counts(
+    scores_asc: np.ndarray, positives_asc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 counts every ranking metric is taken from: per distinct
+    score, highest first, the positives scored at or above it (tp) and
+    all pixels scored at or above it (cnt).
 
-    Every value comes from the cumulative true positives tp at the last
-    element of each distinct score and fp = (last + 1) - tp.  AP sums
-    (R_n - R_{n-1}) * P_n over those thresholds; AUROC counts correctly
-    ordered (positive, negative) pairs in int64, ties scoring half.
-    Raises ValidationError on a NaN or infinite score: sorted by
-    argsort(-s), NaN and -inf come last and +inf first, so checking the
-    two ends is exact.  Raises DegenerateClassError when the labels are
-    single-class.
+    scores_asc holds every score sorted ascending and positives_asc the
+    positives' scores sorted ascending, ties in any order.  cnt comes
+    from where each run of equal scores starts.  One searchsorted of
+    positives_asc into the distinct scores counts the positives at each
+    score, and tp sums those counts from the highest score down, so no
+    permutation of the pixels is needed.  Raises ValidationError on a
+    NaN or infinite score: sorted ascending, -inf comes first and +inf
+    and NaN last, so checking the two ends is exact.  Raises
+    DegenerateClassError when the labels are single-class.
     """
-    if scores_desc.size and not (
-        np.isfinite(scores_desc[0]) and np.isfinite(scores_desc[-1])
-    ):
+    n, n_pos = scores_asc.size, positives_asc.size
+    if n and not (np.isfinite(scores_asc[0]) and np.isfinite(scores_asc[-1])):
         raise ValidationError("ranking: scores must be finite (found NaN or inf)")
-    n = labels.size
-    if n == 0:
+    if n_pos == 0 or n_pos == n:
         raise DegenerateClassError("ranking: labels are single-class")
-    # per distinct score, highest first: the pixels scored at or above it
-    # (cnt) and the positives among them (tp)
-    cnt = np.flatnonzero(np.append(scores_desc[:-1] != scores_desc[1:], True))
-    tp = np.cumsum(labels, dtype=np.int64)[cnt]
-    cnt += 1
-    n_pos = int(tp[-1])
-    n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateClassError("ranking: labels are single-class")
+    first = np.flatnonzero(np.append(True, scores_asc[1:] != scores_asc[:-1]))
+    distinct = scores_asc[first]
+    per_score = np.bincount(np.searchsorted(distinct, positives_asc), minlength=distinct.size)
+    return np.cumsum(per_score[::-1]), n - first[::-1]
+
+
+def ranking_from_sorted(
+    scores_asc: np.ndarray, positives_asc: np.ndarray
+) -> tuple[float, float, float]:
+    """AP, AUROC and prevalence from ranking_counts.
+
+    AP sums (R_n - R_{n-1}) * P_n over the distinct scores; AUROC counts
+    correctly ordered (positive, negative) pairs in int64, ties scoring
+    half.  Raises like ranking_counts.
+    """
+    tp, cnt = ranking_counts(scores_asc, positives_asc)
+    n_pos = positives_asc.size
     ap = _ap_from_counts(tp, cnt, n_pos)
-    fp = np.subtract(cnt, tp, out=cnt)
-    auroc = (_wins2_from_counts(tp, fp, n_neg) / 2.0) / (n_pos * n_neg)
-    return ap, auroc, n_pos / n
+    return ap, _auroc_from_counts(tp, cnt, n_pos), n_pos / scores_asc.size
 
 
 def _ap_from_counts(tp: np.ndarray, cnt: np.ndarray, n_pos: int) -> float:
@@ -130,6 +138,14 @@ def _ap_from_counts(tp: np.ndarray, cnt: np.ndarray, n_pos: int) -> float:
     terms = np.diff(recall, prepend=0.0)
     terms *= np.divide(tp, cnt, out=recall)
     return float(np.sum(terms))
+
+
+def _auroc_from_counts(tp: np.ndarray, cnt: np.ndarray, n_pos: int) -> float:
+    """Correctly ordered (positive, negative) pairs over all pairs; cnt
+    is overwritten with the false positives."""
+    n_neg = int(cnt[-1]) - n_pos
+    fp = np.subtract(cnt, tp, out=cnt)
+    return (_wins2_from_counts(tp, fp, n_neg) / 2.0) / (n_pos * n_neg)
 
 
 def _wins2_from_counts(tp: np.ndarray, fp: np.ndarray, n_neg: int) -> int:
@@ -142,33 +158,24 @@ def _wins2_from_counts(tp: np.ndarray, fp: np.ndarray, n_neg: int) -> int:
     return int(wins2.sum())
 
 
-def ranking_of(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
-    """ranking_from_sorted of flat float scores and their labels, after
-    one descending sort.
-
-    The sort is numpy's default argsort, which may order ties any way:
-    the kernel reads only the counts at the end of each tie group, so
-    the result is bitwise that of a stable sort.
-    """
-    order = np.argsort(-scores)
-    return ranking_from_sorted(scores[order], labels[order])
-
-
 def _sort_dtype(dtype: np.dtype) -> np.dtype:
-    """The dtype scores are negated in for the descending sort: their own
-    if float, else the float numpy promotes them to (float32 or float64),
-    because negating them would wrap (unsigned) or fail (bool)."""
+    """The dtype scores are ranked in: their own if float, else the float
+    numpy promotes them to (float32 or float64)."""
     return np.promote_types(dtype, np.float32)
 
 
-def _ranking(
+def _sorted_scores(
     scores: np.ndarray, labels: np.ndarray, region: np.ndarray | None
-) -> tuple[float, float, float]:
-    """ranking_of over the region, in the scores' _sort_dtype."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The region's scores sorted ascending in their _sort_dtype, and
+    those of its 0/1-labelled positives, for ranking_counts."""
     scores = np.asarray(scores)
-    _check_shapes(scores, np.asarray(labels), region)
+    labels = np.asarray(labels)
+    _check_shapes(scores, labels, region)
     s = _select(scores, region).astype(_sort_dtype(scores.dtype), copy=False)
-    return ranking_of(s, _select(np.asarray(labels), region))
+    positives = s[_select(labels, region).astype(bool)]
+    positives.sort()
+    return np.sort(s), positives
 
 
 def average_precision(
@@ -181,7 +188,8 @@ def average_precision(
     uncertainty map is its AP against the error map.  Raises
     DegenerateClassError when the labels are single-class.
     """
-    return _ranking(scores, labels, region)[0]
+    s, positives = _sorted_scores(scores, labels, region)
+    return _ap_from_counts(*ranking_counts(s, positives), positives.size)
 
 
 def average_precisions(
@@ -190,21 +198,22 @@ def average_precisions(
     """average_precision of each score map against the same labels, or
     None when the labels are single-class.
 
-    The maps are ranked by one argsort over their stack, so n maps cost
-    one sort call and a few large allocations instead of n of each.
+    The maps are stacked once, and the stack and its positive pixels
+    are each sorted along the pixel axis in one call, so n maps cost two
+    sort calls and a few large allocations instead of n of each.
     """
     labels = np.asarray(labels)
     for m in score_maps:
         _check_shapes(np.asarray(m), labels, None)
     keys = np.array(score_maps).reshape(len(score_maps), -1)
     keys = keys.astype(_sort_dtype(keys.dtype), copy=False)
-    np.negative(keys, out=keys)
-    orders = np.argsort(keys, axis=1)
-    y = labels.ravel()
+    positives = keys[:, labels.ravel().astype(bool)]
+    keys.sort(axis=1)
+    positives.sort(axis=1)
     try:
         return [
-            ranking_from_sorted(np.ravel(m)[o], y[o])[0]
-            for m, o in zip(score_maps, orders)
+            _ap_from_counts(*ranking_counts(s, p), p.size)
+            for s, p in zip(keys, positives)
         ]
     except DegenerateClassError:
         return None
@@ -305,4 +314,5 @@ def uq_auroc(
     Raises DegenerateClassError when the region contains only errors or
     only correct pixels.
     """
-    return _ranking(unc, errors, region)[1]
+    s, positives = _sorted_scores(unc, errors, region)
+    return _auroc_from_counts(*ranking_counts(s, positives), positives.size)

@@ -120,6 +120,43 @@ def squared_edt(mask: np.ndarray) -> np.ndarray:
     return (xs * (xs - 2 * apex[which]) + apex_b[which]).astype(np.float64)
 
 
+def squared_edt_within(mask: np.ndarray, radius: int) -> np.ndarray:
+    """squared_edt(mask) as int64 wherever it is at most radius**2, and
+    some value above radius**2 elsewhere.
+
+    Each pixel (y, x) takes the minimum of dx*dx + G[y, x + dx]^2 over
+    |dx| <= p = min(radius, w - 1), where G^2 comes from the column
+    pass squared_edt uses (_column_distances), capped at radius**2 + 1,
+    and is the cap in columns without foreground and beyond the grid.
+    Where the squared EDT is at most radius**2, the nearest foreground
+    pixel lies within radius columns and its G^2 is below the cap, so
+    the minimum is the exact squared EDT; elsewhere every term exceeds
+    radius**2.  Cost: O(h*w) per shift, 2p + 1 shifts, so a small
+    radius costs a few passes over the grid whatever its foreground.
+    Raises EmptyMaskError on an all-zero mask.
+    """
+    mask = np.asarray(mask)
+    validate_mask(mask, name="squared_edt_within input")
+    if not mask.any():
+        raise EmptyMaskError("squared_edt_within: mask has no foreground")
+    if radius < 0:
+        raise ValidationError("squared_edt_within: radius must be >= 0")
+    h, w = mask.shape
+    p = min(radius, w - 1)
+    cap = radius * radius + 1
+    # capped G^2 of every column, with p columns of cap on either side
+    cols, g2 = _column_distances(mask)
+    capped = np.full((h, w + 2 * p), cap, dtype=np.int64)
+    capped[:, cols + p] = np.minimum(g2, cap)
+    d2 = capped[:, p : p + w].copy()
+    shifted = np.empty_like(d2)
+    for dx in range(1, p + 1):
+        for start in (p - dx, p + dx):
+            np.add(capped[:, start : start + w], dx * dx, out=shifted)
+            np.minimum(d2, shifted, out=d2)
+    return d2
+
+
 def squared_edt_at(mask: np.ndarray, points: np.ndarray) -> np.ndarray:
     """squared_edt(mask) read at the pixels points, an (n, 2) integer
     array of (row, col) inside the grid, in the order of points.

@@ -31,7 +31,7 @@ from .metrics import (
     nll_terms,
     ranking_from_sorted,
 )
-from .morphology import dilate, squared_edt
+from .morphology import dilate, squared_edt_within
 from .raster import FireEvent, GeoConfig
 
 METRIC_COLUMNS = ("ap", "asd_m", "brier", "nll", "auroc", "auprc", "error_prevalence")
@@ -78,10 +78,15 @@ class Fire:
 
     reference is the probability map whose thresholding defines the
     error map every model's uncertainty is ranked against.
+    reference_ap, when known, is average_precision(reference, event.gt),
+    as middle-member selection computed it; run_sweep then reads it
+    instead of ranking the reference again for a model whose
+    probability map is the reference.  None means not known.
     """
 
     event: FireEvent
     reference: np.ndarray
+    reference_ap: float | None = None
 
 
 @dataclass
@@ -131,10 +136,13 @@ def fcer_pixels(gt: np.ndarray, radius_px: int) -> tuple[np.ndarray, np.ndarray]
     grid, in raster order, and gt's squared EDT at each; the FCER at a
     smaller radius r is the subsequence with squared EDT <= r*r.
 
-    Both come from gt's window: its bounding box padded by radius_px and
-    clipped to the grid.  The window holds every foreground and every
-    FCER pixel, so its squared EDT equals the full grid's there, and its
-    raster order is the grid's restricted to it.  Raises like build_fcer.
+    Both come from gt's window: its bounding box padded by radius_px
+    and clipped to the grid.  The window holds every foreground and
+    every FCER pixel, and its raster order is the grid's restricted to
+    it.  Only squared distances up to radius_px**2 are read, so the
+    window's transform is squared_edt_within(window, radius_px): exact
+    up to radius_px**2, and 2 * min(radius_px, window width - 1) + 1
+    passes over the window.  Raises like build_fcer.
     """
     gt = np.asarray(gt)
     if not gt.any():
@@ -143,9 +151,11 @@ def fcer_pixels(gt: np.ndarray, radius_px: int) -> tuple[np.ndarray, np.ndarray]
         raise ValidationError("fcer_pixels: radius must be >= 0")
     rows, cols = (np.flatnonzero(gt.any(axis=a)) for a in (1, 0))
     y0, x0 = max(rows[0] - radius_px, 0), max(cols[0] - radius_px, 0)
-    d2 = squared_edt(gt[y0 : rows[-1] + radius_px + 1, x0 : cols[-1] + radius_px + 1])
-    wy, wx = np.nonzero(d2 <= float(radius_px * radius_px))
-    return (wy + y0) * gt.shape[1] + (wx + x0), d2[wy, wx]
+    d2 = squared_edt_within(
+        gt[y0 : rows[-1] + radius_px + 1, x0 : cols[-1] + radius_px + 1], radius_px
+    )
+    wy, wx = np.nonzero(d2 <= radius_px * radius_px)
+    return (wy + y0) * gt.shape[1] + (wx + x0), d2[wy, wx].astype(np.float64)
 
 
 def resolve_anchor(asd_values_m, geo: GeoConfig) -> int:
@@ -177,7 +187,9 @@ def run_sweep(
 ) -> list[SweepResult]:
     """Evaluate every model on each of its fires at every radius.
 
-    Phase 1 computes each model's AP and ASD once per fire.  The anchor
+    Phase 1 computes each model's AP and ASD once per fire; a model whose
+    probability map is the fire's reference reads the fire's
+    reference_ap when it is known.  The anchor
     is then config.anchor_px or, when that is None, resolve_anchor over
     the pooled defined ASDs: the first model's fires in the order given,
     then the second model's, and so on.  The float mean depends on that
@@ -193,12 +205,13 @@ def run_sweep(
     Brier and NLL terms are computed once over the largest FCER, and
     each radius averages the subsequence inside its own FCER, as the
     FCERs are nested; the mean sees the values brier and nll would see,
-    in the same order.  Likewise each model's uncertainty is sorted once
-    over the largest FCER, and every radius ranks its sorted
-    subsequence.  That sort is numpy's default argsort: the ranking
-    kernel reads only the counts at the end of each tie group, so the
-    order within ties, which such a sort leaves unspecified, changes no
-    value.
+    in the same order.  Likewise each model's uncertainty is sorted
+    ascending once over the largest FCER, and every radius ranks its
+    sorted subsequence and that of its error pixels.  That sort is
+    numpy's default argsort: the ranking kernel reads only the sorted
+    values, so the order within ties, which such a sort leaves
+    unspecified, changes no value.  The per-radius aggregates take each
+    radius's records, in record order, from one pass over the records.
 
     Degenerate per-fire cases (single-class region, empty ground truth,
     missing boundary) leave the affected metrics as None and the run
@@ -220,13 +233,16 @@ def run_sweep(
             if any(np.shape(a) != fire.event.gt.shape for a in maps):
                 raise ShapeError(f"run_sweep: fire {fire.event.id}: map shape != gt shape")
 
-    def unmasked(gt: np.ndarray, prob: np.ndarray) -> tuple[float | None, float | None]:
+    def unmasked(fire: Fire, prob: np.ndarray) -> tuple[float | None, float | None]:
+        gt = fire.event.gt
         if not gt.any():
             return None, None
-        try:
-            ap = average_precision(prob, gt)
-        except DegenerateClassError:
-            ap = None
+        ap = fire.reference_ap if prob is fire.reference else None
+        if ap is None:
+            try:
+                ap = average_precision(prob, gt)
+            except DegenerateClassError:
+                pass
         pred_mask = (prob >= config.error_threshold).astype(np.uint8)
         try:
             asd = average_surface_distance(pred_mask, gt, geo.meters_per_pixel)
@@ -236,7 +252,7 @@ def run_sweep(
 
     # phase 1: (AP, ASD) per model and fire, in model-then-fire order; then the anchor
     ap_asd = [
-        [unmasked(fire.event.gt, prob) for fire, (prob, _unc) in zip(m.fires, m.outputs)]
+        [unmasked(fire, prob) for fire, (prob, _unc) in zip(m.fires, m.outputs)]
         for m in models
     ]
     anchor = config.anchor_px
@@ -281,8 +297,8 @@ def run_sweep(
             n_terms = nll_terms(p, y_outer, config.nll_epsilon)
             # one sort over the largest FCER; each smaller one is a sorted subsequence
             u = unc.ravel()[idx]
-            order = np.argsort(-u)
-            s, y = u[order], errors[order]
+            order = np.argsort(u)
+            s, y = u[order], errors[order].astype(bool)
             records = per_fire[m][i] = []
             for r, keep in zip(radii, inside):
                 rec = MetricRecord(
@@ -298,7 +314,7 @@ def run_sweep(
                 ranked = keep[order]
                 try:
                     rec.auprc, rec.auroc, rec.error_prevalence = ranking_from_sorted(
-                        s[ranked], y[ranked]
+                        s[ranked], s[ranked & y]
                     )
                 except DegenerateClassError:
                     pass
@@ -310,10 +326,13 @@ def run_sweep(
     results = []
     for fire_records in per_fire:
         records = [rec for recs in fire_records for rec in recs]
+        # each radius's records in record order, bucketed in one pass
+        by_radius: dict[int, list[MetricRecord]] = {r: [] for r in radii}
+        for rec in records:
+            by_radius[rec.radius_px].append(rec)
         aggregates: dict[int, dict[str, float | None]] = {}
         counts: dict[int, dict[str, int]] = {}
-        for r in radii:
-            at_r = [rec for rec in records if rec.radius_px == r]
+        for r, at_r in by_radius.items():
             aggregates[r], counts[r] = {}, {}
             for name in METRIC_COLUMNS:
                 aggregates[r][name], counts[r][name] = _mean_and_count(

@@ -199,8 +199,9 @@ def _by_number(numbered, what: str) -> dict[int, Path]:
     return out
 
 
-def load_event(fire_dir: str | Path, year: int) -> FireEvent:
-    """Parse one fire directory (gt + members + optional features)."""
+def load_event(fire_dir: str | Path, year: int, features: bool = True) -> FireEvent:
+    """Parse one fire directory (gt + members + optional features).
+    features=False leaves features.npy unread, and out of files."""
     fire_dir = Path(fire_dir)
     gt_path = fire_dir / "gt.npy"
     if not gt_path.exists():
@@ -217,19 +218,20 @@ def load_event(fire_dir: str | Path, year: int) -> FireEvent:
     files = [gt_path, *member_paths.values()]
     gt = load_array(gt_path)
     members = [load_array(p) for p in member_paths.values()]
-    features = None
+    stack = None
     fpath = fire_dir / "features.npy"
-    if fpath.exists():
-        features = load_array(fpath)
+    if features and fpath.exists():
+        stack = load_array(fpath)
         files.append(fpath)
     return FireEvent(
         id=fire_dir.name, year=year, gt=gt, members=members,
-        features=features, files=tuple(files),
+        features=stack, files=tuple(files),
     )
 
 
-def load_dataset(root: str | Path) -> list[FireEvent]:
-    """Load every fire under <root>/<year>/<fire_id>/, sorted by (year, id)."""
+def load_dataset(root: str | Path, features: bool = True) -> list[FireEvent]:
+    """Load every fire under <root>/<year>/<fire_id>/, sorted by (year, id);
+    features=False leaves every features.npy unread."""
     root = Path(root)
     if not root.is_dir():
         raise ValidationError(f"dataset root {root} is not a directory")
@@ -242,7 +244,7 @@ def load_dataset(root: str | Path) -> list[FireEvent]:
         raise ValidationError(f"dataset root {root}: no <year> directories")
     for year, ydir in year_dirs.items():
         for fdir in sorted(d for d in ydir.iterdir() if d.is_dir()):
-            events.append(load_event(fdir, year=year))
+            events.append(load_event(fdir, year=year, features=features))
     if not events:
         raise ValidationError(f"dataset root {root}: no fire directories")
     n_members = {e.n_members for e in events}

@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from fireuq.cli import main, middle_member_by_year, parse_model_spec, _parse_radii
+from fireuq.cli import _load_models, main, middle_member_by_year, parse_model_spec, _parse_radii
 from fireuq.distill import TrainConfig, UncertaintyHead, apply_head, load_head, save_head
-from fireuq.errors import ValidationError
+from fireuq.errors import DegenerateClassError, ValidationError
 from fireuq.metrics import average_precision, error_map
-from fireuq.raster import FireEvent, load_dataset, save_event
+from fireuq.protocol import SweepConfig, run_sweep
+from fireuq.raster import FireEvent, GeoConfig, load_dataset, save_event
 from fireuq.synth import ScenarioSpec, generate_scenario
 
 @pytest.fixture(autouse=True)
@@ -183,6 +184,37 @@ def test_middle_member_by_year_is_the_median_of_per_member_mean_ap():
                  for k in range(5)]
         want[year] = means.index(sorted(means)[2])
     assert middle_member_by_year(events) == want
+
+
+def test_student_ap_is_the_reference_members_ap_from_middle_member_selection(tmp_path):
+    """The student's phase-1 AP is the AP middle-member selection computed
+    for the reference member, bitwise, and None on a single-class ground
+    truth; only the root a student reads has its features loaded."""
+    root = tmp_path / "pack"
+    _small_pack(root)
+    gt_path = next(root.glob("2019/fire_*/gt.npy"))
+    np.save(gt_path, np.ones_like(np.load(gt_path)))
+    head_path = tmp_path / "head.json"
+    head = UncertaintyHead(weights=np.array([0.5, -0.2, 0.1, 0.3]), bias=-0.4)
+    save_head(head_path, head, TrainConfig(), selection_metric=None, epoch=0)
+    geo = GeoConfig()
+    [ensemble], _ = _load_models([f"ensemble:{root}"], geo)
+    assert all(f.event.features is None for f in ensemble.fires)
+    models, _ = _load_models([f"ensemble:{root}", f"student:{root}:{head_path}"], geo)
+    fires = models[1].fires
+    assert fires is models[0].fires
+    assert all(f.event.features is not None for f in fires)
+    for fire in fires:
+        try:
+            want = average_precision(fire.reference, fire.event.gt)
+        except DegenerateClassError:
+            want = None
+        assert repr(fire.reference_ap) == repr(want)
+    assert sum(f.reference_ap is None for f in fires) == 1
+    # and run_sweep reports it as the student's AP
+    [_, student] = run_sweep(models, SweepConfig(radii_px=(0,), anchor_px=1), geo)
+    aps = [repr(rec.ap) for rec in student.records if rec.radius_px == 0]
+    assert aps == [repr(f.reference_ap) for f in fires]
 
 
 def _error_indicator_pack(tmp_path, seed=9):
@@ -601,7 +633,8 @@ def _small_pack(root):
 # the one stderr line or None)
 _CORRUPTED_CASES = {
     "complex-member": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1, None),
-    "features-beyond-float32": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
+    # distill reads features.npy; an ensemble eval leaves it unread
+    "features-beyond-float32": (["distill", "{root}", "--max-epochs", "2"], 1,
                                 "contains NaN or Inf"),
     "duplicate-member-index": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
                                "member index 0 is also parsed from"),
@@ -696,9 +729,11 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
 
 
 def test_manifests_digest_exactly_the_parsed_files(tmp_path):
-    """eval's manifest lists each fire's gt, members and features (plus
-    the head of a student), whether or not distill has written student
-    maps into the pack; distill's lists the same pack files."""
+    """eval's manifest lists each fire's gt and members, plus its
+    features and the head for a student, whether or not distill has
+    written student maps into the pack; distill's lists the pack files
+    with the features, and a sweep of an ensemble against a student on
+    one root lists the features once."""
     root = tmp_path / "pack"
     _small_pack(root)
     head_path = tmp_path / "head.json"
@@ -727,7 +762,14 @@ def test_manifests_digest_exactly_the_parsed_files(tmp_path):
                      "features.npy")
     }
     assert len(parsed) == 4 * 5
-    assert set(before["ensemble"]) == parsed
+    features = {p for p in parsed if p.endswith("features.npy")}
+    assert set(before["ensemble"]) == parsed - features
     assert set(before["student"]) == parsed | {str(head_path)}
     distill = json.loads((tmp_path / "distill" / "manifest.json").read_text())
     assert set(distill["inputs"]) == parsed
+    out = tmp_path / "sweep"
+    assert _run(["sweep", "--model-a", specs["ensemble"], "--model-b", specs["student"],
+                 "--radii", "0,2", "--out-dir", out]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert len(inputs) == len(set(inputs)) == len(parsed) + 1
+    assert set(inputs) == parsed | {str(head_path)}

@@ -13,6 +13,7 @@ from fireuq.distill import (
     TrainResult,
     UncertaintyHead,
     apply_head,
+    apply_head_each,
     fuse_ensemble,
     load_head,
     rmsle,
@@ -163,6 +164,25 @@ def test_apply_head_saturates_without_overflow_warning():
         warnings.simplefilter("error", RuntimeWarning)
         out = apply_head(head, f)
     assert out.tolist() == [[0.0, 1.0, 0.5]]
+
+
+def test_apply_head_each_gives_apply_head_bitwise_from_one_workspace():
+    rng = np.random.default_rng(13)
+    head = UncertaintyHead(weights=rng.normal(size=3), bias=0.2)
+    stacks = [rng.normal(size=(3, h, w)).astype(np.float32) for h, w in
+              ((5, 7), (9, 9), (2, 3), (9, 9))]
+    maps = list(apply_head_each(head, stacks))
+    # each map is a view of the one shared buffer, so the last one is left
+    assert all(m.base is not None for m in maps)
+    assert maps[-1].tobytes() == apply_head(head, stacks[-1]).tobytes()
+    copies = [m.copy() for m in apply_head_each(head, stacks)]
+    for f, got in zip(stacks, copies):
+        assert got.shape == f.shape[1:]
+        assert got.tobytes() == apply_head(head, f).tobytes()
+    # every stack is checked before any map is computed
+    with pytest.raises(ShapeError):
+        next(apply_head_each(head, stacks + [np.zeros((2, 4, 4))]))
+    assert list(apply_head_each(head, [])) == []
 
 
 def test_apply_head_shape_validation():

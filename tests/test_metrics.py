@@ -15,6 +15,7 @@ from fireuq.metrics import (
     error_map,
     nll,
     precision_recall,
+    ranking_counts,
     ranking_from_sorted,
     uq_auroc,
 )
@@ -83,8 +84,7 @@ def test_average_precision_worked_example():
     assert ap == pytest.approx(5.0 / 6.0, abs=1e-12)
 
 
-# bool and integer scores must be widened before the descending sort:
-# negating uint8 scores wraps (AP 7/12 here) and negating bool raises
+# bool and integer scores are ranked in the float numpy promotes them to
 _PERFECT_SCORES = {
     np.float64: [0.9, 0.8, 0.2, 0.1],
     np.uint8: [3, 2, 1, 0],
@@ -142,6 +142,15 @@ def test_uq_auroc_matches_oracle_bitwise():
         assert uq_auroc(scores, labels) == oracle_auroc(scores, labels)
 
 
+def _sorted_asc(scores, labels):
+    """The ranking kernel's inputs: scores widened as the metrics widen
+    them and sorted ascending, and the positives' scores sorted
+    ascending."""
+    s = np.asarray(scores).ravel()
+    s = s.astype(np.promote_types(s.dtype, np.float32), copy=False)
+    return np.sort(s), np.sort(s[np.asarray(labels).ravel().astype(bool)])
+
+
 def _sorted_desc(scores, labels):
     s = np.asarray(scores, dtype=np.float64).ravel()
     order = np.argsort(-s, kind="stable")
@@ -151,7 +160,7 @@ def _sorted_desc(scores, labels):
 def test_auprc_worked_example():
     # AUPRC is the AP of the uncertainty against the error map
     assert average_precision(UNC6, ERR6) == pytest.approx(5.0 / 6.0, abs=1e-12)
-    ap, auroc, prev = ranking_from_sorted(*_sorted_desc(UNC6, ERR6))
+    ap, auroc, prev = ranking_from_sorted(*_sorted_asc(UNC6, ERR6))
     assert (ap, auroc) == (average_precision(UNC6, ERR6), uq_auroc(UNC6, ERR6))
     assert prev == pytest.approx(2.0 / 6.0, abs=1e-12)
 
@@ -159,9 +168,18 @@ def test_auprc_worked_example():
 def test_auprc_constant_equals_prevalence():
     errors = np.array([[1, 0, 0, 1, 0, 0, 0, 1]])
     const = np.full((1, 8), 0.7)
-    ap, auroc, prev = ranking_from_sorted(*_sorted_desc(const, errors))
+    ap, auroc, prev = ranking_from_sorted(*_sorted_asc(const, errors))
     assert average_precision(const, errors) == ap == prev == 3.0 / 8.0
     assert auroc == 0.5
+
+
+def test_ranking_counts_are_the_cumulative_counts_per_distinct_score():
+    s, p = _sorted_asc(np.array([[0.5, 0.5, 0.2], [0.9, 0.2, 0.2]]), ERR6)
+    tp, cnt = ranking_counts(s, p)
+    assert tp.dtype == cnt.dtype == np.int64
+    # thresholds 0.9, 0.5, 0.2: positives (0.5, 0.2) at or above each
+    assert tp.tolist() == [0, 1, 2]
+    assert cnt.tolist() == [1, 3, 6]
 
 
 def test_auprc_matches_oracle():
@@ -173,56 +191,20 @@ def test_auprc_matches_oracle():
         assert abs(value - oracle_auprc(scores, labels)) <= 1e-12
 
 
-def test_ranking_from_sorted_ignores_order_within_ties():
-    rng = np.random.default_rng(41)
-    for _ in range(60):
-        n = int(rng.integers(2, 60))
-        scores, labels = _rand_scores_labels(rng, n, tie_prob=1.0)
-        s, y = _sorted_desc(scores, labels)
-        want = ranking_from_sorted(s, y)
-        assert want[:2] == (average_precision(scores, labels), uq_auroc(scores, labels))
-        assert want[1] == oracle_auroc(scores, labels)
-        # shuffle the labels inside each group of equal scores
-        shuffled = y.copy()
-        for value in np.unique(s):
-            idx = np.nonzero(s == value)[0]
-            shuffled[idx] = rng.permutation(y[idx])
-        assert ranking_from_sorted(s, shuffled) == want
-
-
-def _reverse_within_ties(s_desc, y):
-    """y with the order inside each run of equal sorted scores reversed."""
-    groups = np.split(y, np.flatnonzero(s_desc[:-1] != s_desc[1:]) + 1)
-    return np.concatenate([g[::-1] for g in groups])
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_ranking_is_tie_order_free_at_scale(dtype):
-    """128x128 maps with at most 4 levels: big enough that no sort falls
-    back to insertion sort, which would keep ties in input order."""
-    rng = np.random.default_rng(57)
-    for levels in (1, 2, 3, 4):
-        scores = (rng.integers(0, levels, size=(128, 128)) / 4.0).astype(dtype)
-        labels = (rng.random((128, 128)) < rng.uniform(0.1, 0.5)).astype(np.uint8)
-        region = rng.random((128, 128)) < 0.6
-        for reg in (None, region):
-            keep = np.ones(scores.shape, bool) if reg is None else reg
-            s, y = _sorted_desc(scores[keep], labels[keep])
-            want = ranking_from_sorted(s, y)
-            assert average_precision(scores, labels, reg) == want[0]
-            assert uq_auroc(scores, labels, reg) == want[1]
-            assert ranking_from_sorted(s, _reverse_within_ties(s, y)) == want
-            if levels == 1:
-                assert want[1] == 0.5
-
-
 def _reference_ranking_from_sorted(scores_desc, labels):
-    """Reference for ranking_from_sorted: the same arithmetic with the
-    labels copied to int64, recall shifted by concatenation and a fresh
-    array for every step."""
+    """The argsort kernel that ranking_counts replaced, kept as its test
+    reference: over scores sorted descending and their 0/1 labels in the
+    same order, tp is the int64 cumulative sum of the labels at the last
+    pixel of each distinct score, with a fresh array for every step."""
+    if scores_desc.size and not (
+        np.isfinite(scores_desc[0]) and np.isfinite(scores_desc[-1])
+    ):
+        raise ValidationError("reference: scores must be finite")
     y = labels.astype(np.int64)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateClassError("reference: labels are single-class")
     last = np.nonzero(np.append(scores_desc[:-1] != scores_desc[1:], True))[0]
     tp = np.cumsum(y)[last]
     fp = (last + 1) - tp
@@ -236,9 +218,73 @@ def _reference_ranking_from_sorted(scores_desc, labels):
     return ap, auroc, n_pos / y.size
 
 
+def _argsort_ranking(scores, labels):
+    """_reference_ranking_from_sorted after the descending argsort the
+    metrics used to make: scores widened, negated and argsorted, and the
+    labels gathered in that order."""
+    s = np.asarray(scores).ravel()
+    s = s.astype(np.promote_types(s.dtype, np.float32), copy=False)
+    order = np.argsort(-s)
+    return _reference_ranking_from_sorted(s[order], np.asarray(labels).ravel()[order])
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the ranking error it raised."""
+    try:
+        return fn(*args)
+    except (ValidationError, DegenerateClassError) as exc:
+        return type(exc)
+
+
+def _reverse_within_ties(s_desc, y):
+    """y with the order inside each run of equal sorted scores reversed."""
+    groups = np.split(y, np.flatnonzero(s_desc[:-1] != s_desc[1:]) + 1)
+    return np.concatenate([g[::-1] for g in groups])
+
+
+def test_ranking_from_sorted_ignores_order_within_ties():
+    """The value kernel equals the argsort kernel whatever order the
+    argsort leaves ties in."""
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(2, 60))
+        scores, labels = _rand_scores_labels(rng, n, tie_prob=1.0)
+        want = ranking_from_sorted(*_sorted_asc(scores, labels))
+        assert want[:2] == (average_precision(scores, labels), uq_auroc(scores, labels))
+        assert want[1] == oracle_auroc(scores, labels)
+        s, y = _sorted_desc(scores, labels)
+        assert _reference_ranking_from_sorted(s, y) == want
+        # shuffle the labels inside each group of equal scores
+        shuffled = y.copy()
+        for value in np.unique(s):
+            idx = np.nonzero(s == value)[0]
+            shuffled[idx] = rng.permutation(y[idx])
+        assert _reference_ranking_from_sorted(s, shuffled) == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ranking_is_tie_order_free_at_scale(dtype):
+    """128x128 maps with at most 4 levels: big enough that no sort falls
+    back to insertion sort, which would keep ties in input order."""
+    rng = np.random.default_rng(57)
+    for levels in (1, 2, 3, 4):
+        scores = (rng.integers(0, levels, size=(128, 128)) / 4.0).astype(dtype)
+        labels = (rng.random((128, 128)) < rng.uniform(0.1, 0.5)).astype(np.uint8)
+        region = rng.random((128, 128)) < 0.6
+        for reg in (None, region):
+            keep = np.ones(scores.shape, bool) if reg is None else reg
+            want = ranking_from_sorted(*_sorted_asc(scores[keep], labels[keep]))
+            assert average_precision(scores, labels, reg) == want[0]
+            assert uq_auroc(scores, labels, reg) == want[1]
+            s, y = _sorted_desc(scores[keep], labels[keep])
+            assert _reference_ranking_from_sorted(s, _reverse_within_ties(s, y)) == want
+            if levels == 1:
+                assert want[1] == 0.5
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_ranking_bitwise_equals_reference_kernel(dtype):
-    """The kernel, and AP/AUROC that sort scores in their own dtype,
+    """The kernel, and AP/AUROC that rank scores in their own dtype,
     equal the reference kernel over float64-widened scores bitwise: on
     tied and continuous scores, a single score group, and with and
     without a region."""
@@ -252,17 +298,56 @@ def test_ranking_bitwise_equals_reference_kernel(dtype):
         scores = scores.astype(dtype)
         labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.uint8)
         labels[:2] = (0, 1)
-        s, y = _sorted_desc(scores, labels)
-        want = _reference_ranking_from_sorted(s, y)
-        assert ranking_from_sorted(s, y) == want
-        assert ranking_from_sorted(s.astype(dtype), y.astype(bool)) == want
+        want = _reference_ranking_from_sorted(*_sorted_desc(scores, labels))
+        assert ranking_from_sorted(*_sorted_asc(scores, labels)) == want
+        assert ranking_from_sorted(*_sorted_asc(scores, labels.astype(bool))) == want
         assert (average_precision(scores, labels), uq_auroc(scores, labels)) == want[:2]
         region = rng.random(n) < 0.7
         region[:2] = True
-        s, y = _sorted_desc(scores[region], labels[region])
-        want = _reference_ranking_from_sorted(s, y)
+        want = _reference_ranking_from_sorted(*_sorted_desc(scores[region], labels[region]))
         got = (average_precision(scores, labels, region), uq_auroc(scores, labels, region))
         assert got == want[:2]
+
+
+def _fuzz_ranking_case(rng, trial):
+    """Scores and labels for one fuzz case: heavy ties or continuous
+    scores in float32, float64, uint8 or bool, sometimes empty or
+    single-class, sometimes with NaN or +-inf at either end."""
+    n = int(rng.integers(0, 3)) if trial % 25 == 0 else int(rng.integers(1, 300))
+    dtype = (np.float32, np.float64, np.uint8, np.bool_)[trial % 4]
+    if dtype is np.bool_:
+        scores = rng.random(n) < rng.random()
+    elif dtype is np.uint8 or trial % 3 == 0:
+        scores = rng.integers(0, int(rng.integers(1, 6)), size=n).astype(dtype)
+    else:
+        scores = rng.random(n).astype(dtype)
+    prevalence = (0.0, 1.0, rng.random())[int(rng.integers(0, 3)) if trial % 7 == 0 else 2]
+    labels = (rng.random(n) < prevalence).astype((np.uint8, np.bool_)[trial % 2])
+    if n and dtype in (np.float32, np.float64) and trial % 5 == 0:
+        bad = (np.nan, np.inf, -np.inf)[int(rng.integers(3))]
+        scores[(0, n - 1, int(rng.integers(n)))[int(rng.integers(3))]] = bad
+    return scores, labels
+
+
+def test_ranking_fuzz_equals_argsort_kernel():
+    """ranking_from_sorted, average_precision, uq_auroc and
+    average_precisions equal the argsort kernel on random cases, values
+    bitwise and errors by class."""
+    rng = np.random.default_rng(2024)
+    for trial in range(2000):
+        scores, labels = _fuzz_ranking_case(rng, trial)
+        want = _outcome(_argsort_ranking, scores, labels)
+        got = _outcome(lambda s, y: ranking_from_sorted(*_sorted_asc(s, y)), scores, labels)
+        assert got == want, trial
+        if isinstance(want, tuple):
+            assert average_precision(scores, labels) == want[0]
+            assert uq_auroc(scores, labels) == want[1]
+            assert average_precisions([scores, scores[::-1]], labels)[0] == want[0]
+        else:
+            for fn in (average_precision, uq_auroc):
+                assert _outcome(fn, scores, labels) is want, trial
+        if want is DegenerateClassError:
+            assert average_precisions([scores], labels) is None
 
 
 def test_average_precisions_equal_average_precision_per_map():
@@ -289,12 +374,14 @@ def test_average_precisions_equal_average_precision_per_map():
 
 
 def test_ranking_from_sorted_single_class_raises():
-    s = np.array([0.9, 0.5, 0.1])
-    for y in (np.ones(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8)):
+    s = np.array([0.1, 0.5, 0.9])
+    for positives in (s, s[:0]):
         with pytest.raises(DegenerateClassError):
-            ranking_from_sorted(s, y)
+            ranking_from_sorted(s, positives)
+        with pytest.raises(DegenerateClassError):
+            ranking_counts(s, positives)
     with pytest.raises(DegenerateClassError):
-        ranking_from_sorted(s[:0], np.zeros(0, dtype=np.uint8))
+        ranking_from_sorted(s[:0], s[:0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -306,9 +393,8 @@ def test_ranking_rejects_non_finite_scores(bad, at):
     for fn in (average_precision, uq_auroc):
         with pytest.raises(ValidationError, match="finite"):
             fn(scores, labels)
-    s, y = _sorted_desc(scores, labels)
     with pytest.raises(ValidationError, match="finite"):
-        ranking_from_sorted(s, y)
+        ranking_from_sorted(*_sorted_asc(scores, labels))
     # single-class labels do not hide a bad score
     with pytest.raises(ValidationError, match="finite"):
         uq_auroc(scores, np.ones_like(labels))

@@ -14,8 +14,10 @@ from fireuq.morphology import (
     extract_boundary,
     squared_edt,
     squared_edt_at,
+    squared_edt_within,
 )
 from fireuq.oracles import oracle_dilate, oracle_edt
+from fireuq.protocol import MAX_RADIUS_PX
 
 
 def _random_mask(rng, h, w, p=0.2):
@@ -293,3 +295,29 @@ def test_boundary_subset_of_mask():
 def test_boundary_empty_mask_raises():
     with pytest.raises(EmptyMaskError):
         extract_boundary(np.zeros((3, 3), dtype=np.uint8))
+
+
+def test_squared_edt_within_is_exact_up_to_the_radius():
+    """At radius 0, 1, small radii, past the diagonal and MAX_RADIUS_PX:
+    the exact squared EDT wherever it is at most r*r, and a value above
+    r*r everywhere else, as int64."""
+    from fireuq.protocol import MAX_RADIUS_PX
+
+    rng = np.random.default_rng(71)
+    for k in range(60):
+        h, w = (int(v) for v in rng.integers(1, 30, size=2))
+        mask = (rng.random((h, w)) < rng.uniform(0.005, 0.3)).astype(np.uint8)
+        mask[int(rng.integers(h)), int(rng.integers(w))] = 1
+        full = squared_edt(mask).astype(np.int64)
+        if k < 10:
+            assert (full == np.rint(oracle_edt(mask) ** 2)).all()
+        for r in (0, 1, int(rng.integers(2, 10)), h + w, MAX_RADIUS_PX):
+            got = squared_edt_within(mask, r)
+            assert got.dtype == np.int64
+            inside = full <= r * r
+            assert (got[inside] == full[inside]).all()
+            assert (got[~inside] > r * r).all()
+    with pytest.raises(EmptyMaskError):
+        squared_edt_within(np.zeros((4, 4), dtype=np.uint8), 2)
+    with pytest.raises(ValidationError):
+        squared_edt_within(mask, -1)

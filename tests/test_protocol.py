@@ -6,7 +6,7 @@ import pytest
 from fireuq.errors import DegenerateDataError, EmptyMaskError, ShapeError, ValidationError
 from fireuq.metrics import MetricRecord, average_precision, brier, error_map, nll, uq_auroc
 from fireuq.morphology import dilate, squared_edt
-from fireuq.oracles import oracle_auroc, oracle_average_precision
+from fireuq.oracles import oracle_auroc, oracle_average_precision, oracle_dilate
 from fireuq import protocol
 from fireuq.protocol import (
     MAX_RADIUS_PX,
@@ -88,6 +88,31 @@ def test_fcer_pixels_equal_build_fcer_and_full_grid_edt():
         fcer_pixels(np.zeros((5, 5), dtype=np.uint8), 3)
     with pytest.raises(ValidationError):
         fcer_pixels(gt, -1)
+
+
+def test_fcer_pixels_fuzz_against_disk_stamping():
+    """Sparse and dense ground truths on small grids: at radius 0, 1,
+    small radii, past the grid's diagonal and MAX_RADIUS_PX, the pixels
+    are those of stamping the disk on every foreground pixel, in raster
+    order, and each distance is the full grid's squared EDT."""
+    rng = np.random.default_rng(23)
+    for k in range(150):
+        h, w = (int(v) for v in rng.integers(1, 20, size=2))
+        gt = (rng.random((h, w)) < rng.uniform(0.01, 0.6)).astype(np.uint8)
+        gt[int(rng.integers(h)), int(rng.integers(w))] = 1
+        d2_full = squared_edt(gt).ravel()
+        for r in (0, 1, int(rng.integers(2, 7)), int(np.hypot(h, w)) + 1, MAX_RADIUS_PX):
+            idx, d2 = fcer_pixels(gt, r)
+            want = build_fcer(gt, r) if r > 40 else oracle_dilate(gt, r)
+            assert idx.tolist() == np.flatnonzero(want).tolist()
+            assert d2.dtype == np.float64
+            assert d2.tobytes() == d2_full[idx].tobytes()
+    # the largest radius on a 96x96 grid runs one pass per column shift
+    gt = np.zeros((96, 96), dtype=np.uint8)
+    gt[40, 7] = 1
+    idx, d2 = fcer_pixels(gt, MAX_RADIUS_PX)
+    assert idx.size == gt.size
+    assert d2.tobytes() == squared_edt(gt).tobytes()
 
 
 def test_resolve_anchor_mean_asd_rounds_to_pixels():
@@ -504,10 +529,48 @@ def test_run_sweep_pools_asd_in_model_then_fire_order():
 def test_run_sweep_computes_each_fire_edt_once(monkeypatch):
     model_a, model_b = _two_models()
     calls = []
-    real = protocol.squared_edt
-    monkeypatch.setattr(protocol, "squared_edt", lambda m: calls.append(1) or real(m))
+    real = protocol.squared_edt_within
+    monkeypatch.setattr(
+        protocol, "squared_edt_within", lambda m, r: calls.append(1) or real(m, r)
+    )
     run_sweep([model_a, model_b], SweepConfig(radii_px=(0, 4), anchor_px=2), GEO)
     assert len(calls) == len(model_a.fires)
+
+
+def test_run_sweep_aggregates_equal_per_radius_filter_over_many_radii():
+    """With 150 radii the one-pass buckets give each radius the records
+    a per-radius filter selects, in record order."""
+    model_a, _ = _two_models(seed=23, n_fires=4)
+    radii = tuple(range(0, 300, 2))
+    [result] = run_sweep([model_a], SweepConfig(radii_px=radii, anchor_px=3), GEO)
+    assert list(result.aggregates) == sorted(radii + (3,))
+    for r in result.aggregates:
+        at_r = [rec for rec in result.records if rec.radius_px == r]
+        for name in protocol.METRIC_COLUMNS:
+            values = [getattr(rec, name) for rec in at_r]
+            defined = [v for v in values if v is not None]
+            mean = float(np.mean(defined)) if defined else None
+            assert result.aggregates[r][name] == mean
+            assert result.counts[r][name] == len(defined)
+
+
+def test_run_sweep_reads_a_known_reference_ap():
+    """A model whose probability map is the fire's reference takes the
+    fire's reference_ap instead of ranking the map again; an unknown
+    reference_ap is computed."""
+    events = _scenario_events(seed=31, n_fires=4)
+    fires = [Fire(ev, ev.members[1], reference_ap=0.25) for ev in events]
+    fires[0].reference_ap = None
+    outputs = [(fire.reference, np.abs(fire.reference - 0.5)) for fire in fires]
+    [result] = run_sweep([Model(fires, outputs)], SweepConfig(radii_px=(0,), anchor_px=1), GEO)
+    aps = [rec.ap for rec in result.records if rec.radius_px == 0]
+    assert aps[0] == average_precision(events[0].members[1], events[0].gt)
+    assert aps[1:] == [0.25] * 3
+    # a copy of the reference is not the reference: its AP is computed
+    outputs = [(prob.copy(), unc) for prob, unc in outputs]
+    [result] = run_sweep([Model(fires, outputs)], SweepConfig(radii_px=(0,), anchor_px=1), GEO)
+    aps = [rec.ap for rec in result.records if rec.radius_px == 0]
+    assert aps == [average_precision(ev.members[1], ev.gt) for ev in events]
 
 
 def test_aggregate_mean_std_reference_values():

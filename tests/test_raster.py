@@ -370,6 +370,17 @@ def test_load_dataset_sorted_and_consistent(tmp_path):
     ]
 
 
+def test_load_dataset_without_features_leaves_them_unread(tmp_path):
+    save_event(tmp_path, _demo_event("fire_0", 2019, seed=1))
+    features = tmp_path / "2019" / "fire_0" / "features.npy"
+    full = load_dataset(tmp_path)
+    features.write_bytes(b"not an NPY file")  # never opened below
+    [ev] = load_dataset(tmp_path, features=False)
+    assert ev.features is None
+    assert ev.files == full[0].files[:-1]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ev.members, full[0].members))
+
+
 def test_load_dataset_rejects_inconsistent_member_counts(tmp_path):
     save_event(tmp_path, _demo_event("f0", 2019, seed=1, n_members=3))
     save_event(tmp_path, _demo_event("f1", 2019, seed=2, n_members=4))
