@@ -1,10 +1,13 @@
 """Binary morphology on rasters: exact Euclidean distance transforms,
 disk dilation and 4-connected boundary extraction.
 
-The distance transform is exact (not chamfer / not sampled): squared
+The distance transforms are exact (not chamfer / not sampled): squared
 distances are computed as integers held in float64, so thresholding at
 r*r is free of rounding artefacts and dilation by a disk of radius r
-agrees exactly with brute-force disk stamping.
+agrees exactly with brute-force disk stamping.  All three (squared_edt
+over the grid, squared_edt_within up to a radius, squared_edt_at at
+given pixels) are one column pass plus a minimum over columns of
+(x - u)^2 + G[y, u]^2.
 """
 
 from __future__ import annotations
@@ -44,80 +47,25 @@ def squared_edt(mask: np.ndarray) -> np.ndarray:
 
     Separable scheme.  The column pass (_column_distances) gives G[y, u],
     the distance from (y, u) to the nearest foreground pixel in column u.
-    Each row then takes the lower envelope of the parabolas
-    (x - u)^2 + G[y, u]^2 (Felzenszwalb & Huttenlocher, "Distance
-    Transforms of Sampled Functions", Theory of Computing 8, 2012; in the
-    integer form of Meijster et al. 2000).  Only occupied columns carry parabolas, as an
-    empty column has no finite G; their positions need not be adjacent.
+    Each pixel (y, x) then takes the minimum of (x - u)^2 + G[y, u]^2
+    over the n occupied columns u, one outer sum and one in-place
+    minimum per column; an empty column has no finite G and is left out.
+    Cost: O(h*w) for the column pass and O(h*w*n) for the minimum.
 
-    The envelope is built for all rows at once, in lock-step over the n
-    occupied columns, with one stack per row; a parabola is pushed and
-    popped at most once per row.  Each output pixel then finds its
-    parabola with one searchsorted over all rows' breakpoints.  Cost:
-    O(h*w) for the column pass, O(h*n) for the envelope and
-    O(h*w*log(h*n)) for the search, against O(h*w*w) for a brute-force
-    minimum over columns.
-
-    Exactness: the breakpoint of a parabola is the first integer x at
-    which it is strictly lower than the one below it on the stack, an
-    integer floor division; whether a parabola is popped is an integer
-    comparison at that x; and each output is the integer
-    (x - u)^2 + G^2.  All of it is int64 arithmetic, so the result is the
+    Exactness: every term is an int64 integer, so the result is the
     exact integer minimum, returned as float64.  An all-zero mask has no
     finite distances and raises.
     """
     mask = np.asarray(mask)
     validate_mask(mask, name="squared_edt input")
-    h, w = mask.shape
     if not mask.any():
         raise EmptyMaskError("squared_edt: mask has no foreground")
-
-    # row pass: in row y the parabola of occupied column u is
-    # x*x - 2*x*u + u*u + G[y, u]^2; b holds the last two terms, one row per column
+    xs = np.arange(mask.shape[1], dtype=np.int64)
     cols, g2 = _column_distances(mask)
-    n = cols.size
-    b = np.ascontiguousarray((g2 + cols * cols).T)
-    # per-row stacks, row y at y*m + k: apex column, its b, first x it wins;
-    # slot n takes the writes of rows that do not push
-    m = n + 1
-    base = np.arange(h) * m
-    apex = np.zeros(h * m, dtype=np.int64)
-    apex_b = np.zeros(h * m, dtype=np.int64)
-    start = np.zeros(h * m, dtype=np.int64)
-    apex[base] = cols[0]
-    apex_b[base] = b[0]
-    k = np.zeros(h, dtype=np.int64)
-    for j in range(1, n):
-        u = int(cols[j])
-        bu = b[j]
-        top = base + k
-        first = (bu - apex_b[top]) // (2 * (u - apex[top])) + 1
-        pop = np.flatnonzero(first <= start[top])
-        while pop.size:
-            k[pop] -= 1
-            if k[pop].min() < 0:  # stack emptied: u is lowest from x = 0 on
-                first[pop[k[pop] < 0]] = 0
-                pop = pop[k[pop] >= 0]
-            top = base[pop] + k[pop]
-            first[pop] = (bu[pop] - apex_b[top]) // (2 * (u - apex[top])) + 1
-            pop = pop[first[pop] <= start[top]]
-        push = first < w
-        k += push
-        top = base + np.where(push, k, n)
-        apex[top] = u
-        apex_b[top] = bu
-        start[top] = first
-
-    # breakpoints strictly increase within a row and lie in [0, w), so an
-    # offset of y*w per row makes them one sorted array
-    live = (np.arange(m) <= k[:, None]).ravel()
-    offset = np.arange(h)[:, None] * w
-    xs = np.arange(w)
-    breaks = (start.reshape(h, m) + offset).ravel()[live]
-    which = np.flatnonzero(live)[
-        np.searchsorted(breaks, (xs + offset).ravel(), side="right") - 1
-    ].reshape(h, w)
-    return (xs * (xs - 2 * apex[which]) + apex_b[which]).astype(np.float64)
+    d2 = np.add.outer(g2[:, 0], (xs - cols[0]) ** 2)
+    for j in range(1, cols.size):
+        np.minimum(d2, np.add.outer(g2[:, j], (xs - cols[j]) ** 2), out=d2)
+    return d2.astype(np.float64)
 
 
 def squared_edt_within(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -133,7 +81,9 @@ def squared_edt_within(mask: np.ndarray, radius: int) -> np.ndarray:
     the minimum is the exact squared EDT; elsewhere every term exceeds
     radius**2.  Cost: O(h*w) per shift, 2p + 1 shifts, so a small
     radius costs a few passes over the grid whatever its foreground.
-    Raises EmptyMaskError on an all-zero mask.
+    No squared distance in the grid reaches (h + w)**2, so a radius
+    past h + w is clamped to it before any square is formed.  Raises
+    EmptyMaskError on an all-zero mask.
     """
     mask = np.asarray(mask)
     validate_mask(mask, name="squared_edt_within input")
@@ -142,6 +92,7 @@ def squared_edt_within(mask: np.ndarray, radius: int) -> np.ndarray:
     if radius < 0:
         raise ValidationError("squared_edt_within: radius must be >= 0")
     h, w = mask.shape
+    radius = min(radius, h + w)
     p = min(radius, w - 1)
     cap = radius * radius + 1
     # capped G^2 of every column, with p columns of cap on either side
@@ -165,14 +116,14 @@ def squared_edt_at(mask: np.ndarray, points: np.ndarray) -> np.ndarray:
     column u, comes from the column pass squared_edt also uses
     (_column_distances).  Each point (y, x) then takes the minimum of
     (x - u)^2 + G[y, u]^2 over the n occupied columns u, the integers
-    whose minimum squared_edt finds by its parabola envelope, so the
-    values are exact and bitwise equal.  The (point, column) pairs are
-    formed in blocks of about _EDT_AT_BLOCK, which bounds memory.  Cost:
-    O(h*n + len(points)*n), at most O(h*w*w) for any points, against
-    O(h*w*log(h*n)) for the whole grid's transform; it is the cheaper of
-    the two when the points are few, as boundary pixels are.  Raises ValidationError unless points are (n, 2) integer
-    pixels of the grid (a negative index would wrap), and EmptyMaskError
-    on an all-zero mask.
+    whose minimum squared_edt takes at every pixel, so the values are
+    exact and bitwise equal.  The (point, column) pairs are formed in
+    blocks of about _EDT_AT_BLOCK, which bounds memory.  Cost:
+    O(h*n + len(points)*n), against O(h*w*n) for the whole grid's
+    transform; it is the cheaper of the two when the points are few, as
+    boundary pixels are.  Raises ValidationError unless points are
+    (n, 2) integer pixels of the grid (a negative index would wrap), and
+    EmptyMaskError on an all-zero mask.
     """
     mask = np.asarray(mask)
     validate_mask(mask, name="squared_edt_at input")

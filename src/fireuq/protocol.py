@@ -142,13 +142,15 @@ def fcer_pixels(gt: np.ndarray, radius_px: int) -> tuple[np.ndarray, np.ndarray]
     it.  Only squared distances up to radius_px**2 are read, so the
     window's transform is squared_edt_within(window, radius_px): exact
     up to radius_px**2, and 2 * min(radius_px, window width - 1) + 1
-    passes over the window.  Raises like build_fcer.
+    passes over the window.  A radius past h + w covers the grid and is
+    clamped to it, so no square overflows.  Raises like build_fcer.
     """
     gt = np.asarray(gt)
     if not gt.any():
         raise EmptyMaskError("fcer_pixels: empty ground truth")
     if radius_px < 0:
         raise ValidationError("fcer_pixels: radius must be >= 0")
+    radius_px = min(radius_px, gt.shape[0] + gt.shape[1])
     rows, cols = (np.flatnonzero(gt.any(axis=a)) for a in (1, 0))
     y0, x0 = max(rows[0] - radius_px, 0), max(cols[0] - radius_px, 0)
     d2 = squared_edt_within(

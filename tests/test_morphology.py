@@ -18,6 +18,7 @@ from fireuq.morphology import (
 )
 from fireuq.oracles import oracle_dilate, oracle_edt
 from fireuq.protocol import MAX_RADIUS_PX
+from fireuq.synth import ScenarioSpec, generate_scenario
 
 
 def _random_mask(rng, h, w, p=0.2):
@@ -87,8 +88,11 @@ def test_edt_matches_oracle_random_masks():
         assert (edt(m) == oracle_edt(m)).all()
 
 
-def _envelope_cases():
-    """Masks that stress the per-row parabola envelope of squared_edt."""
+def _column_cases():
+    """Masks that stress the minimum over occupied columns: one pixel,
+    one occupied column, empty columns between and beside occupied
+    ones, thin and full grids, and sparse grids with many empty
+    columns."""
     rng = np.random.default_rng(101)
     cases = {"1x1": np.ones((1, 1), dtype=np.uint8)}
     row = np.zeros((1, 23), dtype=np.uint8)
@@ -106,7 +110,7 @@ def _envelope_cases():
     far = np.zeros((21, 60), dtype=np.uint8)
     far[rng.integers(0, 21, 6), [3, 4, 29, 30, 55, 56]] = 1
     cases["far_columns"] = far
-    # foreground drifting down the columns: rows pop deep into their stacks
+    # foreground drifting down the columns: each row's nearest column moves
     stair = np.zeros((17, 40), dtype=np.uint8)
     stair[np.arange(40) * 16 // 39, np.arange(40)] = 1
     cases["staircase"] = stair
@@ -117,12 +121,12 @@ def _envelope_cases():
     return cases
 
 
-_ENVELOPE_CASES = _envelope_cases()
+_COLUMN_CASES = _column_cases()
 
 
-@pytest.mark.parametrize("name", sorted(_ENVELOPE_CASES))
+@pytest.mark.parametrize("name", sorted(_COLUMN_CASES))
 def test_edt_and_dilate_match_oracles_on_envelope_edge_cases(name):
-    m = _ENVELOPE_CASES[name]
+    m = _COLUMN_CASES[name]
     d2 = squared_edt(m)
     assert d2.dtype == np.float64
     assert (d2 == np.round(d2)).all()
@@ -145,9 +149,9 @@ def test_edt_and_dilate_match_oracles_on_few_occupied_columns():
         assert (dilate(m, r) == oracle_dilate(m, r)).all()
 
 
-@pytest.mark.parametrize("name", sorted(_ENVELOPE_CASES))
+@pytest.mark.parametrize("name", sorted(_COLUMN_CASES))
 def test_squared_edt_at_equals_squared_edt_on_envelope_edge_cases(name):
-    m = _ENVELOPE_CASES[name]
+    m = _COLUMN_CASES[name]
     pts = np.argwhere(np.ones_like(m))
     assert (squared_edt_at(m, pts) == squared_edt(m).ravel()).all()
 
@@ -175,6 +179,19 @@ def test_squared_edt_at_equals_squared_edt_at_any_points():
     pts = np.argwhere(other)
     assert len(pts) * int(m.any(axis=0).sum()) > 5 * _EDT_AT_BLOCK
     assert (squared_edt_at(m, pts) == squared_edt(m)[other]).all()
+
+
+def test_full_grid_at_every_pixel_and_within_h_plus_w_agree_at_benchmark_sizes():
+    """Synth ground truths and their boundaries at 128x128 and 256x256,
+    past the oracle's size guard: squared_edt, squared_edt_at at every
+    pixel and squared_edt_within at radius h + w give the same bits."""
+    for grid in (128, 256):
+        for ev in generate_scenario(ScenarioSpec(rng_seed=11, grid_size=grid, n_fires=2)):
+            for m in (ev.gt, extract_boundary(ev.gt)):
+                h, w = m.shape
+                want = squared_edt(m).tobytes()
+                assert squared_edt_at(m, np.argwhere(np.ones_like(m))).tobytes() == want
+                assert squared_edt_within(m, h + w).astype(np.float64).tobytes() == want
 
 
 @pytest.mark.parametrize(
@@ -298,11 +315,9 @@ def test_boundary_empty_mask_raises():
 
 
 def test_squared_edt_within_is_exact_up_to_the_radius():
-    """At radius 0, 1, small radii, past the diagonal and MAX_RADIUS_PX:
-    the exact squared EDT wherever it is at most r*r, and a value above
-    r*r everywhere else, as int64."""
-    from fireuq.protocol import MAX_RADIUS_PX
-
+    """At radius 0, 1, small radii, past the diagonal, MAX_RADIUS_PX,
+    2**40 and 2**70: the exact squared EDT wherever it is at most r*r,
+    and a value above r*r everywhere else, as int64."""
     rng = np.random.default_rng(71)
     for k in range(60):
         h, w = (int(v) for v in rng.integers(1, 30, size=2))
@@ -317,6 +332,11 @@ def test_squared_edt_within_is_exact_up_to_the_radius():
             inside = full <= r * r
             assert (got[inside] == full[inside]).all()
             assert (got[~inside] > r * r).all()
+        # radii whose square overflows int64 cover the grid like h + w
+        for r in (2**40, 2**70):
+            got = squared_edt_within(mask, r)
+            assert got.dtype == np.int64
+            assert (got == full).all()
     with pytest.raises(EmptyMaskError):
         squared_edt_within(np.zeros((4, 4), dtype=np.uint8), 2)
     with pytest.raises(ValidationError):

@@ -63,8 +63,9 @@ def test_build_fcer_nested_in_radius():
 
 def test_fcer_pixels_equal_build_fcer_and_full_grid_edt():
     """Random ground truths, some touching the grid edges, at radius 0,
-    small radii and radii past the grid: the pixels are those of
-    build_fcer in raster order, and each distance is the full grid's."""
+    small radii, radii past the grid and radii whose square overflows
+    int64: the pixels are those of build_fcer in raster order, and each
+    distance is the full grid's."""
     rng = np.random.default_rng(14)
     for k in range(40):
         h, w = (int(v) for v in rng.integers(1, 40, size=2))
@@ -76,7 +77,7 @@ def test_fcer_pixels_equal_build_fcer_and_full_grid_edt():
             gt[0, int(rng.integers(w))] = gt[int(rng.integers(h)), -1] = 1
         gt[int(rng.integers(y0, y1)), int(rng.integers(x0, x1))] = 1
         d2_full = squared_edt(gt).ravel()
-        for r in (0, 1, int(rng.integers(2, 9)), h + w):
+        for r in (0, 1, int(rng.integers(2, 9)), h + w, 2**40, 2**70):
             idx, d2 = fcer_pixels(gt, r)
             assert idx.tolist() == np.flatnonzero(build_fcer(gt, r)).tolist()
             assert d2.tobytes() == d2_full[idx].tobytes()
