@@ -51,7 +51,6 @@ from .protocol import (
     Fire,
     Model,
     SweepConfig,
-    per_year_table,
     run_sweep,
 )
 from .raster import FireEvent, GeoConfig, center_crop_at_most, load_dataset, save_array
@@ -59,6 +58,7 @@ from .report import (
     CSV_COLUMNS,
     MANIFEST_NAME,
     has_manifest,
+    summarize,
     write_diff_csv,
     write_json,
     write_manifest,
@@ -256,15 +256,11 @@ def cmd_eval(args) -> int:
     models, inputs = _load_models([args.model], geo)
     [sweep] = run_sweep(models, config, geo)
     anchor = sweep.anchor_radius_px
-    per_year = per_year_table(sweep.records, anchor)
+    summary = summarize(sweep.records, anchor)
 
     write_sweep_csv(out_dir / "records.csv", sweep.records)
-    write_summary_json(
-        out_dir / "summary.json", sweep, per_year, meta={"model": args.model}
-    )
-    write_markdown_table(
-        out_dir / "table.md", per_year, anchor, title=f"Evaluation: {args.model}"
-    )
+    write_summary_json(out_dir / "summary.json", summary, meta={"model": args.model})
+    write_markdown_table(out_dir / "table.md", summary, title=f"Evaluation: {args.model}")
     write_manifest(out_dir, "eval", _config_snapshot(args, anchor), inputs)
     return 0
 
@@ -288,8 +284,7 @@ def cmd_sweep(args) -> int:
         write_sweep_csv(out_dir / f"sweep_{label}.csv", result.records)
         write_summary_json(
             out_dir / f"summary_{label}.json",
-            result,
-            per_year_table(result.records, anchor),
+            summarize(result.records, anchor),
             meta={"model": spec},
         )
     write_diff_csv(out_dir / "diff.csv", results[0].records, results[1].records)
@@ -297,7 +292,7 @@ def cmd_sweep(args) -> int:
         out_dir / "summary.json",
         {
             "anchor_radius_px": anchor,
-            "radii_px": list(results[0].aggregates),
+            "radii_px": sorted({rec.radius_px for rec in results[0].records}),
             "model_a": args.model_a,
             "model_b": args.model_b,
         },
@@ -307,24 +302,29 @@ def cmd_sweep(args) -> int:
 
 
 def _read_sweep_csv(path: Path) -> list[dict]:
+    """The rows of a sweep CSV, each metric a float or None (an empty
+    cell) and radius_px an int, which every row must have."""
     if not path.is_file():
         raise ValidationError(f"missing sweep output {path}")
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        header = set(reader.fieldnames or ())
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(f"{path}: missing columns {', '.join(missing)}")
-        for row in reader:
-            parsed = dict(row)
-            try:
-                for key in METRIC_COLUMNS:
-                    parsed[key] = float(row[key]) if row[key] != "" else None
-                parsed["radius_px"] = int(row["radius_px"]) if row["radius_px"] != "" else None
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
-            rows.append(parsed)
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            header = set(reader.fieldnames or ())
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            if missing:
+                raise ParseError(f"{path}: missing columns {', '.join(missing)}")
+            for row in reader:
+                parsed = dict(row)
+                try:
+                    for key in METRIC_COLUMNS:
+                        parsed[key] = float(row[key]) if row[key] != "" else None
+                    parsed["radius_px"] = int(row["radius_px"])
+                except (TypeError, ValueError) as exc:
+                    raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+                rows.append(parsed)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a readable CSV ({exc})") from exc
     return rows
 
 

@@ -28,14 +28,13 @@ DEFAULT_NLL_EPSILON = 1e-7
 class MetricRecord:
     """All per-fire metrics at one evaluation radius.
 
-    ``radius_px`` is None for unmasked (whole-crop) records.  A metric
-    that is undefined on this fire (single-class region, missing
+    A metric that is undefined on this fire (single-class region, missing
     boundary) is stored as None and later emitted as an empty CSV cell.
     """
 
     fire_id: str
     year: int
-    radius_px: int | None
+    radius_px: int
     ap: float | None = None
     asd_m: float | None = None
     brier: float | None = None

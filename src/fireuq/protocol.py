@@ -1,5 +1,6 @@
 """Boundary-aware evaluation protocol: FCER construction, radius sweep,
-ASD-derived anchor radius, and per-year aggregation.
+ASD-derived anchor radius, and the mean +- population std convention
+of the per-year summaries (report.summarize builds those).
 
 The evaluation region for a fire at radius r is the ground-truth mask
 dilated by a Euclidean disk of r pixels.  Sweeping r shows how
@@ -104,16 +105,13 @@ class Model:
 
 @dataclass
 class SweepResult:
-    """Everything one sweep produced for one model.
-
-    records holds one MetricRecord per (fire, radius); aggregates maps
-    radius -> metric -> mean over fires with that metric defined, and
-    counts carries the matching number of contributing fires.
+    """Everything one sweep produced for one model: one MetricRecord per
+    (fire, radius), fire by fire in the model's order and radii ascending
+    within a fire, and the anchor radius they were scored at.
+    report.summarize derives every aggregate from them.
     """
 
     records: list[MetricRecord]
-    aggregates: dict[int, dict[str, float | None]]
-    counts: dict[int, dict[str, int]]
     anchor_radius_px: int
 
 
@@ -177,13 +175,6 @@ def resolve_anchor(asd_values_m, geo: GeoConfig) -> int:
     return max(1, rounded)
 
 
-def _mean_and_count(values) -> tuple[float | None, int]:
-    """Mean of the values that are not None (None if there are none),
-    and how many there are."""
-    defined = [v for v in values if v is not None]
-    return (float(np.mean(defined)) if defined else None), len(defined)
-
-
 def run_sweep(
     models: list[Model], config: SweepConfig, geo: GeoConfig
 ) -> list[SweepResult]:
@@ -212,16 +203,15 @@ def run_sweep(
     sorted subsequence and that of its error pixels.  That sort is
     numpy's default argsort: the ranking kernel reads only the sorted
     values, so the order within ties, which such a sort leaves
-    unspecified, changes no value.  The per-radius aggregates take each
-    radius's records, in record order, from one pass over the records.
+    unspecified, changes no value.  Every fire, an empty-ground-truth
+    fire too, gets one record per scored radius.
 
     Degenerate per-fire cases (single-class region, empty ground truth,
     missing boundary) leave the affected metrics as None and the run
-    continues; only defined values enter the per-radius aggregates.
-    Raises DegenerateDataError when the anchor is to be resolved and no
-    fire has a defined ASD.  Everything runs serially in the calling
-    thread: the CLI's --jobs is accepted and validated but changes
-    nothing, and stays so that one flag set drives every command.
+    continues.  Raises DegenerateDataError when the anchor is to be
+    resolved and no fire has a defined ASD.  Everything runs serially in
+    the calling thread: the CLI's --jobs is accepted and validated but
+    changes nothing, and stays so that one flag set drives every command.
     Returns one SweepResult per model, in order.
     """
     if not models:
@@ -325,23 +315,10 @@ def run_sweep(
     for group in holders.values():
         score(group)
 
-    results = []
-    for fire_records in per_fire:
-        records = [rec for recs in fire_records for rec in recs]
-        # each radius's records in record order, bucketed in one pass
-        by_radius: dict[int, list[MetricRecord]] = {r: [] for r in radii}
-        for rec in records:
-            by_radius[rec.radius_px].append(rec)
-        aggregates: dict[int, dict[str, float | None]] = {}
-        counts: dict[int, dict[str, int]] = {}
-        for r, at_r in by_radius.items():
-            aggregates[r], counts[r] = {}, {}
-            for name in METRIC_COLUMNS:
-                aggregates[r][name], counts[r][name] = _mean_and_count(
-                    getattr(rec, name) for rec in at_r
-                )
-        results.append(SweepResult(records, aggregates, counts, anchor))
-    return results
+    return [
+        SweepResult([rec for recs in fire_records for rec in recs], anchor)
+        for fire_records in per_fire
+    ]
 
 
 def aggregate_mean_std(per_year_values) -> tuple[float, float]:
@@ -362,20 +339,3 @@ def relative_to_baseline(value: float, baseline: float) -> int:
     pct = 100.0 * (value - baseline) / baseline
     return int(np.floor(pct + 0.5))
 
-
-def per_year_table(
-    records: list[MetricRecord], radius_px: int | None
-) -> dict[int, dict[str, float | None]]:
-    """Per-year means of each metric at one radius (Table-1 layout).
-
-    Returns {year: {metric: mean-over-fires-or-None}} for the records at
-    radius_px, years sorted ascending.
-    """
-    at_r = [rec for rec in records if rec.radius_px == radius_px]
-    return {
-        y: {
-            name: _mean_and_count(getattr(rec, name) for rec in at_r if rec.year == y)[0]
-            for name in METRIC_COLUMNS
-        }
-        for y in sorted({rec.year for rec in at_r})
-    }

@@ -1,6 +1,9 @@
 """Report emission: sweep CSV, summary JSON, Markdown tables, training
 logs, and the per-run manifest.
 
+summarize derives every aggregate of one model's records, so each
+per-radius mean, per-year mean and mean +- std is computed in one place,
+once; the summary JSON and the Markdown table both render its result.
 Everything here is byte-deterministic: CSV cells print floats via repr
 (shortest round-trip form), JSON is emitted with sorted keys, and the
 manifest timestamp honors SOURCE_DATE_EPOCH so archival reruns can be
@@ -17,10 +20,12 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ValidationError
 from .metrics import MetricRecord
-from .protocol import METRIC_COLUMNS, SweepResult, aggregate_mean_std
+from .protocol import METRIC_COLUMNS, aggregate_mean_std
 
 MANIFEST_NAME = "manifest.json"
 
@@ -82,70 +87,74 @@ def write_diff_csv(
     _write_csv(path, CSV_COLUMNS, rows)
 
 
-def per_year_mean_std(
-    per_year: dict[int, dict[str, float | None]]
-) -> dict[str, tuple[float, float] | None]:
-    """Mean +- population std across the per-year means, per metric."""
-    out: dict[str, tuple[float, float] | None] = {}
+def summarize(records: list[MetricRecord], anchor_radius_px: int) -> dict:
+    """The summary JSON payload of one model's records.
+
+    per_radius maps each radius to each metric's mean over the fires
+    where it is defined (None where it is nowhere) and the number of
+    those fires; per_year holds those means per year at the anchor
+    radius (Table-1 layout), years ascending; mean_std holds each
+    metric's [mean, population std] across the years where it is
+    defined, or None.  Keys are strings, as in the JSON.  Records are
+    bucketed in record order, so each mean sums in that order.
+    """
+
+    def means(recs: list[MetricRecord]) -> tuple[dict, dict]:
+        values, counts = {}, {}
+        for name in METRIC_COLUMNS:
+            defined = [v for rec in recs if (v := getattr(rec, name)) is not None]
+            values[name] = float(np.mean(defined)) if defined else None
+            counts[name] = len(defined)
+        return values, counts
+
+    by_radius: dict[int, list[MetricRecord]] = {}
+    by_year: dict[int, list[MetricRecord]] = {}
+    for rec in records:
+        by_radius.setdefault(rec.radius_px, []).append(rec)
+        if rec.radius_px == anchor_radius_px:
+            by_year.setdefault(rec.year, []).append(rec)
+    per_radius = {}
+    for r in sorted(by_radius):
+        aggregates, counts = means(by_radius[r])
+        per_radius[str(r)] = {"aggregates": aggregates, "counts": counts}
+    per_year = {str(y): means(by_year[y])[0] for y in sorted(by_year)}
+    mean_std = {}
     for name in METRIC_COLUMNS:
-        vals = [row[name] for row in per_year.values() if row.get(name) is not None]
-        out[name] = aggregate_mean_std(vals) if vals else None
-    return out
-
-
-def write_summary_json(
-    path: str | Path,
-    sweep: SweepResult,
-    per_year: dict[int, dict[str, float | None]],
-    meta: dict | None = None,
-):
-    payload = {
-        "anchor_radius_px": sweep.anchor_radius_px,
-        "per_radius": {
-            str(r): {
-                "aggregates": sweep.aggregates[r],
-                "counts": sweep.counts[r],
-            }
-            for r in sweep.aggregates
-        },
-        "per_year": {str(y): per_year[y] for y in per_year},
-        "mean_std": {
-            name: (list(ms) if ms is not None else None)
-            for name, ms in per_year_mean_std(per_year).items()
-        },
+        vals = [row[name] for row in per_year.values() if row[name] is not None]
+        mean_std[name] = list(aggregate_mean_std(vals)) if vals else None
+    return {
+        "anchor_radius_px": anchor_radius_px,
+        "per_radius": per_radius,
+        "per_year": per_year,
+        "mean_std": mean_std,
     }
-    if meta:
-        payload["meta"] = meta
-    write_json(path, payload)
+
+
+def write_summary_json(path: str | Path, summary: dict, meta: dict | None = None):
+    """summarize's payload, plus meta under "meta" when given."""
+    write_json(path, {**summary, "meta": meta} if meta else summary)
 
 
 def format_mean_std(mean: float, std: float, decimals: int) -> str:
     return f"{mean:.{decimals}f}±{std:.{decimals}f}"
 
 
-def write_markdown_table(
-    path: str | Path,
-    per_year: dict[int, dict[str, float | None]],
-    anchor_radius_px: int | None,
-    title: str,
-):
-    """Human-readable per-year table with a Mean+-std bottom row."""
-    lines = [f"# {title}", ""]
-    if anchor_radius_px is not None:
-        lines += [f"Anchor radius: {anchor_radius_px} px", ""]
+def write_markdown_table(path: str | Path, summary: dict, title: str):
+    """Human-readable per-year table of summarize's payload, with a
+    Mean+-std bottom row."""
+    lines = [f"# {title}", "", f"Anchor radius: {summary['anchor_radius_px']} px", ""]
     header = ["Year"] + [label for _n, label, _d, _s in _MARKDOWN_METRICS]
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "---|" * len(header))
-    for y in sorted(per_year):
-        cells = [str(y)]
+    for y, row in summary["per_year"].items():
+        cells = [y]
         for name, _label, dec, scale in _MARKDOWN_METRICS:
-            v = per_year[y].get(name)
+            v = row[name]
             cells.append("" if v is None else f"{v * scale:.{dec}f}")
         lines.append("| " + " | ".join(cells) + " |")
-    ms = per_year_mean_std(per_year)
     cells = ["Mean"]
     for name, _label, dec, scale in _MARKDOWN_METRICS:
-        entry = ms.get(name)
+        entry = summary["mean_std"][name]
         if entry is None:
             cells.append("")
         else:

@@ -10,12 +10,20 @@ import sys
 import numpy as np
 import pytest
 
-from fireuq.cli import _load_models, main, middle_member_by_year, parse_model_spec, _parse_radii
+from fireuq.cli import (
+    _load_models,
+    _parse_radii,
+    _read_sweep_csv,
+    main,
+    middle_member_by_year,
+    parse_model_spec,
+)
 from fireuq.distill import TrainConfig, UncertaintyHead, apply_head, load_head, save_head
 from fireuq.errors import DegenerateClassError, ValidationError
-from fireuq.metrics import average_precision, error_map
+from fireuq.metrics import MetricRecord, average_precision, error_map
 from fireuq.protocol import SweepConfig, run_sweep
 from fireuq.raster import FireEvent, GeoConfig, load_dataset, save_event
+from fireuq.report import summarize, write_summary_json
 from fireuq.synth import ScenarioSpec, generate_scenario
 
 @pytest.fixture(autouse=True)
@@ -536,6 +544,22 @@ def test_eval_records_equal_sweep_records(pack, mixed_sweep, tmp_path):
         assert eval_rows == sweep_rows
 
 
+def test_summary_json_is_summarize_of_the_sweep_csv(mixed_sweep, tmp_path):
+    """Each summary_<side>.json is summarize of the records read back
+    from sweep_<side>.csv, byte for byte: the CSV prints floats as repr,
+    so every value round-trips."""
+    anchor = json.loads((mixed_sweep / "summary.json").read_text())["anchor_radius_px"]
+    for side in ("a", "b"):
+        written = mixed_sweep / f"summary_{side}.json"
+        records = [
+            MetricRecord(**{**row, "year": int(row["year"]), "n_eval_px": int(row["n_eval_px"])})
+            for row in _read_sweep_csv(mixed_sweep / f"sweep_{side}.csv")
+        ]
+        meta = json.loads(written.read_text())["meta"]
+        write_summary_json(tmp_path / written.name, summarize(records, anchor), meta)
+        assert (tmp_path / written.name).read_bytes() == written.read_bytes()
+
+
 def _hand_pack(root, shapes, n_members=3, seed=4):
     """One fire per shape, in consecutive years, with a centred burn and
     features, as a hand-made dataset would be laid out."""
@@ -674,6 +698,10 @@ _CORRUPTED_CASES = {
     "sweep-radii-list-beyond-bound": (["sweep", "--model-a", "ensemble:{root}",
                                        "--model-b", "ensemble:{root}",
                                        "--radii", "0,2147483648"], 1, "radii_px"),
+    # stats cases read a sweep of the pack, written first, with sweep_a.csv corrupted
+    "stats-non-utf8-sweep-csv": (["stats", "{sweep}"], 1, "not a readable CSV"),
+    # an anchor row without a radius would silently drop out of the pairs
+    "stats-empty-radius-cell": (["stats", "{sweep}"], 1, "line 3: "),
 }
 
 
@@ -705,9 +733,23 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
     if case == "out-dir-is-a-file":
         out.write_text("not a directory")
     args, code, message = _CORRUPTED_CASES[case]
+    sweep = tmp_path / "sweep"
+    if args[0] == "stats":
+        assert _run(["sweep", "--model-a", f"ensemble:{root}", "--model-b",
+                     f"ensemble:{root}", "--radii", "0,2", "--anchor", "2",
+                     "--out-dir", sweep]) == 0
+        offending = sweep / "sweep_a.csv"
+        text = offending.read_bytes()
+    if case == "stats-non-utf8-sweep-csv":
+        offending.write_bytes(b"\xff\xfe" + text)
+    if case == "stats-empty-radius-cell":
+        lines = text.split(b"\n")
+        assert lines[2].startswith(b"fire_000,2018,2,")  # fire_000's anchor row
+        lines[2] = lines[2].replace(b",2,", b",,", 1)
+        offending.write_bytes(b"\n".join(lines))
     proc = subprocess.run(
         [sys.executable, "-m", "fireuq.cli"]
-        + [a.format(root=root) for a in args] + ["--out-dir", str(out)],
+        + [a.format(root=root, sweep=sweep) for a in args] + ["--out-dir", str(out)],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"},
     )

@@ -1,10 +1,11 @@
-"""FCER construction, anchor resolution, radius sweep and aggregation."""
+"""FCER construction, anchor resolution, radius sweep, and the
+per-radius aggregates report.summarize derives from a sweep's records."""
 
 import numpy as np
 import pytest
 
 from fireuq.errors import DegenerateDataError, EmptyMaskError, ShapeError, ValidationError
-from fireuq.metrics import MetricRecord, average_precision, brier, error_map, nll, uq_auroc
+from fireuq.metrics import average_precision, brier, error_map, nll, uq_auroc
 from fireuq.morphology import dilate, squared_edt
 from fireuq.oracles import oracle_auroc, oracle_average_precision, oracle_dilate
 from fireuq import protocol
@@ -16,12 +17,12 @@ from fireuq.protocol import (
     aggregate_mean_std,
     build_fcer,
     fcer_pixels,
-    per_year_table,
     relative_to_baseline,
     resolve_anchor,
     run_sweep,
 )
 from fireuq.raster import FireEvent, GeoConfig
+from fireuq.report import summarize
 from fireuq.synth import ScenarioSpec, generate_scenario
 
 GEO = GeoConfig(meters_per_pixel=375.0, crop_size=128)
@@ -183,6 +184,11 @@ def _sweep(events, outputs, references, cfg):
     return result
 
 
+def _per_radius(result):
+    """summarize's per-radius aggregates and counts of one sweep result."""
+    return summarize(result.records, result.anchor_radius_px)["per_radius"]
+
+
 def _outputs_with_perfect_uncertainty(events, threshold=0.5):
     """Model outputs whose uncertainty is the error indicator itself."""
     outputs, references = [], []
@@ -199,9 +205,10 @@ def test_run_sweep_perfect_uncertainty_gives_auroc_one():
     outputs, references = _outputs_with_perfect_uncertainty(events)
     cfg = SweepConfig(radii_px=(0, 1, 2, 4, 8), anchor_px=4)
     result = _sweep(events, outputs, references, cfg)
+    per_radius = _per_radius(result)
     for r in cfg.radii_px:
-        agg = result.aggregates[r]
-        if result.counts[r]["auroc"] == 0:
+        agg = per_radius[str(r)]["aggregates"]
+        if per_radius[str(r)]["counts"]["auroc"] == 0:
             continue
         assert agg["auroc"] == 1.0
         assert agg["auprc"] == 1.0
@@ -215,8 +222,7 @@ def test_run_sweep_records_shape_and_asd_constant_over_radius():
     cfg = SweepConfig(radii_px=(0, 2, 5))
     result = _sweep(events, outputs, references, cfg)
     radii = sorted(set(cfg.radii_px) | {result.anchor_radius_px})
-    assert list(result.aggregates) == radii
-    assert len(result.records) == len(events) * len(radii)
+    assert [rec.radius_px for rec in result.records] == radii * len(events)
     by_fire = {}
     for rec in result.records:
         by_fire.setdefault((rec.fire_id, rec.year), []).append(rec)
@@ -248,7 +254,7 @@ def test_run_sweep_empty_gt_fire_recorded_as_missing():
         assert rec.n_eval_px == 0
         assert rec.ap is None and rec.brier is None and rec.auroc is None
     # counts exclude it
-    assert result.counts[3]["brier"] == 3
+    assert _per_radius(result)["3"]["counts"]["brier"] == 3
 
 
 def test_run_sweep_aggregates_are_order_invariant():
@@ -264,9 +270,10 @@ def test_run_sweep_aggregates_are_order_invariant():
         [references[i] for i in perm],
         cfg,
     )
-    for r in cfg.radii_px:
-        for name, val in fwd.aggregates[r].items():
-            other = rev.aggregates[r][name]
+    fwd_radius, rev_radius = _per_radius(fwd), _per_radius(rev)
+    for r in map(str, cfg.radii_px):
+        for name, val in fwd_radius[r]["aggregates"].items():
+            other = rev_radius[r]["aggregates"][name]
             if val is None:
                 assert other is None
             else:
@@ -298,8 +305,7 @@ def test_run_sweep_fixed_anchor_passes_through():
                         SweepConfig(radii_px=(2, 3), anchor_px=anchor))
         assert result.anchor_radius_px == anchor
         radii = sorted({2, 3, anchor})
-        assert list(result.aggregates) == radii
-        assert [rec.radius_px for rec in result.records[:len(radii)]] == radii
+        assert [rec.radius_px for rec in result.records] == radii * len(events)
 
 
 def test_run_sweep_anchor_alone_when_radii_empty():
@@ -511,8 +517,6 @@ def test_run_sweep_shared_fires_match_each_model_alone():
     for model, result in zip((model_a, model_b, model_c), together):
         [alone] = run_sweep([model], cfg, GEO)
         assert result.records == alone.records
-        assert result.aggregates == alone.aggregates
-        assert result.counts == alone.counts
         assert result.anchor_radius_px == alone.anchor_radius_px == 3
 
 
@@ -539,20 +543,21 @@ def test_run_sweep_computes_each_fire_edt_once(monkeypatch):
 
 
 def test_run_sweep_aggregates_equal_per_radius_filter_over_many_radii():
-    """With 150 radii the one-pass buckets give each radius the records
-    a per-radius filter selects, in record order."""
+    """With 150 radii summarize's one-pass buckets give each radius the
+    records a per-radius filter selects, in record order."""
     model_a, _ = _two_models(seed=23, n_fires=4)
     radii = tuple(range(0, 300, 2))
     [result] = run_sweep([model_a], SweepConfig(radii_px=radii, anchor_px=3), GEO)
-    assert list(result.aggregates) == sorted(radii + (3,))
-    for r in result.aggregates:
+    per_radius = _per_radius(result)
+    assert sorted(map(int, per_radius)) == sorted(radii + (3,))
+    for r in sorted(radii + (3,)):
         at_r = [rec for rec in result.records if rec.radius_px == r]
         for name in protocol.METRIC_COLUMNS:
             values = [getattr(rec, name) for rec in at_r]
             defined = [v for v in values if v is not None]
             mean = float(np.mean(defined)) if defined else None
-            assert result.aggregates[r][name] == mean
-            assert result.counts[r][name] == len(defined)
+            assert per_radius[str(r)]["aggregates"][name] == mean
+            assert per_radius[str(r)]["counts"][name] == len(defined)
 
 
 def test_run_sweep_reads_a_known_reference_ap():
@@ -606,17 +611,3 @@ def test_relative_to_baseline_reference_values():
     with pytest.raises(ValidationError):
         relative_to_baseline(0.5, 0.0)
 
-
-def test_per_year_table_groups_by_year():
-    records = [
-        MetricRecord("f0", 2018, 4, auroc=0.6, brier=0.1),
-        MetricRecord("f1", 2018, 4, auroc=0.8, brier=0.3),
-        MetricRecord("f2", 2019, 4, auroc=0.7),
-        MetricRecord("f0", 2018, 2, auroc=0.9),  # other radius, excluded
-    ]
-    table = per_year_table(records, 4)
-    assert sorted(table) == [2018, 2019]
-    assert table[2018]["auroc"] == pytest.approx(0.7)
-    assert table[2018]["brier"] == pytest.approx(0.2)
-    assert table[2019]["auroc"] == pytest.approx(0.7)
-    assert table[2019]["brier"] is None

@@ -12,7 +12,7 @@ from fireuq.report import (
     digest_inputs,
     format_mean_std,
     manifest_timestamp,
-    per_year_mean_std,
+    summarize,
     write_diff_csv,
     write_markdown_table,
     write_sweep_csv,
@@ -62,26 +62,44 @@ def test_format_mean_std():
     assert format_mean_std(0.5, 0.0, 2) == "0.50±0.00"
 
 
+def test_summarize_groups_per_year_at_the_anchor():
+    records = [
+        MetricRecord("f0", 2018, 4, auroc=0.6, brier=0.1),
+        MetricRecord("f1", 2018, 4, auroc=0.8, brier=0.3),
+        MetricRecord("f2", 2019, 4, auroc=0.7),
+        MetricRecord("f0", 2018, 2, auroc=0.9),  # other radius, excluded
+    ]
+    table = summarize(records, 4)["per_year"]
+    assert list(table) == ["2018", "2019"]
+    assert table["2018"]["auroc"] == pytest.approx(0.7)
+    assert table["2018"]["brier"] == pytest.approx(0.2)
+    assert table["2019"]["auroc"] == pytest.approx(0.7)
+    assert table["2019"]["brier"] is None
+
+
 def test_per_year_mean_std():
-    per_year = {
-        2018: {"ap": 0.4, "auroc": 0.6},
-        2019: {"ap": 0.6, "auroc": None},
-    }
-    ms = per_year_mean_std(per_year)
-    assert ms["ap"] == pytest.approx((0.5, 0.1))
-    assert ms["auroc"] == pytest.approx((0.6, 0.0))
+    """summarize's mean_std is the mean +- population std of the per-year
+    means, over the years where the metric is defined."""
+    records = [
+        MetricRecord("f0", 2018, 4, ap=0.4, auroc=0.6),
+        MetricRecord("f1", 2019, 4, ap=0.6),
+        MetricRecord("f1", 2019, 2, ap=0.9, auroc=0.9, brier=0.2),  # not the anchor
+    ]
+    ms = summarize(records, 4)["mean_std"]
+    assert ms["ap"] == pytest.approx([0.5, 0.1])
+    assert ms["auroc"] == pytest.approx([0.6, 0.0])
     assert ms["brier"] is None
 
 
 def test_markdown_table_scales_asd_to_km(tmp_path):
-    per_year = {
-        2018: {"ap": 0.5, "asd_m": 1130.0, "brier": 0.1, "nll": 0.3,
-               "auroc": 0.75, "auprc": 0.4},
-        2019: {"ap": 0.7, "asd_m": 1370.0, "brier": 0.2, "nll": 0.5,
-               "auroc": 0.85, "auprc": 0.6},
-    }
+    records = [
+        MetricRecord("f0", 2018, 4, ap=0.5, asd_m=1130.0, brier=0.1, nll=0.3,
+                     auroc=0.75, auprc=0.4),
+        MetricRecord("f1", 2019, 4, ap=0.7, asd_m=1370.0, brier=0.2, nll=0.5,
+                     auroc=0.85, auprc=0.6),
+    ]
     p = tmp_path / "table.md"
-    write_markdown_table(p, per_year, 4, title="demo")
+    write_markdown_table(p, summarize(records, 4), title="demo")
     text = p.read_text()
     assert "# demo" in text
     assert "Anchor radius: 4 px" in text
