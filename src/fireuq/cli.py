@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +53,20 @@ from .protocol import (
     SweepConfig,
     run_sweep,
 )
-from .raster import FireEvent, GeoConfig, center_crop_at_most, load_dataset, save_array
+from .raster import (
+    FireEvent,
+    FireFiles,
+    GeoConfig,
+    center_crop_at_most,
+    load_years,
+    save_array,
+    scan_dataset,
+)
 from .report import (
     CSV_COLUMNS,
     MANIFEST_NAME,
     has_manifest,
+    read_json,
     summarize,
     write_diff_csv,
     write_json,
@@ -132,21 +141,25 @@ def parse_model_spec(text: str) -> tuple[str, Path, Path | None]:
     )
 
 
-def _crop_event(ev: FireEvent, crop_size: int):
-    """Center-crop every raster of a freshly loaded ev, in place, to at
-    most crop_size per axis.  A crop of a validated raster is valid, so
-    the event is not validated again."""
-    ev.gt = center_crop_at_most(ev.gt, crop_size)
-    ev.members = [center_crop_at_most(m, crop_size) for m in ev.members]
-    if ev.features is not None:
-        ev.features = center_crop_at_most(ev.features, crop_size)
+def _read_years(layout: dict[int, list[FireFiles]], geo: GeoConfig) -> Iterator[list[FireEvent]]:
+    """load_years of a scanned layout, each raster center-cropped to at
+    most geo.crop_size per axis.  A crop of a validated raster is valid,
+    so the events are not validated again."""
+    for events in load_years(layout):
+        for ev in events:
+            ev.gt = center_crop_at_most(ev.gt, geo.crop_size)
+            ev.members = [center_crop_at_most(m, geo.crop_size) for m in ev.members]
+            if ev.features is not None:
+                ev.features = center_crop_at_most(ev.features, geo.crop_size)
+        yield events
 
 
-def _load_events(root: Path, geo: GeoConfig, features: bool = True) -> list[FireEvent]:
-    events = load_dataset(root, features=features)
-    for ev in events:
-        _crop_event(ev, geo.crop_size)
-    return events
+def _require_features(layout: dict[int, list[FireFiles]], reader: str):
+    """Refuse a scanned layout in which a fire has no features.npy."""
+    for fires in layout.values():
+        for f in fires:
+            if f.features is None:
+                raise ValidationError(f"fire {f.id}: {reader} needs features.npy")
 
 
 def middle_member_by_year(
@@ -171,11 +184,9 @@ def middle_member_by_year(
     return out
 
 
-def _load_fires(root: Path, geo: GeoConfig, features: bool) -> list[Fire]:
-    """Every fire under root, with its year's middle-AP member as the
-    error-map reference and that member's AP, features.npy included only
-    if features."""
-    events = _load_events(root, geo, features)
+def _fires(events: list[FireEvent]) -> list[Fire]:
+    """A Fire per event, with its year's middle-AP member as the
+    error-map reference and that member's AP."""
     aps: list = []
     mids = middle_member_by_year(events, aps)
     return [
@@ -192,34 +203,40 @@ def _model_outputs(
     if kind == "ensemble":
         teachers = (fuse_ensemble(fire.event.members) for fire in fires)
         return [(t.mean_prob, t.uncertainty) for t in teachers]
-    for fire in fires:
-        if fire.event.features is None:
-            raise ValidationError(
-                f"fire {fire.event.id}: student model needs features.npy"
-            )
     maps = apply_head_each(head, [fire.event.features for fire in fires])
     return [(fire.reference, unc.copy()) for fire, unc in zip(fires, maps)]
 
 
 def _load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
     """One Model per spec, plus the files it parsed.  Each distinct
-    dataset root is loaded once and its fires are shared by its models;
-    its features.npy files are loaded only if a student spec reads that
-    root."""
+    dataset root is scanned, then read one year at a time; its
+    features.npy files are read only if a student spec reads that root.
+    A year's fires are shared by the root's models, and once their
+    outputs are computed each fire drops its member maps, keeping the
+    reference as Fire.reference, and its feature stack."""
     parsed = [parse_model_spec(text) for text in specs]
-    students = {root.resolve() for kind, root, _head in parsed if kind == "student"}
-    fires_by_root: dict[Path, list[Fire]] = {}
-    models, inputs = [], []
-    for kind, root, head_path in parsed:
-        head = load_head(head_path)[0] if head_path is not None else None
-        fires = fires_by_root.get(root.resolve())
-        if fires is None:
-            fires = fires_by_root[root.resolve()] = _load_fires(
-                root, geo, features=root.resolve() in students
-            )
-            inputs += [p for fire in fires for p in fire.event.files]
-        models.append(Model(fires, _model_outputs(kind, fires, head)))
-        inputs += [head_path] if head_path else []
+    heads = [load_head(h)[0] if h is not None else None for _kind, _root, h in parsed]
+    by_root: dict[Path, list[int]] = {}
+    for i, (_kind, root, _head) in enumerate(parsed):
+        by_root.setdefault(root.resolve(), []).append(i)
+    models = [Model([], []) for _ in parsed]
+    inputs: list[Path] = []
+    for readers in by_root.values():
+        root = parsed[readers[0]][1]
+        student = any(parsed[i][0] == "student" for i in readers)
+        layout = scan_dataset(root, features=student)
+        if student:
+            _require_features(layout, "student model")
+        for events in _read_years(layout, geo):
+            fires = _fires(events)
+            for i in readers:
+                models[i].fires += fires
+                models[i].outputs += _model_outputs(parsed[i][0], fires, heads[i])
+            for ev in events:
+                ev.members.clear()
+                ev.features = None
+        inputs += [p for fires in layout.values() for f in fires for p in f.paths]
+    inputs += [h for _kind, _root, h in parsed if h is not None]
     return models, inputs
 
 
@@ -303,10 +320,12 @@ def cmd_sweep(args) -> int:
 
 def _read_sweep_csv(path: Path) -> list[dict]:
     """The rows of a sweep CSV, each metric a float or None (an empty
-    cell) and radius_px an int, which every row must have."""
+    cell) and radius_px an int, which every row must have.  A second row
+    for one (year, fire_id, radius_px) is refused with both lines."""
     if not path.is_file():
         raise ValidationError(f"missing sweep output {path}")
     rows = []
+    lines: dict[tuple, int] = {}
     try:
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
@@ -322,6 +341,13 @@ def _read_sweep_csv(path: Path) -> list[dict]:
                     parsed["radius_px"] = int(row["radius_px"])
                 except (TypeError, ValueError) as exc:
                     raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+                key = (row["year"], row["fire_id"], parsed["radius_px"])
+                if key in lines:
+                    raise ParseError(
+                        f"{path}: line {reader.line_num}: (year, fire_id, radius_px) "
+                        f"{key} repeats line {lines[key]}"
+                    )
+                lines[key] = reader.line_num
                 rows.append(parsed)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a readable CSV ({exc})") from exc
@@ -332,10 +358,7 @@ def _read_anchor(summary_path: Path) -> int:
     """The anchor radius a sweep recorded in its summary.json."""
     if not summary_path.is_file():
         raise ValidationError(f"anchor=auto needs {summary_path}")
-    try:
-        summary = json.loads(summary_path.read_text())
-    except ValueError as exc:
-        raise ParseError(f"{summary_path}: malformed JSON ({exc})") from exc
+    summary = read_json(summary_path, ParseError, "malformed JSON")
     if not isinstance(summary, dict):
         raise ParseError(f"{summary_path}: expected a JSON object")
     anchor = summary.get("anchor_radius_px")
@@ -414,29 +437,29 @@ def cmd_distill(args) -> int:
     if not 0.0 <= args.threshold <= 1.0:
         raise ValidationError("--threshold: error_threshold must lie in [0, 1]")
 
-    events = _load_events(root, geo)
-    for ev in events:
-        if ev.features is None:
-            raise ValidationError(f"fire {ev.id}: distillation needs features.npy")
-
-    years = sorted({ev.year for ev in events})
+    layout = scan_dataset(root)
+    _require_features(layout, "distillation")
+    years = list(layout)
     val_year = args.val_year if args.val_year is not None else years[-1]
     if val_year not in years:
         raise ValidationError(f"--val-year {val_year} not present in dataset (has {years})")
     if len(years) < 2:
         raise ValidationError("distillation needs at least two years (train + val)")
 
-    teacher_unc = {id(ev): fuse_ensemble(ev.members).uncertainty for ev in events}
-    train_events = [ev for ev in events if ev.year != val_year]
-    val_events = [ev for ev in events if ev.year == val_year]
-    # only checkpoint selection needs a reference member, on the val year
-    mids = middle_member_by_year(val_events)
-    train_set = [(ev.features, teacher_unc[id(ev)]) for ev in train_events]
-    val_set = [(ev.features, teacher_unc[id(ev)]) for ev in val_events]
-    val_selection = [(ev.gt, ev.members[mids[ev.year]]) for ev in val_events]
-    # training reads only the features, the teacher maps and these references
-    for ev in events:
-        ev.members.clear()
+    # per year: the teacher maps and, on the val year, the references that
+    # checkpoint selection needs; then the members go, as training reads
+    # only the features, the teacher maps and these references
+    events, teacher_unc, val_selection = [], [], []
+    for year_events in _read_years(layout, geo):
+        teacher_unc += [fuse_ensemble(ev.members).uncertainty for ev in year_events]
+        if year_events[0].year == val_year:
+            mid = middle_member_by_year(year_events)[val_year]
+            val_selection = [(ev.gt, ev.members[mid]) for ev in year_events]
+        for ev in year_events:
+            ev.members.clear()
+        events += year_events
+    train_set = [(ev.features, t) for ev, t in zip(events, teacher_unc) if ev.year != val_year]
+    val_set = [(ev.features, t) for ev, t in zip(events, teacher_unc) if ev.year == val_year]
 
     result = train_head(
         train_set, val_set, cfg, val_selection, error_threshold=args.threshold

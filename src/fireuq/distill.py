@@ -12,7 +12,6 @@ anchor-radius evaluation region.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
 from .metrics import error_map, uq_auroc
 from .protocol import MAX_RADIUS_PX, fcer_pixels
-from .report import write_json
+from .report import read_json, write_json
 
 
 @dataclass
@@ -431,11 +430,9 @@ def save_head(
 
 def load_head(path: str | Path) -> tuple[UncertaintyHead, dict]:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = read_json(path, ValidationError, "malformed head checkpoint")
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read head checkpoint ({exc.strerror})") from exc
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed head checkpoint ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: head checkpoint must be a JSON object")
     try:
@@ -446,7 +443,8 @@ def load_head(path: str | Path) -> tuple[UncertaintyHead, dict]:
         channels = int(payload["channels"])
     except KeyError as exc:
         raise ValidationError(f"{path}: missing checkpoint field {exc}") from exc
-    except (TypeError, ValueError, ShapeError) as exc:
+    # a JSON integer beyond float range overflows float(), and an inf int()
+    except (TypeError, ValueError, OverflowError, ShapeError) as exc:
         raise ValidationError(f"{path}: malformed checkpoint field ({exc})") from exc
     if head.channels != channels:
         raise ValidationError(f"{path}: channel count disagrees with weights")

@@ -18,13 +18,27 @@ Dataset directory layout::
 Each year and each member index comes from one path: ``2020/`` beside
 ``02020/``, or ``member_0.npy`` beside ``member_00.npy``, is refused.
 ``distill`` also writes ``student_unc.npy`` beside each fire; it is an
-output, and nothing here reads it.  Each loaded FireEvent lists the
-files it was parsed from, which is what manifests digest.
+output, and nothing here reads it.
+
+Reading has two steps.  scan_dataset checks the whole layout (year and
+fire directories, gt.npy, contiguous member indices, one odd member
+count of at least 3) before any array is read, so of two faults in one
+root a layout fault is reported before a parse fault.  load_years then
+parses one year's fires at a time; a caller that drops a year's member
+maps and feature stacks before the next year holds only one year of
+them.  load_dataset is that reader flattened, for callers that want
+every fire at once.  Each loaded FireEvent lists the files it was parsed
+from, which is what manifests digest.  load_array reads an NPY header
+before its data and refuses a header whose shape and dtype do not match
+the bytes the file holds, so a forged shape allocates nothing.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,10 +107,6 @@ class FireEvent:
                 raise ShapeError(
                     f"{f_name}: shape {self.features.shape[1:]} != gt shape {shape}"
                 )
-
-    @property
-    def n_members(self) -> int:
-        return len(self.members)
 
 
 def _require_finite(arr: np.ndarray, name: str):
@@ -174,10 +184,30 @@ def save_array(arr: np.ndarray, path: str | Path):
 
 
 def load_array(path: str | Path) -> np.ndarray:
-    """Read a bool, integer or float NPY file."""
+    """Read a bool, integer or float NPY file (format version 1.0 or 2.0).
+
+    The header is read first, and a shape whose byte count differs from
+    the bytes after the header is refused before anything is allocated,
+    so a header claiming a huge shape costs nothing."""
     path = Path(path)
     try:
-        arr = np.load(path, allow_pickle=False)
+        with open(path, "rb") as f:
+            version = np.lib.format.read_magic(f)
+            if version == (1, 0):
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+            elif version == (2, 0):
+                shape, fortran, dtype = np.lib.format.read_array_header_2_0(f)
+            else:
+                raise ValueError(f"NPY format version {version} is not supported")
+            count = math.prod(shape)
+            held = os.fstat(f.fileno()).st_size - f.tell()
+            if count * dtype.itemsize != held:
+                raise ParseError(f"{path}: header claims shape {shape} of {dtype}, "
+                                 f"{count * dtype.itemsize} bytes, but the file holds {held}")
+            # as numpy's read_array reads a file's data (an object dtype
+            # raises ValueError), without parsing the header again
+            arr = np.fromfile(f, dtype=dtype, count=count)
+            arr = arr.reshape(shape[::-1]).T if fortran else arr.reshape(shape)
     except FileNotFoundError:
         raise
     except (ValueError, OSError, EOFError) as exc:
@@ -199,10 +229,25 @@ def _by_number(numbered, what: str) -> dict[int, Path]:
     return out
 
 
-def load_event(fire_dir: str | Path, year: int, features: bool = True) -> FireEvent:
-    """Parse one fire directory (gt + members + optional features).
-    features=False leaves features.npy unread, and out of files."""
-    fire_dir = Path(fire_dir)
+@dataclass(frozen=True)
+class FireFiles:
+    """The files of one fire, as the layout scan found them: gt.npy, the
+    member maps in index order, and features.npy, or None when it is
+    absent or not to be read."""
+
+    id: str
+    year: int
+    gt: Path
+    members: tuple[Path, ...]
+    features: Path | None
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        return (self.gt, *self.members, *([] if self.features is None else [self.features]))
+
+
+def _scan_fire(fire_dir: Path, year: int, features: bool) -> FireFiles:
+    """The files of one fire directory, its layout checked, none read."""
     gt_path = fire_dir / "gt.npy"
     if not gt_path.exists():
         raise ValidationError(f"{fire_dir}: missing gt.npy")
@@ -215,46 +260,75 @@ def load_event(fire_dir: str | Path, year: int, features: bool = True) -> FireEv
     indices = list(member_paths)
     if indices != list(range(len(indices))):
         raise ValidationError(f"{fire_dir}: member indices not contiguous from 0: {indices}")
-    files = [gt_path, *member_paths.values()]
-    gt = load_array(gt_path)
-    members = [load_array(p) for p in member_paths.values()]
-    stack = None
     fpath = fire_dir / "features.npy"
-    if features and fpath.exists():
-        stack = load_array(fpath)
-        files.append(fpath)
-    return FireEvent(
-        id=fire_dir.name, year=year, gt=gt, members=members,
-        features=stack, files=tuple(files),
+    return FireFiles(
+        id=fire_dir.name, year=year, gt=gt_path, members=tuple(member_paths.values()),
+        features=fpath if features and fpath.exists() else None,
     )
 
 
-def load_dataset(root: str | Path, features: bool = True) -> list[FireEvent]:
-    """Load every fire under <root>/<year>/<fire_id>/, sorted by (year, id);
-    features=False leaves every features.npy unread."""
+def _read_fire(files: FireFiles) -> FireEvent:
+    """Parse the files of one scanned fire into a FireEvent."""
+    return FireEvent(
+        id=files.id, year=files.year, gt=load_array(files.gt),
+        members=[load_array(p) for p in files.members],
+        features=None if files.features is None else load_array(files.features),
+        files=files.paths,
+    )
+
+
+def load_event(fire_dir: str | Path, year: int, features: bool = True) -> FireEvent:
+    """Parse one fire directory (gt + members + optional features).
+    features=False leaves features.npy unread, and out of files."""
+    return _read_fire(_scan_fire(Path(fire_dir), year, features))
+
+
+def scan_dataset(root: str | Path, features: bool = True) -> dict[int, list[FireFiles]]:
+    """Check the layout of every fire under <root>/<year>/<fire_id>/ and
+    return its files, {year: fires sorted by id} in year order, without
+    reading any array.  Years without fires are left out.  Every fire
+    needs gt.npy and members numbered contiguously from 0, and all fires
+    one member count, odd and at least 3.  features=False leaves every
+    features.npy out."""
     root = Path(root)
     if not root.is_dir():
         raise ValidationError(f"dataset root {root} is not a directory")
-    events = []
     year_dirs = _by_number(
         ((int(d.name), d) for d in root.iterdir() if d.is_dir() and d.name.isdecimal()),
         "year",
     )
     if not year_dirs:
         raise ValidationError(f"dataset root {root}: no <year> directories")
+    layout = {}
     for year, ydir in year_dirs.items():
-        for fdir in sorted(d for d in ydir.iterdir() if d.is_dir()):
-            events.append(load_event(fdir, year=year, features=features))
-    if not events:
+        fires = [_scan_fire(d, year, features) for d in sorted(ydir.iterdir()) if d.is_dir()]
+        if fires:
+            layout[year] = fires
+    if not layout:
         raise ValidationError(f"dataset root {root}: no fire directories")
-    n_members = {e.n_members for e in events}
+    n_members = {len(f.members) for fires in layout.values() for f in fires}
     if len(n_members) > 1:
         raise ValidationError(f"dataset root {root}: inconsistent member counts {sorted(n_members)}")
-    n = events[0].n_members
+    n = n_members.pop()
     if n < 3 or n % 2 == 0:
         raise ValidationError(f"dataset root {root}: member count {n}; the ensemble needs "
                               "at least 2 members and the middle-AP member an odd count")
-    return events
+    return layout
+
+
+def load_years(layout: dict[int, list[FireFiles]]) -> Iterator[list[FireEvent]]:
+    """The fires of a scanned layout, parsed one year at a time, so a
+    caller that drops a year's rasters before asking for the next never
+    holds two years at once."""
+    for fires in layout.values():
+        yield [_read_fire(f) for f in fires]
+
+
+def load_dataset(root: str | Path, features: bool = True) -> list[FireEvent]:
+    """Load every fire under <root>/<year>/<fire_id>/, sorted by (year, id):
+    the years of load_years, flattened.  features=False leaves every
+    features.npy unread."""
+    return [ev for events in load_years(scan_dataset(root, features)) for ev in events]
 
 
 def save_event(root: str | Path, event: FireEvent):

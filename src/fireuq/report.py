@@ -225,6 +225,16 @@ def write_manifest(
     write_json(Path(out_dir) / MANIFEST_NAME, payload)
 
 
+def read_json(path: str | Path, error: type[ValidationError], malformed: str):
+    """The JSON value in path.  Text that does not decode, is not JSON,
+    or nests deeper than the parser can recurse raises error, in one
+    line naming path: "<path>: <malformed> (<reason>)"."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: {malformed} ({exc})") from exc
+
+
 def write_json(path: str | Path, payload: dict):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

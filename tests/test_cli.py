@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,7 +198,8 @@ def test_middle_member_by_year_is_the_median_of_per_member_mean_ap():
 def test_student_ap_is_the_reference_members_ap_from_middle_member_selection(tmp_path):
     """The student's phase-1 AP is the AP middle-member selection computed
     for the reference member, bitwise, and None on a single-class ground
-    truth; only the root a student reads has its features loaded."""
+    truth; only the root a student reads has its features parsed, and
+    both models on one root hold the same Fire objects."""
     root = tmp_path / "pack"
     _small_pack(root)
     gt_path = next(root.glob("2019/fire_*/gt.npy"))
@@ -207,11 +209,12 @@ def test_student_ap_is_the_reference_members_ap_from_middle_member_selection(tmp
     save_head(head_path, head, TrainConfig(), selection_metric=None, epoch=0)
     geo = GeoConfig()
     [ensemble], _ = _load_models([f"ensemble:{root}"], geo)
-    assert all(f.event.features is None for f in ensemble.fires)
+    assert all(f.event.files[-1].name != "features.npy" for f in ensemble.fires)
     models, _ = _load_models([f"ensemble:{root}", f"student:{root}:{head_path}"], geo)
     fires = models[1].fires
-    assert fires is models[0].fires
-    assert all(f.event.features is not None for f in fires)
+    assert len(fires) == len(models[0].fires) == 4
+    assert all(a is b for a, b in zip(fires, models[0].fires))
+    assert all(f.event.files[-1].name == "features.npy" for f in fires)
     for fire in fires:
         try:
             want = average_precision(fire.reference, fire.event.gt)
@@ -600,6 +603,60 @@ def test_one_member_pack_exits_one_where_read(tmp_path, capsys):
         assert not (tmp_path / args[0]).exists()
 
 
+def test_load_models_keeps_no_member_maps_or_feature_stacks(tmp_path):
+    """A year's member maps and feature stacks go once its outputs are
+    computed: after an ensemble and a student are loaded from one root,
+    less memory stays held than the root's member maps alone take."""
+    root = tmp_path / "pack"
+    spec = ScenarioSpec(rng_seed=2, grid_size=64, n_fires=8, n_members=15,
+                        feature_channels=16, years=tuple(range(2010, 2018)))
+    for ev in generate_scenario(spec):
+        save_event(root, ev)
+    member_bytes = 8 * 15 * 64 * 64 * 4
+    head_path = tmp_path / "head.json"
+    save_head(head_path, UncertaintyHead(weights=np.full(16, 0.1), bias=-1.0),
+              TrainConfig(), selection_metric=None, epoch=0)
+    specs = [f"ensemble:{root}", f"student:{root}:{head_path}"]
+    tracemalloc.start()
+    try:
+        models, _ = _load_models(specs, GeoConfig())
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(models[0].fires) == len(models[1].fires) == 8
+    assert held < member_bytes
+
+
+@pytest.mark.parametrize("fault", ["four-members", "missing-gt"])
+def test_layout_fault_is_reported_before_an_earlier_parse_fault(tmp_path, capsys, fault):
+    root = tmp_path / "pack"
+    _small_pack(root)
+    (root / "2018" / "fire_000" / "gt.npy").write_bytes(b"not an NPY file")
+    last = root / "2021" / "fire_003"
+    if fault == "four-members":
+        shutil.copyfile(last / "member_0.npy", last / "member_3.npy")
+        want = f"error: dataset root {root}: inconsistent member counts [3, 4]"
+    else:
+        (last / "gt.npy").unlink()
+        want = f"error: {last}: missing gt.npy"
+    for args in (["eval", "--model", f"ensemble:{root}", "--anchor", "2"],
+                 ["distill", root, "--max-epochs", "1"]):
+        assert _run(args + ["--out-dir", tmp_path / args[0]]) == 1
+        assert capsys.readouterr().err.strip() == want
+
+
+def test_distill_absent_val_year_exits_before_any_array_is_read(tmp_path, capsys):
+    root = tmp_path / "pack"
+    _small_pack(root)
+    for npy in root.glob("*/*/*.npy"):
+        npy.write_bytes(b"not an NPY file")
+    assert _run(["distill", root, "--val-year", "1999", "--out-dir", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == ("error: --val-year 1999 not present in dataset "
+                   "(has [2018, 2019, 2020, 2021])")
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_without_common_fires_exits_degenerate(tmp_path, capsys):
     root_a, root_b = tmp_path / "a", tmp_path / "b"
     _hand_pack(root_a, [(12, 12), (12, 12)])
@@ -702,6 +759,19 @@ _CORRUPTED_CASES = {
     "stats-non-utf8-sweep-csv": (["stats", "{sweep}"], 1, "not a readable CSV"),
     # an anchor row without a radius would silently drop out of the pairs
     "stats-empty-radius-cell": (["stats", "{sweep}"], 1, "line 3: "),
+    # a second anchor row for one fire would silently replace the first
+    "stats-duplicate-anchor-row": (["stats", "{sweep}"], 1, "repeats line 3"),
+    # ... or with the sweep's summary.json nested past the parser's recursion
+    "stats-nested-summary-json": (["stats", "{sweep}"], 1, "malformed JSON"),
+    # a header claiming 10**7 x 10**7 float32 is refused before any allocation
+    "huge-npy-header": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
+                        "header claims shape"),
+    # head.json cases: a student eval reads a checkpoint of the pack's four channels
+    "head-json-bias-beyond-float": (["eval", "--model", "student:{root}:{head}",
+                                     "--anchor", "2"], 1, "malformed checkpoint field"),
+    "head-json-nested": (["sweep", "--model-a", "ensemble:{root}",
+                          "--model-b", "student:{root}:{head}", "--anchor", "2"], 1,
+                         "malformed head checkpoint"),
 }
 
 
@@ -732,6 +802,22 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         shutil.copytree(original, offending)
     if case == "out-dir-is-a-file":
         out.write_text("not a directory")
+    if case == "huge-npy-header":
+        offending = fire / "gt.npy"
+        with open(offending, "wb") as f:
+            np.lib.format.write_array_header_1_0(
+                f, {"descr": "<f4", "fortran_order": False, "shape": (10**7, 10**7)})
+            f.write(bytes(64))
+    head = tmp_path / "head.json"
+    if case.startswith("head-json"):
+        offending = head
+        save_head(head, UncertaintyHead(weights=np.zeros(4), bias=0.0), TrainConfig(),
+                  selection_metric=None, epoch=0)
+        payload = head.read_text()
+    if case == "head-json-bias-beyond-float":
+        head.write_text(payload.replace('"bias": 0.0', '"bias": 1' + "0" * 400))
+    if case == "head-json-nested":
+        head.write_text("[" * 100_000 + "]" * 100_000)
     args, code, message = _CORRUPTED_CASES[case]
     sweep = tmp_path / "sweep"
     if args[0] == "stats":
@@ -742,14 +828,21 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         text = offending.read_bytes()
     if case == "stats-non-utf8-sweep-csv":
         offending.write_bytes(b"\xff\xfe" + text)
-    if case == "stats-empty-radius-cell":
+    if case in ("stats-empty-radius-cell", "stats-duplicate-anchor-row"):
         lines = text.split(b"\n")
         assert lines[2].startswith(b"fire_000,2018,2,")  # fire_000's anchor row
-        lines[2] = lines[2].replace(b",2,", b",,", 1)
+        if case == "stats-empty-radius-cell":
+            lines[2] = lines[2].replace(b",2,", b",,", 1)
+        else:
+            lines.insert(-1, lines[2])  # before the final empty string
         offending.write_bytes(b"\n".join(lines))
+    if case == "stats-nested-summary-json":
+        offending = sweep / "summary.json"
+        offending.write_text("[" * 100_000 + "]" * 100_000)
     proc = subprocess.run(
         [sys.executable, "-m", "fireuq.cli"]
-        + [a.format(root=root, sweep=sweep) for a in args] + ["--out-dir", str(out)],
+        + [a.format(root=root, sweep=sweep, head=head) for a in args]
+        + ["--out-dir", str(out)],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"},
     )

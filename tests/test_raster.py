@@ -17,8 +17,10 @@ from fireuq.raster import (
     load_array,
     load_dataset,
     load_event,
+    load_years,
     save_array,
     save_event,
+    scan_dataset,
     validate_mask,
     validate_probability_map,
 )
@@ -221,6 +223,37 @@ def test_load_array_rejects_garbage(tmp_path):
         load_array(p)
 
 
+def _npy_with_header(path, shape, n_data_bytes, version=(1, 0)):
+    """An NPY file whose header claims shape of float32, followed by
+    n_data_bytes of data, written without building the array."""
+    header = {"descr": "<f4", "fortran_order": False, "shape": shape}
+    with open(path, "wb") as f:
+        np.lib.format.write_array_header_1_0(f, header) if version == (1, 0) else \
+            np.lib.format.write_array_header_2_0(f, header)
+        f.write(bytes(n_data_bytes))
+    return path
+
+
+@pytest.mark.parametrize("shape, n_data_bytes", [
+    ((10**7, 10**7), 16),  # 364 TiB claimed: refused before any allocation
+    ((4, 4), 60),          # truncated data
+    ((4, 4), 65),          # a byte past the data
+])
+def test_load_array_refuses_a_header_that_disagrees_with_the_file_size(
+    tmp_path, shape, n_data_bytes
+):
+    p = _npy_with_header(tmp_path / "gt.npy", shape, n_data_bytes)
+    with pytest.raises(ParseError, match="^" + re.escape(f"{p}: header claims shape {shape}")):
+        load_array(p)
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+def test_load_array_reads_both_header_versions(tmp_path, version):
+    p = _npy_with_header(tmp_path / "zeros.npy", (2, 3), 24, version)
+    back = load_array(p)
+    assert back.dtype == PROB_DTYPE and back.shape == (2, 3) and not back.any()
+
+
 def test_load_event_rejects_out_of_range_member_file(tmp_path):
     d = tmp_path / "2020" / "fire"
     save_array(_mask([[0, 1]]), d / "gt.npy")
@@ -368,6 +401,41 @@ def test_load_dataset_sorted_and_consistent(tmp_path):
     assert [(e.year, e.id) for e in events] == [
         (2018, "c_fire"), (2019, "a_fire"), (2019, "b_fire"),
     ]
+
+
+@pytest.mark.parametrize("features", [True, False])
+def test_load_dataset_is_the_flattened_per_year_reader(tmp_path, features):
+    for i, year in enumerate((2019, 2018, 2019, 2021)):
+        save_event(tmp_path, _demo_event(f"fire_{i}", year, seed=i))
+    (tmp_path / "2020").mkdir()  # a year without fires yields nothing
+    layout = scan_dataset(tmp_path, features)
+    assert list(layout) == [2018, 2019, 2021]
+    per_year = list(load_years(layout))
+    assert [[ev.year for ev in events] for events in per_year] == [[2018], [2019, 2019], [2021]]
+    flat = [ev for events in per_year for ev in events]
+    events = load_dataset(tmp_path, features)
+    assert [(ev.year, ev.id, ev.files) for ev in events] == [
+        (ev.year, ev.id, ev.files) for ev in flat]
+    assert [f.paths for fires in layout.values() for f in fires] == [ev.files for ev in flat]
+    for a, b in zip(events, flat):
+        assert a.gt.tobytes() == b.gt.tobytes()
+        assert [m.tobytes() for m in a.members] == [m.tobytes() for m in b.members]
+        assert (a.features is None) == (b.features is None) == (not features)
+        if features:
+            assert a.features.tobytes() == b.features.tobytes()
+
+
+def test_scan_dataset_checks_every_fire_before_reading_any(tmp_path):
+    """A layout fault in the last year is reported although an earlier
+    year's gt.npy does not parse: the scan reads no array."""
+    for i, year in enumerate((2018, 2019)):
+        save_event(tmp_path, _demo_event(f"fire_{i}", year, seed=i))
+    (tmp_path / "2018" / "fire_0" / "gt.npy").write_bytes(b"not an NPY file")
+    (tmp_path / "2019" / "fire_1" / "gt.npy").unlink()
+    with pytest.raises(ValidationError, match="missing gt.npy"):
+        scan_dataset(tmp_path)
+    with pytest.raises(ValidationError, match="missing gt.npy"):
+        load_dataset(tmp_path)
 
 
 def test_load_dataset_without_features_leaves_them_unread(tmp_path):
