@@ -56,5 +56,5 @@ from .protocol import (
     run_sweep,
 )
 from .raster import FireEvent, GeoConfig, center_crop, load_dataset
-from .stats import PairedSample, build_pairs, rank_biserial, wilcoxon_one_sided
+from .stats import rank_biserial, wilcoxon_one_sided
 from .synth import ScenarioSpec, generate_scenario, write_scenario

@@ -22,7 +22,6 @@ can drive every command.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -47,7 +46,6 @@ from .errors import (
 from .metrics import DEFAULT_NLL_EPSILON, average_precisions
 from .protocol import (
     MAX_RADIUS_PX,
-    METRIC_COLUMNS,
     Fire,
     Model,
     SweepConfig,
@@ -63,10 +61,11 @@ from .raster import (
     scan_dataset,
 )
 from .report import (
-    CSV_COLUMNS,
     MANIFEST_NAME,
     has_manifest,
+    pair_records,
     read_json,
+    read_sweep_csv,
     summarize,
     write_diff_csv,
     write_json,
@@ -77,7 +76,7 @@ from .report import (
     write_sweep_csv,
     write_train_log_csv,
 )
-from .stats import build_pairs, stats_block
+from .stats import stats_block
 from .synth import ScenarioSpec, write_scenario
 
 
@@ -304,54 +303,22 @@ def cmd_sweep(args) -> int:
             summarize(result.records, anchor),
             meta={"model": spec},
         )
-    write_diff_csv(out_dir / "diff.csv", results[0].records, results[1].records)
+    pairs, unmatched = pair_records(results[0].records, results[1].records)
+    write_diff_csv(out_dir / "diff.csv", pairs)
+    # every fire is scored at every radius, so records divide into fires
+    radii = sorted({rec.radius_px for rec in results[0].records})
     write_json(
         out_dir / "summary.json",
         {
             "anchor_radius_px": anchor,
-            "radii_px": sorted({rec.radius_px for rec in results[0].records}),
+            "radii_px": radii,
             "model_a": args.model_a,
             "model_b": args.model_b,
+            "n_unmatched": {side: n // len(radii) for side, n in unmatched.items()},
         },
     )
     write_manifest(out_dir, "sweep", _config_snapshot(args, anchor), inputs)
     return 0
-
-
-def _read_sweep_csv(path: Path) -> list[dict]:
-    """The rows of a sweep CSV, each metric a float or None (an empty
-    cell) and radius_px an int, which every row must have.  A second row
-    for one (year, fire_id, radius_px) is refused with both lines."""
-    if not path.is_file():
-        raise ValidationError(f"missing sweep output {path}")
-    rows = []
-    lines: dict[tuple, int] = {}
-    try:
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            header = set(reader.fieldnames or ())
-            missing = [c for c in CSV_COLUMNS if c not in header]
-            if missing:
-                raise ParseError(f"{path}: missing columns {', '.join(missing)}")
-            for row in reader:
-                parsed = dict(row)
-                try:
-                    for key in METRIC_COLUMNS:
-                        parsed[key] = float(row[key]) if row[key] != "" else None
-                    parsed["radius_px"] = int(row["radius_px"])
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
-                key = (row["year"], row["fire_id"], parsed["radius_px"])
-                if key in lines:
-                    raise ParseError(
-                        f"{path}: line {reader.line_num}: (year, fire_id, radius_px) "
-                        f"{key} repeats line {lines[key]}"
-                    )
-                lines[key] = reader.line_num
-                rows.append(parsed)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(f"{path}: not a readable CSV ({exc})") from exc
-    return rows
 
 
 def _read_anchor(summary_path: Path) -> int:
@@ -378,26 +345,25 @@ def cmd_stats(args) -> int:
     if anchor is None:
         anchor = _read_anchor(sweep_dir / "summary.json")
 
-    rows_a = _read_sweep_csv(sweep_dir / "sweep_a.csv")
-    rows_b = _read_sweep_csv(sweep_dir / "sweep_b.csv")
+    at_anchor = [
+        [rec for rec in read_sweep_csv(sweep_dir / f"sweep_{side}.csv") if rec.radius_px == anchor]
+        for side in ("a", "b")
+    ]
+    pairs, unmatched = pair_records(*at_anchor)
     blocks = []
     excluded = {}
     for metric in ("auroc", "auprc"):
-        def values(rows):
-            return {
-                f"{r['year']}/{r['fire_id']}": r[metric]
-                for r in rows
-                if r["radius_px"] == anchor
-            }
-
-        va, vb = values(rows_a), values(rows_b)
-        if args.direction == "b_gt_a":
-            va, vb = vb, va
-        pairs, n_excluded = build_pairs(va, vb)
-        excluded[metric] = n_excluded
-        if not pairs:
+        diffs = [
+            va - vb for ra, rb in pairs
+            if (va := getattr(ra, metric)) is not None
+            and (vb := getattr(rb, metric)) is not None
+        ]
+        excluded[metric] = len(pairs) - len(diffs)
+        if not diffs:
             raise DegenerateDataError(f"stats: no complete pairs for {metric}")
-        blocks.append(stats_block(metric, pairs))
+        if args.direction == "b_gt_a":
+            diffs = [-d for d in diffs]  # bitwise vb - va
+        blocks.append(stats_block(metric, diffs))
 
     write_stats_json(
         out_dir / "stats.json",
@@ -406,6 +372,7 @@ def cmd_stats(args) -> int:
             "anchor_radius_px": anchor,
             "direction": args.direction,
             "n_excluded": excluded,
+            "n_unmatched": unmatched,
         },
     )
     write_manifest(

@@ -277,12 +277,6 @@ def _read_fire(files: FireFiles) -> FireEvent:
     )
 
 
-def load_event(fire_dir: str | Path, year: int, features: bool = True) -> FireEvent:
-    """Parse one fire directory (gt + members + optional features).
-    features=False leaves features.npy unread, and out of files."""
-    return _read_fire(_scan_fire(Path(fire_dir), year, features))
-
-
 def scan_dataset(root: str | Path, features: bool = True) -> dict[int, list[FireFiles]]:
     """Check the layout of every fire under <root>/<year>/<fire_id>/ and
     return its files, {year: fires sorted by id} in year order, without

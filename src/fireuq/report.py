@@ -1,9 +1,11 @@
 """Report emission: sweep CSV, summary JSON, Markdown tables, training
-logs, and the per-run manifest.
+logs, and the per-run manifest; and the sweep CSV read back.
 
-summarize derives every aggregate of one model's records, so each
-per-radius mean, per-year mean and mean +- std is computed in one place,
-once; the summary JSON and the Markdown table both render its result.
+pair_records is the one pairing of two models' records: diff.csv and
+the stats command both take its pairs.  summarize derives every
+aggregate of one model's records, so each per-radius mean, per-year mean
+and mean +- std is computed in one place, once; the summary JSON and the
+Markdown table both render its result.
 Everything here is byte-deterministic: CSV cells print floats via repr
 (shortest round-trip form), JSON is emitted with sorted keys, and the
 manifest timestamp honors SOURCE_DATE_EPOCH so archival reruns can be
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from datetime import datetime, timezone
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .metrics import MetricRecord
 from .protocol import METRIC_COLUMNS, aggregate_mean_std
 
@@ -63,20 +66,70 @@ def write_sweep_csv(path: str | Path, records: list[MetricRecord]):
     _write_csv(path, CSV_COLUMNS, rows)
 
 
-def write_diff_csv(
-    path: str | Path, records_a: list[MetricRecord], records_b: list[MetricRecord]
-):
-    """Paired differences (a - b) matched on (fire, year, radius).
+def read_sweep_csv(path: str | Path) -> list[MetricRecord]:
+    """The records of a CSV that write_sweep_csv wrote, an empty metric
+    cell read as None.  A cell that does not parse, a non-finite metric,
+    a metric outside its range and a second row for one (year, fire_id,
+    radius_px) are each refused as "<path>: line N: ..."."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"missing sweep output {path}")
+    records = []
+    lines: dict[tuple, int] = {}
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ParseError(f"{path}: missing columns {', '.join(missing)}")
+            for row in reader:
+                try:
+                    metrics = {c: None if row[c] == "" else float(row[c]) for c in METRIC_COLUMNS}
+                    for c, v in metrics.items():
+                        if v is not None and not math.isfinite(v):
+                            raise ValueError(f"{c}={v} is not finite")
+                    n_eval_px = None if row["n_eval_px"] == "" else int(row["n_eval_px"])
+                    rec = MetricRecord(row["fire_id"], int(row["year"]), int(row["radius_px"]),
+                                       **metrics, n_eval_px=n_eval_px)
+                except (TypeError, ValueError, ValidationError) as exc:
+                    raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+                key = (rec.year, rec.fire_id, rec.radius_px)
+                if key in lines:
+                    raise ParseError(
+                        f"{path}: line {reader.line_num}: (year, fire_id, radius_px) "
+                        f"{key} repeats line {lines[key]}"
+                    )
+                lines[key] = reader.line_num
+                records.append(rec)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a readable CSV ({exc})") from exc
+    return records
 
-    A metric cell is empty whenever either side is missing; identity
-    columns are copied through.
+
+def pair_records(
+    records_a: list[MetricRecord], records_b: list[MetricRecord]
+) -> tuple[list[tuple[MetricRecord, MetricRecord]], dict[str, int]]:
+    """The (a, b) records of each (year, fire_id, radius_px) that both
+    sides hold, in records_a's order, and the number of records on each
+    side that have no partner, as {"a": k, "b": m}.  Neither side may
+    repeat a key: read_sweep_csv refuses that, and run_sweep scores each
+    fire once per radius."""
+    by_key = {(r.year, r.fire_id, r.radius_px): r for r in records_b}
+    pairs = [
+        (ra, rb) for ra in records_a
+        if (rb := by_key.get((ra.year, ra.fire_id, ra.radius_px))) is not None
+    ]
+    return pairs, {"a": len(records_a) - len(pairs), "b": len(records_b) - len(pairs)}
+
+
+def write_diff_csv(path: str | Path, pairs: list[tuple[MetricRecord, MetricRecord]]):
+    """Paired differences (a - b), one row per pair of pair_records.
+
+    A metric cell is empty whenever either side is undefined; identity
+    columns are copied from a.
     """
-    by_key = {(r.fire_id, r.year, r.radius_px): r for r in records_b}
     rows = []
-    for ra in records_a:
-        rb = by_key.get((ra.fire_id, ra.year, ra.radius_px))
-        if rb is None:
-            continue
+    for ra, rb in pairs:
         row = [ra.fire_id, ra.year, _cell(ra.radius_px)]
         for name in METRIC_COLUMNS:
             va, vb = getattr(ra, name), getattr(rb, name)

@@ -1,38 +1,24 @@
 """Paired one-sided Wilcoxon signed-rank test and rank-biserial effect
 size, for comparing two models over the same set of fires.
 
-The alternative is one-sided: the first model of each pair scores
-higher.  Zero differences are discarded before ranking; tied absolute
-differences share their average rank.  Exact p-values (a partial-sum
-count over all sign assignments, conditional on the observed tie
-pattern) are used up to n = 25 nonzero differences, a tie-corrected
+The test takes the per-fire differences (first model minus second),
+which the caller forms from report.pair_records' pairs; its result does
+not depend on their order.  The alternative is one-sided: the first
+model scores higher.  Zero differences are discarded before ranking;
+tied absolute differences share their average rank.  Exact p-values (a
+partial-sum count over all sign assignments, conditional on the observed
+tie pattern) are used up to n = 25 nonzero differences, a tie-corrected
 normal approximation with continuity correction beyond.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 
 EXACT_N_MAX = 25
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    """One fire scored by both models; diff = value_a - value_b."""
-
-    fire_id: str
-    value_a: float
-    value_b: float
-
-    @property
-    def diff(self) -> float:
-        return self.value_a - self.value_b
 
 
 class WilcoxonResult(NamedTuple):
@@ -41,28 +27,6 @@ class WilcoxonResult(NamedTuple):
     p_value: float
     n_effective: int
     mode: str
-
-
-def build_pairs(
-    values_a: dict[str, float | None], values_b: dict[str, float | None]
-) -> tuple[list[PairedSample], int]:
-    """Pair up per-fire values from two models by fire key.
-
-    A pair is formed only when both sides are present and non-None;
-    returns (pairs, n_excluded) where n_excluded counts fires dropped
-    for a missing side.  Pair order follows sorted keys.
-    """
-    keys = sorted(set(values_a) | set(values_b))
-    pairs = []
-    excluded = 0
-    for k in keys:
-        a = values_a.get(k)
-        b = values_b.get(k)
-        if a is None or b is None:
-            excluded += 1
-            continue
-        pairs.append(PairedSample(fire_id=k, value_a=float(a), value_b=float(b)))
-    return pairs, excluded
 
 
 def _doubled_ranks(abs_diffs: list[float]) -> list[int]:
@@ -84,15 +48,15 @@ def _doubled_ranks(abs_diffs: list[float]) -> list[int]:
 
 def _exact_p(doubled_ranks: list[int], observed_doubled: int) -> float:
     """P(W+ >= observed) by counting sign assignments with a partial-sum
-    table over doubled rank sums."""
+    table over doubled rank sums.  The counts are exact integers, below
+    2**25 for n <= EXACT_N_MAX, so they convert to float exactly."""
     total = sum(doubled_ranks)
-    ways = np.zeros(total + 1, dtype=np.int64)
-    ways[0] = 1
+    ways = [1] + [0] * total
     for dr in doubled_ranks:
-        nxt = ways.copy()
-        nxt[dr:] += ways[: total + 1 - dr]
-        ways = nxt
-    count_ge = int(ways[observed_doubled:].sum())
+        # descending, so each rank joins a sum at most once
+        for s in range(total, dr - 1, -1):
+            ways[s] += ways[s - dr]
+    count_ge = sum(ways[observed_doubled:])
     return count_ge / float(2 ** len(doubled_ranks))
 
 
@@ -110,15 +74,14 @@ def _normal_p(
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def wilcoxon_one_sided(pairs) -> WilcoxonResult:
-    """One-sided signed-rank test of H1: value_a > value_b.
+def wilcoxon_one_sided(diffs) -> WilcoxonResult:
+    """One-sided signed-rank test of H1: the differences lie above 0.
 
-    Accepts PairedSample objects or raw differences.  Returns W+, W-,
-    p = P(W+ >= observed under H0), the number of nonzero differences,
-    and which computation mode ran.  Raises DegenerateDataError when
-    every difference is zero.
+    Returns W+, W-, p = P(W+ >= observed under H0), the number of
+    nonzero differences, and which computation mode ran.  Raises
+    DegenerateDataError when every difference is zero.
     """
-    diffs = [p.diff if isinstance(p, PairedSample) else float(p) for p in pairs]
+    diffs = [float(d) for d in diffs]
     if any(not math.isfinite(d) for d in diffs):
         raise ValidationError("wilcoxon: non-finite difference")
     nonzero = [d for d in diffs if d != 0.0]
@@ -151,18 +114,18 @@ def rank_biserial(w_plus: float, w_minus: float) -> float:
     return (w_plus - w_minus) / total
 
 
-def stats_block(metric: str, pairs: list[PairedSample]) -> dict:
+def stats_block(metric: str, diffs: list[float]) -> dict:
     """The report JSON block for one metric comparison.
 
-    n_pairs counts pairs entering the test, n_discarded the zero
-    differences dropped during it (missing-side exclusions happen in
-    build_pairs and are reported separately by callers).
+    n_pairs counts the differences entering the test, n_discarded the
+    zero differences dropped during it.  Fires left out before the test
+    (no partner, or an undefined value) are counted by the caller.
     """
-    res = wilcoxon_one_sided(pairs)
-    n_zero = len(pairs) - res.n_effective
+    res = wilcoxon_one_sided(diffs)
+    n_zero = len(diffs) - res.n_effective
     return {
         "metric": metric,
-        "n_pairs": len(pairs),
+        "n_pairs": len(diffs),
         "n_discarded": n_zero,
         "w_plus": res.w_plus,
         "w_minus": res.w_minus,

@@ -14,17 +14,16 @@ import pytest
 from fireuq.cli import (
     _load_models,
     _parse_radii,
-    _read_sweep_csv,
     main,
     middle_member_by_year,
     parse_model_spec,
 )
 from fireuq.distill import TrainConfig, UncertaintyHead, apply_head, load_head, save_head
 from fireuq.errors import DegenerateClassError, ValidationError
-from fireuq.metrics import MetricRecord, average_precision, error_map
+from fireuq.metrics import average_precision, error_map
 from fireuq.protocol import SweepConfig, run_sweep
 from fireuq.raster import FireEvent, GeoConfig, load_dataset, save_event
-from fireuq.report import summarize, write_summary_json
+from fireuq.report import read_sweep_csv, summarize, write_summary_json
 from fireuq.synth import ScenarioSpec, generate_scenario
 
 @pytest.fixture(autouse=True)
@@ -284,6 +283,7 @@ def test_sweep_outputs(sweep_dir):
     summary = json.loads((sweep_dir / "summary.json").read_text())
     assert summary["anchor_radius_px"] == 4
     assert summary["radii_px"] == [0, 2, 4]
+    assert summary["n_unmatched"] == {"a": 0, "b": 0}
     with open(sweep_dir / "sweep_a.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 8 * 3
@@ -358,6 +358,44 @@ def test_stats_direction_flip(mixed_sweep, tmp_path):
     # swapping the alternative swaps the rank sums
     assert pa["w_plus"] == pb["w_minus"]
     assert pa["w_minus"] == pb["w_plus"]
+
+
+def test_unmatched_fires_are_counted_apart_from_undefined_values(pack, tmp_path):
+    """A fire that only model A's pack holds gets no diff.csv row.
+    summary.json and stats.json count it in n_unmatched, and stats.json's
+    n_excluded counts only the matched fires with an undefined value."""
+    short = tmp_path / "short"
+    shutil.copytree(pack, short)
+    shutil.rmtree(sorted(short.glob("*/fire_*"))[-1])
+    head_path = tmp_path / "head.json"
+    head = UncertaintyHead(weights=np.array([0.6, -0.2, 0.1, 0.8, -0.3]), bias=-0.5)
+    save_head(head_path, head, TrainConfig(), selection_metric=None, epoch=0)
+    sweep = tmp_path / "sweep"
+    assert _run(["sweep", "--model-a", f"ensemble:{pack}",
+                 "--model-b", f"student:{short}:{head_path}",
+                 "--radii", "0..2", "--anchor", "2", "--out-dir", sweep]) == 0
+    records_a = read_sweep_csv(sweep / "sweep_a.csv")
+    records_b = read_sweep_csv(sweep / "sweep_b.csv")
+    assert (len(records_a), len(records_b)) == (24, 21)
+    with open(sweep / "diff.csv", newline="") as f:
+        diff_rows = list(csv.DictReader(f))
+    assert len(diff_rows) == 21
+    summary = json.loads((sweep / "summary.json").read_text())
+    assert summary["n_unmatched"] == {"a": 1, "b": 0}
+
+    assert _run(["stats", sweep, "--out-dir", tmp_path / "st"]) == 0
+    payload = json.loads((tmp_path / "st" / "stats.json").read_text())
+    assert payload["meta"]["n_unmatched"] == {"a": 1, "b": 0}
+    anchor_b = {(r.year, r.fire_id): r for r in records_b if r.radius_px == 2}
+    for block in payload["tests"]:
+        metric = block["metric"]
+        undefined = sum(
+            getattr(ra, metric) is None or getattr(anchor_b[ra.year, ra.fire_id], metric) is None
+            for ra in records_a
+            if ra.radius_px == 2 and (ra.year, ra.fire_id) in anchor_b
+        )
+        assert payload["meta"]["n_excluded"][metric] == undefined
+        assert block["n_pairs"] == 7 - undefined
 
 
 def test_stats_missing_sweep_dir_exits_one(tmp_path, capsys):
@@ -554,10 +592,7 @@ def test_summary_json_is_summarize_of_the_sweep_csv(mixed_sweep, tmp_path):
     anchor = json.loads((mixed_sweep / "summary.json").read_text())["anchor_radius_px"]
     for side in ("a", "b"):
         written = mixed_sweep / f"summary_{side}.json"
-        records = [
-            MetricRecord(**{**row, "year": int(row["year"]), "n_eval_px": int(row["n_eval_px"])})
-            for row in _read_sweep_csv(mixed_sweep / f"sweep_{side}.csv")
-        ]
+        records = read_sweep_csv(mixed_sweep / f"sweep_{side}.csv")
         meta = json.loads(written.read_text())["meta"]
         write_summary_json(tmp_path / written.name, summarize(records, anchor), meta)
         assert (tmp_path / written.name).read_bytes() == written.read_bytes()
@@ -761,6 +796,11 @@ _CORRUPTED_CASES = {
     "stats-empty-radius-cell": (["stats", "{sweep}"], 1, "line 3: "),
     # a second anchor row for one fire would silently replace the first
     "stats-duplicate-anchor-row": (["stats", "{sweep}"], 1, "repeats line 3"),
+    # a metric cell outside its range, or non-finite in a column whose
+    # range check a nan passes, is refused where it is read
+    "stats-out-of-range-metric-cell": (["stats", "{sweep}"], 1,
+                                       "line 3: fire_000: auroc=1.5 outside [0, 1]"),
+    "stats-nan-metric-cell": (["stats", "{sweep}"], 1, "line 3: nll=nan is not finite"),
     # ... or with the sweep's summary.json nested past the parser's recursion
     "stats-nested-summary-json": (["stats", "{sweep}"], 1, "malformed JSON"),
     # a header claiming 10**7 x 10**7 float32 is refused before any allocation
@@ -828,11 +868,17 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         text = offending.read_bytes()
     if case == "stats-non-utf8-sweep-csv":
         offending.write_bytes(b"\xff\xfe" + text)
-    if case in ("stats-empty-radius-cell", "stats-duplicate-anchor-row"):
+    # the column and new value of one cell of fire_000's anchor row
+    cell_edits = {"stats-empty-radius-cell": (2, b""), "stats-nan-metric-cell": (6, b"nan"),
+                  "stats-out-of-range-metric-cell": (7, b"1.5")}
+    if case in cell_edits or case == "stats-duplicate-anchor-row":
         lines = text.split(b"\n")
         assert lines[2].startswith(b"fire_000,2018,2,")  # fire_000's anchor row
-        if case == "stats-empty-radius-cell":
-            lines[2] = lines[2].replace(b",2,", b",,", 1)
+        if case in cell_edits:
+            column, value = cell_edits[case]
+            cells = lines[2].split(b",")
+            cells[column] = value
+            lines[2] = b",".join(cells)
         else:
             lines.insert(-1, lines[2])  # before the final empty string
         offending.write_bytes(b"\n".join(lines))

@@ -16,7 +16,6 @@ from fireuq.raster import (
     center_crop,
     load_array,
     load_dataset,
-    load_event,
     load_years,
     save_array,
     save_event,
@@ -156,7 +155,8 @@ def test_npy_round_trip_is_bit_exact(tmp_path):
 
 
 def _fire_dir(root, gt, members, features=None):
-    """A fire directory holding the arrays as given, in any dtype."""
+    """The fire directory root/2020/fire, holding the arrays as given, in
+    any dtype."""
     d = root / "2020" / "fire"
     d.mkdir(parents=True)
     np.save(d / "gt.npy", gt)
@@ -167,18 +167,25 @@ def _fire_dir(root, gt, members, features=None):
     return d
 
 
+def _load_fire(fire_dir):
+    """The one fire of a one-fire dataset root, read by load_dataset."""
+    [ev] = load_dataset(fire_dir.parents[1])
+    return ev
+
+
 def test_npy_round_trip_mask(tmp_path):
     m = (np.random.default_rng(1).random((9, 9)) < 0.4).astype(MASK_DTYPE)
     d = tmp_path / "2020" / "fire"
     save_array(m, d / "gt.npy")
-    save_array(_prob(np.zeros((9, 9))), d / "member_0.npy")
-    back = load_event(d, year=2020).gt
+    for k in range(3):
+        save_array(_prob(np.zeros((9, 9))), d / f"member_{k}.npy")
+    back = _load_fire(d).gt
     assert back.dtype == MASK_DTYPE
     assert (back == m).all()
     # a bool or 0.0/1.0 float mask loads as the same uint8 mask
     for dtype in ("?", "<f8"):
-        d = _fire_dir(tmp_path / dtype, m.astype(dtype), [_prob(np.zeros((9, 9)))])
-        back = load_event(d, year=2020).gt
+        d = _fire_dir(tmp_path / dtype, m.astype(dtype), [_prob(np.zeros((9, 9)))] * 3)
+        back = _load_fire(d).gt
         assert back.dtype == MASK_DTYPE
         assert back.tobytes() == m.tobytes()
 
@@ -210,8 +217,8 @@ def test_load_array_rejects_non_numeric_dtypes(tmp_path, dtype):
 @pytest.mark.parametrize("dtype", ["<f2", ">f4", ">f8", "?", ">i2", "<u4"])
 def test_probability_map_loads_any_real_dtype(tmp_path, dtype):
     arr = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=dtype)
-    d = _fire_dir(tmp_path, _mask(np.eye(2)), [arr])
-    back = load_event(d, year=2020).members[0]
+    d = _fire_dir(tmp_path, _mask(np.eye(2)), [arr] * 3)
+    back = _load_fire(d).members[0]
     assert back.dtype == PROB_DTYPE
     assert back.tobytes() == arr.astype(PROB_DTYPE).tobytes()
 
@@ -258,32 +265,38 @@ def test_load_event_rejects_out_of_range_member_file(tmp_path):
     d = tmp_path / "2020" / "fire"
     save_array(_mask([[0, 1]]), d / "gt.npy")
     save_array(np.array([[0.5, 0.9]], dtype=np.float32) * 2.0, d / "member_0.npy")
+    for k in (1, 2):
+        save_array(_prob([[0.1, 0.2]]), d / f"member_{k}.npy")
     with pytest.raises(ValidationError, match=re.escape(f"{d / 'member_0.npy'}: values")):
-        load_event(d, year=2020)
+        _load_fire(d)
+
+
+_GOOD_MEMBERS = [_prob([[0.1, 0.2]])] * 3
 
 
 def _bad_gt(tmp_path):
-    return _fire_dir(tmp_path, np.array([[0.0, 0.5]]), [_prob([[0.1, 0.2]])]), "gt.npy"
+    return _fire_dir(tmp_path, np.array([[0.0, 0.5]]), _GOOD_MEMBERS), "gt.npy"
 
 
 def _bad_member(tmp_path):
-    return _fire_dir(tmp_path, _mask([[0, 1]]), [_prob([[0.1, 0.2]]),
-                                                 np.array([[0.1, np.nan]])]), "member_1.npy"
+    members = [_prob([[0.1, 0.2]]), np.array([[0.1, np.nan]]), _prob([[0.1, 0.2]])]
+    return _fire_dir(tmp_path, _mask([[0, 1]]), members), "member_1.npy"
 
 
 def _member_shape(tmp_path):
-    return _fire_dir(tmp_path, _mask([[0, 1]]), [_prob([[0.1], [0.2]])]), "member_0.npy"
+    members = [_prob([[0.1], [0.2]]), *_GOOD_MEMBERS[1:]]
+    return _fire_dir(tmp_path, _mask([[0, 1]]), members), "member_0.npy"
 
 
 def _bad_features(tmp_path):
     # float64 beyond float32's range: non-finite once cast, with no warning
     features = np.array([[[0.0, 1e39]]])
-    return _fire_dir(tmp_path, _mask([[0, 1]]), [_prob([[0.1, 0.2]])], features), "features.npy"
+    return _fire_dir(tmp_path, _mask([[0, 1]]), _GOOD_MEMBERS, features), "features.npy"
 
 
 def _features_shape(tmp_path):
     features = np.zeros((2, 2, 2))
-    return _fire_dir(tmp_path, _mask([[0, 1]]), [_prob([[0.1, 0.2]])], features), "features.npy"
+    return _fire_dir(tmp_path, _mask([[0, 1]]), _GOOD_MEMBERS, features), "features.npy"
 
 
 @pytest.mark.parametrize("make", [_bad_gt, _bad_member, _member_shape, _bad_features,
@@ -291,7 +304,7 @@ def _features_shape(tmp_path):
 def test_loaded_event_errors_name_the_file(tmp_path, make):
     d, name = make(tmp_path)
     with pytest.raises(ValidationError, match="^" + re.escape(f"{d / name}: ")):
-        load_event(d, year=2020)
+        _load_fire(d)
 
 
 def test_fire_event_casts_rasters_once_checked():
@@ -352,7 +365,7 @@ def _demo_event(fire_id, year, seed, n_members=3, size=8, with_features=True):
 def test_save_load_event_round_trip(tmp_path):
     ev = _demo_event("fire_000", 2019, seed=3)
     save_event(tmp_path, ev)
-    back = load_event(tmp_path / "2019" / "fire_000", year=2019)
+    back = _load_fire(tmp_path / "2019" / "fire_000")
     assert back.id == "fire_000"
     assert back.year == 2019
     assert (back.gt == ev.gt).all()
@@ -369,10 +382,12 @@ def test_save_load_event_round_trip(tmp_path):
 def test_member_ordering_is_numeric_not_lexicographic(tmp_path):
     size = 4
     gt = _mask(np.eye(size))
-    members = [_prob(np.full((size, size), (k + 1) / 16.0)) for k in range(12)]
+    # an odd count past 10, so member_10 sorts before member_2 as text
+    members = [_prob(np.full((size, size), (k + 1) / 16.0)) for k in range(11)]
     ev = FireEvent(id="big", year=2020, gt=gt, members=members)
     save_event(tmp_path, ev)
-    back = load_event(tmp_path / "2020" / "big", year=2020)
+    back = _load_fire(tmp_path / "2020" / "big")
+    assert len(back.members) == 11
     for k, m in enumerate(back.members):
         assert float(m[0, 0]) == pytest.approx((k + 1) / 16.0)
 
@@ -380,17 +395,19 @@ def test_member_ordering_is_numeric_not_lexicographic(tmp_path):
 def test_load_event_requires_contiguous_member_indices(tmp_path):
     d = tmp_path / "2020" / "gap"
     save_array(_mask(np.eye(3)), d / "gt.npy")
-    save_array(_prob(np.zeros((3, 3))), d / "member_0.npy")
-    save_array(_prob(np.zeros((3, 3))), d / "member_2.npy")
-    with pytest.raises(ValidationError):
-        load_event(d, year=2020)
+    for k in (0, 1, 3):
+        save_array(_prob(np.zeros((3, 3))), d / f"member_{k}.npy")
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{d}: member indices not contiguous from 0: [0, 1, 3]")):
+        scan_dataset(tmp_path)
 
 
 def test_load_event_missing_gt(tmp_path):
     d = tmp_path / "2020" / "nogt"
-    save_array(_prob(np.zeros((3, 3))), d / "member_0.npy")
-    with pytest.raises(ValidationError):
-        load_event(d, year=2020)
+    for k in range(3):
+        save_array(_prob(np.zeros((3, 3))), d / f"member_{k}.npy")
+    with pytest.raises(ValidationError, match=re.escape(f"{d}: missing gt.npy")):
+        scan_dataset(tmp_path)
 
 
 def test_load_dataset_sorted_and_consistent(tmp_path):
@@ -481,7 +498,7 @@ def test_load_event_refuses_two_files_for_one_member_index(tmp_path):
     shutil.copyfile(d / "member_1.npy", d / "member_001.npy")
     pattern = f"{d / 'member_001.npy'}: member index 1 is also parsed from {d / 'member_1.npy'}"
     with pytest.raises(ValidationError, match="^" + re.escape(pattern) + "$"):
-        load_event(d, year=2020)
+        scan_dataset(tmp_path)
 
 
 def test_load_dataset_refuses_two_directories_for_one_year(tmp_path):

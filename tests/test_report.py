@@ -12,6 +12,7 @@ from fireuq.report import (
     digest_inputs,
     format_mean_std,
     manifest_timestamp,
+    pair_records,
     summarize,
     write_diff_csv,
     write_markdown_table,
@@ -41,7 +42,7 @@ def test_sweep_csv_layout(tmp_path):
 
 def test_diff_csv_zero_for_identical_inputs(tmp_path):
     p = tmp_path / "diff.csv"
-    write_diff_csv(p, _records(), _records())
+    write_diff_csv(p, pair_records(_records(), _records())[0])
     rows = p.read_text().strip().split("\n")[1:]
     first = rows[0].split(",")
     assert first[0] == "f0"
@@ -50,11 +51,36 @@ def test_diff_csv_zero_for_identical_inputs(tmp_path):
 
 def test_diff_csv_skips_unmatched_rows(tmp_path):
     a = _records()
-    b = [a[0]]
+    b = [MetricRecord("f0", 2018, 4, ap=0.75, n_eval_px=90)]
     p = tmp_path / "diff.csv"
-    write_diff_csv(p, a, b)
+    write_diff_csv(p, pair_records(a, b)[0])
     rows = p.read_text().strip().split("\n")[1:]
-    assert len(rows) == 1
+    # one row per pair, each cell a minus b
+    assert rows == ["f0,2018,4,-0.25,,,,,,,10"]
+
+
+def test_pair_records_keeps_a_order_and_counts_unmatched_records():
+    a = [
+        MetricRecord("f1", 2019, 2),
+        MetricRecord("f0", 2018, 4),
+        MetricRecord("f0", 2018, 2),
+        MetricRecord("f2", 2019, 2),  # no partner in b
+    ]
+    b = [
+        MetricRecord("f0", 2018, 2),
+        MetricRecord("f0", 2019, 2),  # another year's f0: no partner in a
+        MetricRecord("f1", 2019, 2),
+        MetricRecord("f0", 2018, 4),
+        MetricRecord("f0", 2018, 6),  # a radius a lacks
+    ]
+    pairs, unmatched = pair_records(a, b)
+    assert [ra for ra, _rb in pairs] == a[:3]
+    assert [(rb.year, rb.fire_id, rb.radius_px) for _ra, rb in pairs] == [
+        (2019, "f1", 2), (2018, "f0", 4), (2018, "f0", 2)]
+    assert unmatched == {"a": 1, "b": 2}
+    assert pair_records([], b) == ([], {"a": 0, "b": 5})
+    assert pair_records(a, []) == ([], {"a": 4, "b": 0})
+    assert pair_records([], []) == ([], {"a": 0, "b": 0})
 
 
 def test_format_mean_std():

@@ -7,8 +7,6 @@ from fireuq.errors import DegenerateDataError, ValidationError
 from fireuq.oracles import oracle_wilcoxon_one_sided
 from fireuq.stats import (
     EXACT_N_MAX,
-    PairedSample,
-    build_pairs,
     rank_biserial,
     stats_block,
     wilcoxon_one_sided,
@@ -89,6 +87,26 @@ def test_p_value_range_and_shift_consistency():
         assert scaled.w_plus == res.w_plus
 
 
+@pytest.mark.parametrize("n", [12, EXACT_N_MAX, 40])
+def test_result_does_not_depend_on_difference_order(n):
+    """The stats command orders its differences as model A's records
+    lie; any order of the same differences, ties and zeros included,
+    gives the same result bit for bit, on the exact and normal paths."""
+    rng = np.random.default_rng(n)
+    diffs = (rng.integers(-4, 5, size=n) / 8.0).tolist()
+    base = wilcoxon_one_sided(diffs)
+    for _ in range(5):
+        assert wilcoxon_one_sided(rng.permutation(diffs).tolist()) == base
+
+
+def test_exact_p_counts_every_sign_assignment_at_the_exact_limit():
+    # one assignment of 2**25 puts every rank on the positive side
+    res = wilcoxon_one_sided([float(k) for k in range(1, EXACT_N_MAX + 1)])
+    assert res.mode == "exact"
+    assert res.p_value == 2.0**-EXACT_N_MAX
+    assert wilcoxon_one_sided([-1.0] * EXACT_N_MAX).p_value == 1.0
+
+
 def test_normal_mode_tracks_exact_near_cutover():
     rng = np.random.default_rng(83)
     from fireuq.stats import _doubled_ranks, _exact_p, _normal_p
@@ -134,27 +152,8 @@ def test_rank_biserial_identity_and_examples():
         )
 
 
-def test_build_pairs_matches_keys_and_counts_exclusions():
-    a = {"2020/f0": 0.6, "2020/f1": 0.7, "2021/f2": None, "2021/f3": 0.5}
-    b = {"2020/f0": 0.5, "2020/f1": None, "2021/f2": 0.4, "2021/f9": 0.1}
-    pairs, excluded = build_pairs(a, b)
-    assert [p.fire_id for p in pairs] == ["2020/f0"]
-    assert pairs[0].diff == pytest.approx(0.1)
-    assert excluded == 4
-
-
-def test_paired_sample_diff_sign():
-    p = PairedSample("f", 0.3, 0.8)
-    assert p.diff == pytest.approx(-0.5)
-
-
 def test_stats_block_fields():
-    pairs = [
-        PairedSample("f0", 0.9, 0.4),
-        PairedSample("f1", 0.8, 0.8),
-        PairedSample("f2", 0.7, 0.5),
-    ]
-    block = stats_block("auroc", pairs)
+    block = stats_block("auroc", [0.9 - 0.4, 0.8 - 0.8, 0.7 - 0.5])
     assert block["metric"] == "auroc"
     assert block["n_pairs"] == 3
     assert block["n_discarded"] == 1
