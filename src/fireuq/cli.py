@@ -1,4 +1,5 @@
-"""Command-line entry point.
+"""Command-line entry point: flag parsing, each command's own checks and
+its writers.  distill.load_models builds the models eval and sweep score.
 
 Subcommands: synth (generate a scenario pack), eval (anchor-radius
 tables for one model), sweep (full radius sweep for two models plus
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,12 @@ from .distill import (
     TrainConfig,
     apply_head_each,
     fuse_ensemble,
-    load_head,
+    load_models,
+    middle_member_by_year,
+    parse_model_spec,
+    read_years,
+    require_features,
     save_head,
-    select_middle_member,
     train_head,
 )
 from .errors import (
@@ -43,23 +46,9 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .metrics import DEFAULT_NLL_EPSILON, average_precisions
-from .protocol import (
-    MAX_RADIUS_PX,
-    Fire,
-    Model,
-    SweepConfig,
-    run_sweep,
-)
-from .raster import (
-    FireEvent,
-    FireFiles,
-    GeoConfig,
-    center_crop_at_most,
-    load_years,
-    save_array,
-    scan_dataset,
-)
+from .metrics import DEFAULT_NLL_EPSILON
+from .protocol import MAX_RADIUS_PX, SweepConfig, run_sweep
+from .raster import GeoConfig, save_array, scan_dataset
 from .report import (
     MANIFEST_NAME,
     has_manifest,
@@ -129,116 +118,6 @@ def _parse_anchor(text: str) -> int | None:
     return px
 
 
-def parse_model_spec(text: str) -> tuple[str, Path, Path | None]:
-    parts = text.split(":")
-    if parts[0] == "ensemble" and len(parts) == 2 and parts[1]:
-        return "ensemble", Path(parts[1]), None
-    if parts[0] == "student" and len(parts) == 3 and parts[1] and parts[2]:
-        return "student", Path(parts[1]), Path(parts[2])
-    raise ValidationError(
-        f"bad model spec {text!r}; want ensemble:<dir> or student:<dir>:<head.json>"
-    )
-
-
-def _read_years(layout: dict[int, list[FireFiles]], geo: GeoConfig) -> Iterator[list[FireEvent]]:
-    """load_years of a scanned layout, each raster center-cropped to at
-    most geo.crop_size per axis.  A crop of a validated raster is valid,
-    so the events are not validated again."""
-    for events in load_years(layout):
-        for ev in events:
-            ev.gt = center_crop_at_most(ev.gt, geo.crop_size)
-            ev.members = [center_crop_at_most(m, geo.crop_size) for m in ev.members]
-            if ev.features is not None:
-                ev.features = center_crop_at_most(ev.features, geo.crop_size)
-        yield events
-
-
-def _require_features(layout: dict[int, list[FireFiles]], reader: str):
-    """Refuse a scanned layout in which a fire has no features.npy."""
-    for fires in layout.values():
-        for f in fires:
-            if f.features is None:
-                raise ValidationError(f"fire {f.id}: {reader} needs features.npy")
-
-
-def middle_member_by_year(
-    events: list[FireEvent], member_aps: list | None = None
-) -> dict[int, int]:
-    """Per year, the member whose mean per-fire AP is the median.  Fires
-    whose ground truth is single-class have no AP and are left out; a
-    year in which no fire has an AP gets member 0.  A given member_aps
-    list receives each event's member APs, in event order, as
-    average_precisions gives them (None for a single-class ground
-    truth)."""
-    aps = [average_precisions(ev.members, ev.gt) for ev in events]
-    if member_aps is not None:
-        member_aps[:] = aps
-    out: dict[int, int] = {}
-    for year in sorted({ev.year for ev in events}):
-        per_fire = [a for ev, a in zip(events, aps) if ev.year == year and a is not None]
-        if not per_fire:
-            out[year] = 0
-            continue
-        out[year] = select_middle_member([float(np.mean(v)) for v in zip(*per_fire)])
-    return out
-
-
-def _fires(events: list[FireEvent]) -> list[Fire]:
-    """A Fire per event, with its year's middle-AP member as the
-    error-map reference and that member's AP."""
-    aps: list = []
-    mids = middle_member_by_year(events, aps)
-    return [
-        Fire(ev, ev.members[mids[ev.year]], None if a is None else a[mids[ev.year]])
-        for ev, a in zip(events, aps)
-    ]
-
-
-def _model_outputs(
-    kind: str, fires: list[Fire], head
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(prob, unc) per fire for the spec'd model.  A student's maps come
-    from one head workspace, each copied out of it."""
-    if kind == "ensemble":
-        teachers = (fuse_ensemble(fire.event.members) for fire in fires)
-        return [(t.mean_prob, t.uncertainty) for t in teachers]
-    maps = apply_head_each(head, [fire.event.features for fire in fires])
-    return [(fire.reference, unc.copy()) for fire, unc in zip(fires, maps)]
-
-
-def _load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
-    """One Model per spec, plus the files it parsed.  Each distinct
-    dataset root is scanned, then read one year at a time; its
-    features.npy files are read only if a student spec reads that root.
-    A year's fires are shared by the root's models, and once their
-    outputs are computed each fire drops its member maps, keeping the
-    reference as Fire.reference, and its feature stack."""
-    parsed = [parse_model_spec(text) for text in specs]
-    heads = [load_head(h)[0] if h is not None else None for _kind, _root, h in parsed]
-    by_root: dict[Path, list[int]] = {}
-    for i, (_kind, root, _head) in enumerate(parsed):
-        by_root.setdefault(root.resolve(), []).append(i)
-    models = [Model([], []) for _ in parsed]
-    inputs: list[Path] = []
-    for readers in by_root.values():
-        root = parsed[readers[0]][1]
-        student = any(parsed[i][0] == "student" for i in readers)
-        layout = scan_dataset(root, features=student)
-        if student:
-            _require_features(layout, "student model")
-        for events in _read_years(layout, geo):
-            fires = _fires(events)
-            for i in readers:
-                models[i].fires += fires
-                models[i].outputs += _model_outputs(parsed[i][0], fires, heads[i])
-            for ev in events:
-                ev.members.clear()
-                ev.features = None
-        inputs += [p for fires in layout.values() for f in fires for p in f.paths]
-    inputs += [h for _kind, _root, h in parsed if h is not None]
-    return models, inputs
-
-
 def _check_out_dir(out_dir: Path, force: bool):
     """Refuse an out_dir that is not a directory or already holds a
     manifest.  It is not made here: each writer makes its own parent, so
@@ -269,7 +148,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir, args.force)
 
-    models, inputs = _load_models([args.model], geo)
+    models, inputs = load_models([args.model], geo)
     [sweep] = run_sweep(models, config, geo)
     anchor = sweep.anchor_radius_px
     summary = summarize(sweep.records, anchor)
@@ -288,7 +167,7 @@ def cmd_sweep(args) -> int:
     _check_out_dir(out_dir, args.force)
 
     specs = [args.model_a, args.model_b]
-    models, inputs = _load_models(specs, geo)
+    models, inputs = load_models(specs, geo)
     keys_a, keys_b = ({(f.event.year, f.event.id) for f in m.fires} for m in models)
     if not keys_a & keys_b:
         root_a, root_b = (parse_model_spec(s)[1] for s in specs)
@@ -341,14 +220,21 @@ def cmd_stats(args) -> int:
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir, args.force)
 
+    inputs = [sweep_dir / "sweep_a.csv", sweep_dir / "sweep_b.csv"]
     anchor = args.anchor
     if anchor is None:
-        anchor = _read_anchor(sweep_dir / "summary.json")
+        inputs.append(sweep_dir / "summary.json")
+        anchor = _read_anchor(inputs[-1])
 
-    at_anchor = [
-        [rec for rec in read_sweep_csv(sweep_dir / f"sweep_{side}.csv") if rec.radius_px == anchor]
-        for side in ("a", "b")
-    ]
+    at_anchor = []
+    for path in inputs[:2]:
+        records = read_sweep_csv(path)
+        radii = sorted({rec.radius_px for rec in records})
+        if anchor not in radii:
+            raise ValidationError(
+                f"{path}: no records at anchor radius {anchor} px; the sweep scored radii {radii}"
+            )
+        at_anchor.append([rec for rec in records if rec.radius_px == anchor])
     pairs, unmatched = pair_records(*at_anchor)
     blocks = []
     excluded = {}
@@ -375,12 +261,7 @@ def cmd_stats(args) -> int:
             "n_unmatched": unmatched,
         },
     )
-    write_manifest(
-        out_dir,
-        "stats",
-        _config_snapshot(args, anchor),
-        [sweep_dir / "sweep_a.csv", sweep_dir / "sweep_b.csv"],
-    )
+    write_manifest(out_dir, "stats", _config_snapshot(args, anchor), inputs)
     return 0
 
 
@@ -405,7 +286,7 @@ def cmd_distill(args) -> int:
         raise ValidationError("--threshold: error_threshold must lie in [0, 1]")
 
     layout = scan_dataset(root)
-    _require_features(layout, "distillation")
+    require_features(layout, "distillation")
     years = list(layout)
     val_year = args.val_year if args.val_year is not None else years[-1]
     if val_year not in years:
@@ -417,7 +298,7 @@ def cmd_distill(args) -> int:
     # checkpoint selection needs; then the members go, as training reads
     # only the features, the teacher maps and these references
     events, teacher_unc, val_selection = [], [], []
-    for year_events in _read_years(layout, geo):
+    for year_events in read_years(layout, geo):
         teacher_unc += [fuse_ensemble(ev.members).uncertainty for ev in year_events]
         if year_events[0].year == val_year:
             mid = middle_member_by_year(year_events)[val_year]

@@ -8,19 +8,32 @@ trained to regress the teacher uncertainty under RMSLE with plain SGD:
 momentum, coupled L2 weight decay on the weights, polynomial LR decay,
 early stopping, and checkpoint selection by validation AUROC inside the
 anchor-radius evaluation region.
+
+load_models builds the models the protocol scores from model specs
+(``ensemble:<dir>``, ``student:<dir>:<head.json>``): per year, the
+cropped fires, the middle-AP reference member, and fusion or the head.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
-from .metrics import error_map, uq_auroc
-from .protocol import MAX_RADIUS_PX, fcer_pixels
+from .metrics import average_precisions, error_map, uq_auroc
+from .protocol import MAX_RADIUS_PX, Fire, Model, fcer_pixels
+from .raster import (
+    FireEvent,
+    FireFiles,
+    GeoConfig,
+    center_crop_at_most,
+    load_years,
+    scan_dataset,
+)
 from .report import read_json, write_json
 
 
@@ -208,10 +221,9 @@ def apply_head(head: UncertaintyHead, features: np.ndarray) -> np.ndarray:
 
 def apply_head_each(head: UncertaintyHead, stacks: list[np.ndarray]):
     """Yield apply_head of each (C, H, W) feature stack in turn, all
-    computed in one workspace sized to the largest stack.  Each map is a
-    view of the workspace, overwritten by the next one: a caller that
-    keeps a map copies it.  Every stack is checked before the first map
-    is computed."""
+    computed in one workspace sized to the largest stack.  Each map is
+    copied out of the workspace, so the caller owns it.  Every stack is
+    checked before the first map is computed."""
     stacks = [np.asarray(f) for f in stacks]
     for f in stacks:
         if f.ndim != 3:
@@ -226,7 +238,7 @@ def apply_head_each(head: UncertaintyHead, stacks: list[np.ndarray]):
         # the correct saturation
         with np.errstate(over="ignore"):
             s = ws.student(head, ws.load(f))
-        yield s.reshape(f.shape[1:])
+        yield s.reshape(f.shape[1:]).copy()
 
 
 def rmsle_gradient(
@@ -451,3 +463,108 @@ def load_head(path: str | Path) -> tuple[UncertaintyHead, dict]:
     if not (np.isfinite(head.weights).all() and np.isfinite(head.bias)):
         raise ValidationError(f"{path}: head parameters must be finite")
     return head, payload
+
+
+def parse_model_spec(text: str) -> tuple[str, Path, Path | None]:
+    parts = text.split(":")
+    if parts[0] == "ensemble" and len(parts) == 2 and parts[1]:
+        return "ensemble", Path(parts[1]), None
+    if parts[0] == "student" and len(parts) == 3 and parts[1] and parts[2]:
+        return "student", Path(parts[1]), Path(parts[2])
+    raise ValidationError(
+        f"bad model spec {text!r}; want ensemble:<dir> or student:<dir>:<head.json>"
+    )
+
+
+def read_years(layout: dict[int, list[FireFiles]], geo: GeoConfig) -> Iterator[list[FireEvent]]:
+    """load_years of a scanned layout, each raster center-cropped to at
+    most geo.crop_size per axis.  A crop of a validated raster is valid,
+    so the events are not validated again."""
+    for events in load_years(layout):
+        for ev in events:
+            ev.gt = center_crop_at_most(ev.gt, geo.crop_size)
+            ev.members = [center_crop_at_most(m, geo.crop_size) for m in ev.members]
+            if ev.features is not None:
+                ev.features = center_crop_at_most(ev.features, geo.crop_size)
+        yield events
+
+
+def require_features(layout: dict[int, list[FireFiles]], reader: str):
+    """Refuse a scanned layout in which a fire has no features.npy,
+    naming that fire's directory."""
+    for fires in layout.values():
+        for f in fires:
+            if f.features is None:
+                raise ValidationError(f"{f.gt.parent}: {reader} needs features.npy")
+
+
+def middle_member_by_year(
+    events: list[FireEvent], member_aps: list | None = None
+) -> dict[int, int]:
+    """Per year, the member whose mean per-fire AP is the median.  Fires
+    whose ground truth is single-class have no AP and are left out; a
+    year in which no fire has an AP gets member 0.  A given member_aps
+    list receives each event's member APs, in event order, as
+    average_precisions gives them (None for a single-class ground
+    truth)."""
+    aps = [average_precisions(ev.members, ev.gt) for ev in events]
+    if member_aps is not None:
+        member_aps[:] = aps
+    out: dict[int, int] = {}
+    for year in sorted({ev.year for ev in events}):
+        per_fire = [a for ev, a in zip(events, aps) if ev.year == year and a is not None]
+        if not per_fire:
+            out[year] = 0
+            continue
+        out[year] = select_middle_member([float(np.mean(v)) for v in zip(*per_fire)])
+    return out
+
+
+def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
+    """One Model per spec, plus the files it parsed.  Each distinct
+    dataset root is scanned, then read one year at a time; its
+    features.npy files are read only if a student spec reads that root.
+    A year's fires are shared by the root's models: each has its year's
+    middle-AP member as the error-map reference, with that member's AP.
+    An ensemble scores the fused members; a student scores the reference
+    with the head's uncertainty.  Once a year's outputs are computed,
+    each fire drops its member maps, keeping the reference as
+    Fire.reference, and its feature stack."""
+    parsed = [parse_model_spec(text) for text in specs]
+    heads = [load_head(h)[0] if h is not None else None for _kind, _root, h in parsed]
+    by_root: dict[Path, list[int]] = {}
+    for i, (_kind, root, _head) in enumerate(parsed):
+        by_root.setdefault(root.resolve(), []).append(i)
+    models = [Model([], []) for _ in parsed]
+    inputs: list[Path] = []
+    for readers in by_root.values():
+        root = parsed[readers[0]][1]
+        student = any(parsed[i][0] == "student" for i in readers)
+        layout = scan_dataset(root, features=student)
+        if student:
+            require_features(layout, "student model")
+        for events in read_years(layout, geo):
+            aps: list = []
+            mids = middle_member_by_year(events, aps)
+            fires = [
+                Fire(ev, ev.members[mids[ev.year]], None if a is None else a[mids[ev.year]])
+                for ev, a in zip(events, aps)
+            ]
+            for i in readers:
+                models[i].fires += fires
+                if parsed[i][0] == "ensemble":
+                    teachers = (fuse_ensemble(ev.members) for ev in events)
+                    models[i].outputs += [(t.mean_prob, t.uncertainty) for t in teachers]
+                else:
+                    # run to its end, so the generator lets go of its
+                    # workspace and of the year's feature stacks
+                    maps = list(apply_head_each(heads[i], [ev.features for ev in events]))
+                    models[i].outputs += [(f.reference, unc) for f, unc in zip(fires, maps)]
+            # each Fire keeps its event, so the year's member maps and
+            # feature stacks are dropped here, before the next year is read
+            for ev in events:
+                ev.members.clear()
+                ev.features = None
+        inputs += [p for fires in layout.values() for f in fires for p in f.paths]
+    inputs += [h for _kind, _root, h in parsed if h is not None]
+    return models, inputs

@@ -11,14 +11,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fireuq.cli import (
-    _load_models,
-    _parse_radii,
-    main,
+from fireuq.cli import _parse_radii, main
+from fireuq.distill import (
+    TrainConfig,
+    UncertaintyHead,
+    apply_head,
+    load_head,
+    load_models,
     middle_member_by_year,
     parse_model_spec,
+    save_head,
 )
-from fireuq.distill import TrainConfig, UncertaintyHead, apply_head, load_head, save_head
 from fireuq.errors import DegenerateClassError, ValidationError
 from fireuq.metrics import average_precision, error_map
 from fireuq.protocol import SweepConfig, run_sweep
@@ -207,9 +210,9 @@ def test_student_ap_is_the_reference_members_ap_from_middle_member_selection(tmp
     head = UncertaintyHead(weights=np.array([0.5, -0.2, 0.1, 0.3]), bias=-0.4)
     save_head(head_path, head, TrainConfig(), selection_metric=None, epoch=0)
     geo = GeoConfig()
-    [ensemble], _ = _load_models([f"ensemble:{root}"], geo)
+    [ensemble], _ = load_models([f"ensemble:{root}"], geo)
     assert all(f.event.files[-1].name != "features.npy" for f in ensemble.fires)
-    models, _ = _load_models([f"ensemble:{root}", f"student:{root}:{head_path}"], geo)
+    models, _ = load_models([f"ensemble:{root}", f"student:{root}:{head_path}"], geo)
     fires = models[1].fires
     assert len(fires) == len(models[0].fires) == 4
     assert all(a is b for a, b in zip(fires, models[0].fires))
@@ -654,12 +657,37 @@ def test_load_models_keeps_no_member_maps_or_feature_stacks(tmp_path):
     specs = [f"ensemble:{root}", f"student:{root}:{head_path}"]
     tracemalloc.start()
     try:
-        models, _ = _load_models(specs, GeoConfig())
+        models, _ = load_models(specs, GeoConfig())
         held, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(models[0].fires) == len(models[1].fires) == 8
     assert held < member_bytes
+
+
+def test_load_models_peak_holds_one_year_and_one_head_workspace(tmp_path):
+    """While a student is loaded, the memory beyond what stays held is one
+    year's rasters plus one float64 head workspace, with a second year's
+    rasters as slack: a head workspace or feature stacks still held while
+    the next year is read would exceed it."""
+    root = tmp_path / "pack"
+    spec = ScenarioSpec(rng_seed=2, grid_size=64, n_fires=8, n_members=15,
+                        feature_channels=16, years=tuple(range(2010, 2018)))
+    for ev in generate_scenario(spec):
+        save_event(root, ev)
+    year_bytes = 15 * 64 * 64 * 4 + 16 * 64 * 64 * 4  # members and features of one fire
+    workspace_bytes = 16 * 64 * 64 * 8
+    head_path = tmp_path / "head.json"
+    save_head(head_path, UncertaintyHead(weights=np.full(16, 0.1), bias=-1.0),
+              TrainConfig(), selection_metric=None, epoch=0)
+    tracemalloc.start()
+    try:
+        [model], _ = load_models([f"student:{root}:{head_path}"], GeoConfig())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.fires) == 8
+    assert peak - held < 2 * year_bytes + workspace_bytes
 
 
 @pytest.mark.parametrize("fault", ["four-members", "missing-gt"])
@@ -803,6 +831,18 @@ _CORRUPTED_CASES = {
     "stats-nan-metric-cell": (["stats", "{sweep}"], 1, "line 3: nll=nan is not finite"),
     # ... or with the sweep's summary.json nested past the parser's recursion
     "stats-nested-summary-json": (["stats", "{sweep}"], 1, "malformed JSON"),
+    # ... or at an anchor the sweep did not score, refused naming the radii it did
+    "stats-anchor-not-scored": (["stats", "{sweep}", "--anchor", "99"], 1,
+                                "no records at anchor radius 99 px; "
+                                "the sweep scored radii [0, 2]"),
+    # one fire lacks features.npy, and every other array is unparsable: the
+    # readers of features refuse the pack, naming that fire, before any array
+    # is read
+    "eval-student-missing-features": (["eval", "--model", "student:{root}:{head}",
+                                       "--anchor", "2"], 1,
+                                      "student model needs features.npy"),
+    "distill-missing-features": (["distill", "{root}", "--max-epochs", "1"], 1,
+                                 "distillation needs features.npy"),
     # a header claiming 10**7 x 10**7 float32 is refused before any allocation
     "huge-npy-header": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
                         "header claims shape"),
@@ -820,6 +860,7 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
     """Each malformed input or argument ends in exit 1 or 2 with one
     stderr line, no traceback and no out-dir, in a fresh interpreter
     that treats any RuntimeWarning as an error."""
+    args, code, message = _CORRUPTED_CASES[case]
     root, out = tmp_path / "pack", tmp_path / "out"
     _small_pack(root)
     fire = root / "2019" / "fire_001"
@@ -848,17 +889,22 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
             np.lib.format.write_array_header_1_0(
                 f, {"descr": "<f4", "fortran_order": False, "shape": (10**7, 10**7)})
             f.write(bytes(64))
+    if case.endswith("missing-features"):
+        offending = fire
+        (fire / "features.npy").unlink()
+        for npy in root.glob("*/*/*.npy"):
+            npy.write_bytes(b"not an NPY file")
     head = tmp_path / "head.json"
-    if case.startswith("head-json"):
-        offending = head
+    if any("{head}" in a for a in args):
         save_head(head, UncertaintyHead(weights=np.zeros(4), bias=0.0), TrainConfig(),
                   selection_metric=None, epoch=0)
         payload = head.read_text()
+    if case.startswith("head-json"):
+        offending = head
     if case == "head-json-bias-beyond-float":
         head.write_text(payload.replace('"bias": 0.0', '"bias": 1' + "0" * 400))
     if case == "head-json-nested":
         head.write_text("[" * 100_000 + "]" * 100_000)
-    args, code, message = _CORRUPTED_CASES[case]
     sweep = tmp_path / "sweep"
     if args[0] == "stats":
         assert _run(["sweep", "--model-a", f"ensemble:{root}", "--model-b",
@@ -913,8 +959,9 @@ def test_manifests_digest_exactly_the_parsed_files(tmp_path):
     """eval's manifest lists each fire's gt and members, plus its
     features and the head for a student, whether or not distill has
     written student maps into the pack; distill's lists the pack files
-    with the features, and a sweep of an ensemble against a student on
-    one root lists the features once."""
+    with the features; a sweep of an ensemble against a student on one
+    root lists the features once; and stats lists the sweep's two CSVs,
+    plus its summary.json when the anchor is read from it."""
     root = tmp_path / "pack"
     _small_pack(root)
     head_path = tmp_path / "head.json"
@@ -954,3 +1001,9 @@ def test_manifests_digest_exactly_the_parsed_files(tmp_path):
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
     assert len(inputs) == len(set(inputs)) == len(parsed) + 1
     assert set(inputs) == parsed | {str(head_path)}
+    # stats lists the sweep's summary.json exactly when it reads the anchor there
+    csvs = {str(out / "sweep_a.csv"), str(out / "sweep_b.csv")}
+    for anchor, want in (("auto", csvs | {str(out / "summary.json")}), ("2", csvs)):
+        stats_out = tmp_path / f"stats_{anchor}"
+        assert _run(["stats", out, "--anchor", anchor, "--out-dir", stats_out]) == 0
+        assert set(json.loads((stats_out / "manifest.json").read_text())["inputs"]) == want

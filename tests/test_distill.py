@@ -172,11 +172,10 @@ def test_apply_head_each_gives_apply_head_bitwise_from_one_workspace():
     stacks = [rng.normal(size=(3, h, w)).astype(np.float32) for h, w in
               ((5, 7), (9, 9), (2, 3), (9, 9))]
     maps = list(apply_head_each(head, stacks))
-    # each map is a view of the one shared buffer, so the last one is left
-    assert all(m.base is not None for m in maps)
-    assert maps[-1].tobytes() == apply_head(head, stacks[-1]).tobytes()
-    copies = [m.copy() for m in apply_head_each(head, stacks)]
-    for f, got in zip(stacks, copies):
+    # each map is copied out of the shared workspace, so a later map
+    # cannot overwrite an earlier one
+    assert all(m.base is None for m in maps)
+    for f, got in zip(stacks, maps):
         assert got.shape == f.shape[1:]
         assert got.tobytes() == apply_head(head, f).tobytes()
     # every stack is checked before any map is computed
