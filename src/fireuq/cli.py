@@ -31,11 +31,12 @@ import numpy as np
 from .distill import (
     TrainConfig,
     apply_head_each,
+    crop_events,
     fuse_ensemble,
+    head_target,
     load_models,
     middle_member_by_year,
     parse_model_spec,
-    read_years,
     require_features,
     save_head,
     train_head,
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .metrics import DEFAULT_NLL_EPSILON
 from .protocol import MAX_RADIUS_PX, SweepConfig, run_sweep
-from .raster import GeoConfig, save_array, scan_dataset
+from .raster import GeoConfig, load_years, save_array, scan_dataset
 from .report import (
     MANIFEST_NAME,
     has_manifest,
@@ -294,20 +295,25 @@ def cmd_distill(args) -> int:
     if len(years) < 2:
         raise ValidationError("distillation needs at least two years (train + val)")
 
-    # per year: the teacher maps and, on the val year, the references that
-    # checkpoint selection needs; then the members go, as training reads
-    # only the features, the teacher maps and these references
-    events, teacher_unc, val_selection = [], [], []
-    for year_events in read_years(layout, geo):
-        teacher_unc += [fuse_ensemble(ev.members).uncertainty for ev in year_events]
+    # per year: each teacher map becomes its head target right after
+    # fusion, and on the val year the references that checkpoint
+    # selection needs are kept; then the members go, as training reads
+    # only the features, the targets and these references
+    events, targets, val_selection = [], [], []
+    for year_events in load_years(layout):
+        crop_events(year_events, geo)
+        targets += [
+            head_target(ev.features, fuse_ensemble(ev.members).uncertainty)
+            for ev in year_events
+        ]
         if year_events[0].year == val_year:
             mid = middle_member_by_year(year_events)[val_year]
             val_selection = [(ev.gt, ev.members[mid]) for ev in year_events]
         for ev in year_events:
             ev.members.clear()
         events += year_events
-    train_set = [(ev.features, t) for ev, t in zip(events, teacher_unc) if ev.year != val_year]
-    val_set = [(ev.features, t) for ev, t in zip(events, teacher_unc) if ev.year == val_year]
+    train_set = [(ev.features, t) for ev, t in zip(events, targets) if ev.year != val_year]
+    val_set = [(ev.features, t) for ev, t in zip(events, targets) if ev.year == val_year]
 
     result = train_head(
         train_set, val_set, cfg, val_selection, error_threshold=args.threshold

@@ -11,13 +11,13 @@ anchor-radius evaluation region.
 
 load_models builds the models the protocol scores from model specs
 (``ensemble:<dir>``, ``student:<dir>:<head.json>``): per year, the
-cropped fires, the middle-AP reference member, and fusion or the head.
+cropped fires, the middle-AP reference member, and fusion or the head,
+with a student's feature stacks read one fire at a time.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from .raster import (
     GeoConfig,
     center_crop_at_most,
     load_years,
+    read_features,
     scan_dataset,
 )
 from .report import read_json, write_json
@@ -106,8 +107,13 @@ def fuse_ensemble(members: list[np.ndarray]) -> TeacherOutput:
 
     Uncertainty is the per-pixel sample standard deviation (divisor
     n-1) divided by sigma_max(n), clipped to 1 against float roundoff,
-    so it lies in [0, 1] with 1 meaning maximal disagreement.  Both are
-    taken over one float64 array of the members, built in one step.
+    so it lies in [0, 1] with 1 meaning maximal disagreement.  Both
+    equal np.array(members, float64).mean/std(axis=0, ddof=1) bit for
+    bit, but the n x H x W stack is built only for a one-pixel grid,
+    whose n values numpy sums pairwise as one vector.  Otherwise numpy
+    sums the stack's axis 0 in member order from +0.0, and so do the
+    float64 sums here: of the members, then of their squared deviations
+    from the mean.
     """
     n = len(members)
     if n < 2:
@@ -116,9 +122,22 @@ def fuse_ensemble(members: list[np.ndarray]) -> TeacherOutput:
     for k, m in enumerate(members):
         if m.shape != shape:
             raise ShapeError(f"fuse_ensemble: member {k} shape {m.shape} != {shape}")
-    stack = np.array(members, dtype=np.float64)
-    mean_prob = stack.mean(axis=0)
-    std = stack.std(axis=0, ddof=1)
+    if math.prod(shape) == 1:
+        stack = np.array(members, dtype=np.float64)
+        mean_prob, std = stack.mean(axis=0), stack.std(axis=0, ddof=1)
+    else:
+        mean_prob = np.zeros(shape)
+        for m in members:
+            np.add(mean_prob, m, out=mean_prob)
+        np.divide(mean_prob, n, out=mean_prob)
+        std = np.zeros(shape)
+        dev = np.empty(shape)
+        for m in members:
+            np.subtract(m, mean_prob, out=dev)
+            np.multiply(dev, dev, out=dev)
+            np.add(std, dev, out=std)
+        np.divide(std, n - 1, out=std)
+        np.sqrt(std, out=std)
     unc = np.minimum(std / sigma_max(n), 1.0)
     return TeacherOutput(mean_prob=mean_prob, uncertainty=unc)
 
@@ -172,6 +191,14 @@ class _Workspace:
         np.divide(1.0, s, out=s)
         return s
 
+    def head_map(self, head: UncertaintyHead, features: np.ndarray) -> np.ndarray:
+        """apply_head of one checked (C, H, W) stack, copied out."""
+        # exp(-z) overflows to inf for z < -709, and 1 / (1 + inf) = 0 is
+        # the correct saturation
+        with np.errstate(over="ignore"):
+            s = self.student(head, self.load(features))
+        return s.reshape(features.shape[1:]).copy()
+
     def rmsle(self, s: np.ndarray, log1p_t: np.ndarray) -> float:
         """sqrt(mean(d^2)) of d = log1p(t) - log1p(s), left in self.d."""
         d = self.d[: s.size]
@@ -224,21 +251,44 @@ def apply_head_each(head: UncertaintyHead, stacks: list[np.ndarray]):
     computed in one workspace sized to the largest stack.  Each map is
     copied out of the workspace, so the caller owns it.  Every stack is
     checked before the first map is computed."""
-    stacks = [np.asarray(f) for f in stacks]
-    for f in stacks:
-        if f.ndim != 3:
-            raise ShapeError("apply_head: features must be (C, H, W)")
-        if f.shape[0] != head.channels:
-            raise ShapeError(
-                f"apply_head: {f.shape[0]} feature channels vs head with {head.channels}"
-            )
+    stacks = [_head_input(head, f) for f in stacks]
     ws = _Workspace(head.channels, max((math.prod(f.shape[1:]) for f in stacks), default=0))
     for f in stacks:
-        # exp(-z) overflows to inf for z < -709, and 1 / (1 + inf) = 0 is
-        # the correct saturation
-        with np.errstate(over="ignore"):
-            s = ws.student(head, ws.load(f))
-        yield s.reshape(f.shape[1:]).copy()
+        yield ws.head_map(head, f)
+
+
+def _head_input(head: UncertaintyHead, features) -> np.ndarray:
+    """features as an array, refused unless it is (C, H, W) with the
+    head's channel count."""
+    f = np.asarray(features)
+    if f.ndim != 3:
+        raise ShapeError("apply_head: features must be (C, H, W)")
+    if f.shape[0] != head.channels:
+        raise ShapeError(
+            f"apply_head: {f.shape[0]} feature channels vs head with {head.channels}"
+        )
+    return f
+
+
+def _student_maps(
+    head: UncertaintyHead,
+    fires: list[FireFiles],
+    shapes: list[tuple[int, ...]],
+    crop_size: int,
+) -> list[np.ndarray]:
+    """apply_head of each fire's feature stack, center-cropped to at most
+    crop_size per axis, in one workspace sized to the largest crop.  Each
+    stack is parsed (and checked against its fire's uncropped shape) just
+    before its map is computed and dropped right after, so one fire's
+    stack is held at a time."""
+    n = max(math.prod(min(d, crop_size) for d in shape) for shape in shapes)
+    ws = _Workspace(head.channels, n)
+    maps = []
+    for files, shape in zip(fires, shapes):
+        f = center_crop_at_most(read_features(files.features, shape), crop_size)
+        maps.append(ws.head_map(head, _head_input(head, f)))
+        del f  # before the next stack is parsed
+    return maps
 
 
 def rmsle_gradient(
@@ -256,6 +306,30 @@ def rmsle_gradient(
         raise ShapeError("rmsle_gradient: feature and target shapes differ")
     ws = _Workspace(f.shape[0], t.size)
     return ws.gradient(head, ws.load(f), np.log1p(t.ravel()))
+
+
+@dataclass(frozen=True)
+class HeadTarget:
+    """What training reads of one teacher uncertainty map: its log1p, a
+    float64 array of the map's shape, and the map's own mean."""
+
+    log1p: np.ndarray
+    mean: float
+
+
+def head_target(features: np.ndarray, teacher_unc: np.ndarray) -> HeadTarget:
+    """The regression target of one image with its (C, H, W) feature
+    stack.  The teacher map must have the stack's (H, W) and no negative
+    value; the target keeps nothing of it but its log1p and mean, so a
+    caller that drops the map holds one float64 map per image."""
+    t = np.asarray(teacher_unc)
+    if np.shape(features)[1:] != t.shape:
+        raise ShapeError("train_head: feature/target shape mismatch")
+    if np.min(t) < 0:
+        raise ValidationError("train_head: teacher uncertainty must be >= 0")
+    # C order, so that training ravels it without a copy
+    log1p = np.log1p(np.asarray(t, dtype=np.float64, order="C"))
+    return HeadTarget(log1p=log1p, mean=t.mean())
 
 
 @dataclass
@@ -276,15 +350,15 @@ class TrainResult:
 
 
 def _validate(
-    ws: _Workspace, head: UncertaintyHead, val_set: list, val_lt: list, val_ranked: list
+    ws: _Workspace, head: UncertaintyHead, val_set: list, val_ranked: list
 ) -> tuple[float, float | None]:
     """Mean validation RMSLE, and mean AUROC inside the anchor FCERs
     (None when no image has both classes there), from one student map
     per validation image."""
     losses, scores = [], []
-    for (f, _t), lt, ranked in zip(val_set, val_lt, val_ranked):
+    for (f, target), ranked in zip(val_set, val_ranked):
         s = ws.student(head, ws.load(f))
-        losses.append(ws.rmsle(s, lt))
+        losses.append(ws.rmsle(s, target.log1p.ravel()))
         if ranked is None:
             continue
         idx, errors = ranked
@@ -301,14 +375,16 @@ def _check_finite(epoch: int, head: UncertaintyHead, *losses: float):
 
 
 def train_head(
-    train_set: list[tuple[np.ndarray, np.ndarray]],
-    val_set: list[tuple[np.ndarray, np.ndarray]],
+    train_set: list[tuple[np.ndarray, HeadTarget]],
+    val_set: list[tuple[np.ndarray, HeadTarget]],
     cfg: TrainConfig,
     val_selection: list[tuple[np.ndarray, np.ndarray]],
     error_threshold: float = 0.5,
 ) -> TrainResult:
-    """SGD on the head over cached (features, teacher uncertainty) pairs.
+    """SGD on the head over cached (features, head_target) pairs.
 
+    Training reads each target's log1p map and, for the initial bias,
+    the training targets' means; it makes no copy of them.
     val_selection pairs (gt mask, reference probability) per validation
     image define the error maps and anchor regions used for checkpoint
     selection: the retained head maximizes mean validation AUROC inside
@@ -327,22 +403,17 @@ def train_head(
         raise ValidationError("train_head: error_threshold must lie in [0, 1]")
     c = train_set[0][0].shape[0]
     images = list(train_set) + list(val_set)
-    for f, t in images:
+    for f, target in images:
         if f.ndim != 3 or f.shape[0] != c:
             raise ShapeError(f"train_head: inconsistent channel count ({f.shape})")
-        if f.shape[1:] != t.shape:
+        if f.shape[1:] != target.log1p.shape:
             raise ShapeError("train_head: feature/target shape mismatch")
-        if np.min(t) < 0:
-            raise ValidationError("train_head: teacher uncertainty must be >= 0")
 
-    # fixed across epochs: log1p of every teacher map, and per validation
-    # image the anchor-FCER pixels with their error labels (None when
-    # the ground truth is empty)
-    ws = _Workspace(c, max(t.size for _f, t in images))
-    log1p_t = [np.log1p(np.asarray(t, dtype=np.float64).ravel()) for _f, t in images]
-    train_lt, val_lt = log1p_t[: len(train_set)], log1p_t[len(train_set) :]
+    # fixed across epochs: per validation image the anchor-FCER pixels
+    # with their error labels (None when the ground truth is empty)
+    ws = _Workspace(c, max(target.log1p.size for _f, target in images))
     val_ranked = []
-    for (f, _t), (gt, reference) in zip(val_set, val_selection):
+    for (f, _target), (gt, reference) in zip(val_set, val_selection):
         if not np.shape(gt) == np.shape(reference) == f.shape[1:]:
             raise ShapeError("train_head: selection map/feature shape mismatch")
         if not np.asarray(gt).any():
@@ -352,7 +423,7 @@ def train_head(
         errors = error_map(np.ravel(reference)[idx], np.ravel(gt)[idx], error_threshold)
         val_ranked.append((idx, errors))
 
-    mean_t = float(np.mean([t.mean() for _f, t in train_set]))
+    mean_t = float(np.mean([target.mean for _f, target in train_set]))
     mean_t = min(max(mean_t, 1e-6), 1.0 - 1e-6)
     head = UncertaintyHead(weights=np.zeros(c), bias=math.log(mean_t / (1.0 - mean_t)))
 
@@ -375,8 +446,8 @@ def train_head(
             # _check_finite reports the first non-finite value instead
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in batch:
-                    flat = ws.load(train_set[i][0])
-                    _loss, gwi, gbi = ws.gradient(head, flat, train_lt[i])
+                    f, target = train_set[i]
+                    _loss, gwi, gbi = ws.gradient(head, ws.load(f), target.log1p.ravel())
                     gw += gwi
                     gb += gbi
                 gw /= len(batch)
@@ -390,11 +461,11 @@ def train_head(
 
         with np.errstate(over="ignore", invalid="ignore"):
             train_loss = float(np.mean([
-                ws.rmsle(ws.student(head, ws.load(f)), lt)
-                for (f, _t), lt in zip(train_set, train_lt)
+                ws.rmsle(ws.student(head, ws.load(f)), target.log1p.ravel())
+                for f, target in train_set
             ]))
             val_loss, val_auroc = (
-                _validate(ws, head, val_set, val_lt, val_ranked)
+                _validate(ws, head, val_set, val_ranked)
                 if val_set else (train_loss, None)
             )
         _check_finite(epoch, head, train_loss, val_loss)
@@ -476,17 +547,15 @@ def parse_model_spec(text: str) -> tuple[str, Path, Path | None]:
     )
 
 
-def read_years(layout: dict[int, list[FireFiles]], geo: GeoConfig) -> Iterator[list[FireEvent]]:
-    """load_years of a scanned layout, each raster center-cropped to at
-    most geo.crop_size per axis.  A crop of a validated raster is valid,
-    so the events are not validated again."""
-    for events in load_years(layout):
-        for ev in events:
-            ev.gt = center_crop_at_most(ev.gt, geo.crop_size)
-            ev.members = [center_crop_at_most(m, geo.crop_size) for m in ev.members]
-            if ev.features is not None:
-                ev.features = center_crop_at_most(ev.features, geo.crop_size)
-        yield events
+def crop_events(events: list[FireEvent], geo: GeoConfig):
+    """Center-crop each event's rasters in place to at most geo.crop_size
+    per axis.  A crop of a validated raster is valid, so the events are
+    not validated again."""
+    for ev in events:
+        ev.gt = center_crop_at_most(ev.gt, geo.crop_size)
+        ev.members = [center_crop_at_most(m, geo.crop_size) for m in ev.members]
+        if ev.features is not None:
+            ev.features = center_crop_at_most(ev.features, geo.crop_size)
 
 
 def require_features(layout: dict[int, list[FireFiles]], reader: str):
@@ -522,14 +591,15 @@ def middle_member_by_year(
 
 def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
     """One Model per spec, plus the files it parsed.  Each distinct
-    dataset root is scanned, then read one year at a time; its
-    features.npy files are read only if a student spec reads that root.
-    A year's fires are shared by the root's models: each has its year's
-    middle-AP member as the error-map reference, with that member's AP.
-    An ensemble scores the fused members; a student scores the reference
-    with the head's uncertainty.  Once a year's outputs are computed,
-    each fire drops its member maps, keeping the reference as
-    Fire.reference, and its feature stack."""
+    dataset root is scanned, then read one year at a time, each raster
+    cropped by crop_events.  A year's fires are shared by the root's
+    models: each has its year's middle-AP member as the error-map
+    reference, with that member's AP.  An ensemble scores the fused
+    members; a student scores the reference with the head's uncertainty,
+    reading each fire's features.npy only while it computes that fire's
+    map.  Once a year's outputs are computed, each fire drops its member
+    maps, keeping the reference as Fire.reference.  So at most one year's
+    member maps and one fire's feature stack are held at a time."""
     parsed = [parse_model_spec(text) for text in specs]
     heads = [load_head(h)[0] if h is not None else None for _kind, _root, h in parsed]
     by_root: dict[Path, list[int]] = {}
@@ -543,7 +613,10 @@ def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pat
         layout = scan_dataset(root, features=student)
         if student:
             require_features(layout, "student model")
-        for events in read_years(layout, geo):
+        for files, events in zip(layout.values(), load_years(layout, features=False)):
+            # uncropped, as each features.npy must be
+            shapes = [ev.gt.shape for ev in events]
+            crop_events(events, geo)
             aps: list = []
             mids = middle_member_by_year(events, aps)
             fires = [
@@ -556,15 +629,12 @@ def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pat
                     teachers = (fuse_ensemble(ev.members) for ev in events)
                     models[i].outputs += [(t.mean_prob, t.uncertainty) for t in teachers]
                 else:
-                    # run to its end, so the generator lets go of its
-                    # workspace and of the year's feature stacks
-                    maps = list(apply_head_each(heads[i], [ev.features for ev in events]))
-                    models[i].outputs += [(f.reference, unc) for f, unc in zip(fires, maps)]
-            # each Fire keeps its event, so the year's member maps and
-            # feature stacks are dropped here, before the next year is read
+                    maps = _student_maps(heads[i], files, shapes, geo.crop_size)
+                    models[i].outputs += [(f.reference, u) for f, u in zip(fires, maps)]
+            # each Fire keeps its event, so the year's member maps are
+            # dropped here, before the next year is read
             for ev in events:
                 ev.members.clear()
-                ev.features = None
         inputs += [p for fires in layout.values() for f in fires for p in f.paths]
     inputs += [h for _kind, _root, h in parsed if h is not None]
     return models, inputs

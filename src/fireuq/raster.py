@@ -5,7 +5,10 @@ All rasters are numpy arrays: probability maps are 2-D float32 in
 laid out (C, H, W).  FireEvent owns that contract: its constructor
 checks each raster's shape and values, then casts it to its dtype, and
 names the file the raster came from in every error.  The loaders only
-parse.  Files use the NPY v1.0 format, little-endian, C-order, so a
+parse, except read_features, which runs FireEvent's feature checks on
+a features.npy so that a stack can be read apart from its fire.  A
+center crop that cuts an axis is a copy, so a kept crop does not hold
+its uncropped raster.  Files use the NPY v1.0 format, little-endian, C-order, so a
 save/load round trip reproduces values bit-exactly.  Only bool, integer
 and float dtypes load; anything else is rejected with its path.
 
@@ -26,8 +29,9 @@ count of at least 3) before any array is read, so of two faults in one
 root a layout fault is reported before a parse fault.  load_years then
 parses one year's fires at a time; a caller that drops a year's member
 maps and feature stacks before the next year holds only one year of
-them.  load_dataset is that reader flattened, for callers that want
-every fire at once.  Each loaded FireEvent lists the files it was parsed
+them, and one that reads the stacks apart holds one fire's at a time.
+load_dataset is that reader flattened, for callers that want every
+fire at once.  Each loaded FireEvent lists the files it was parsed
 from, which is what manifests digest.  load_array reads an NPY header
 before its data and refuses a header whose shape and dtype do not match
 the bytes the file holds, so a forged shape allocates nothing.
@@ -98,15 +102,9 @@ class FireEvent:
                 raise ShapeError(f"{m_name}: shape {m.shape} != gt shape {shape}")
         self.members = [m.astype(PROB_DTYPE, copy=False) for m in self.members]
         if self.features is not None:
-            f_name = name(1 + len(self.members), "features")
-            # cast first, so a value beyond float32's range fails as non-finite
-            with np.errstate(over="ignore"):
-                self.features = self.features.astype(PROB_DTYPE, copy=False)
-            validate_features(self.features, f_name)
-            if self.features.shape[1:] != shape:
-                raise ShapeError(
-                    f"{f_name}: shape {self.features.shape[1:]} != gt shape {shape}"
-                )
+            self.features = _checked_features(
+                self.features, name(1 + len(self.members), "features"), shape
+            )
 
 
 def _require_finite(arr: np.ndarray, name: str):
@@ -142,6 +140,18 @@ def validate_features(arr: np.ndarray, name: str = "features") -> np.ndarray:
     return arr
 
 
+def _checked_features(arr: np.ndarray, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """arr cast to float32, refused unless it is a finite (C, H, W) stack
+    whose (H, W) is shape; name is the file named in every error."""
+    # cast first, so a value beyond float32's range fails as non-finite
+    with np.errstate(over="ignore"):
+        arr = arr.astype(PROB_DTYPE, copy=False)
+    validate_features(arr, name)
+    if arr.shape[1:] != shape:
+        raise ShapeError(f"{name}: shape {arr.shape[1:]} != gt shape {shape}")
+    return arr
+
+
 def center_crop(grid: np.ndarray, crop_size: int) -> np.ndarray:
     """Return the centered crop_size x crop_size window of a 2-D or 3-D grid.
 
@@ -160,9 +170,13 @@ def center_crop(grid: np.ndarray, crop_size: int) -> np.ndarray:
 
 
 def center_crop_at_most(grid: np.ndarray, crop_size: int) -> np.ndarray:
-    """center_crop, except that an axis shorter than crop_size stays whole."""
+    """center_crop, except that an axis shorter than crop_size stays whole.
+
+    A crop that cuts an axis is a copy, so it does not keep the whole
+    grid alive; a crop that cuts nothing is the grid itself."""
     oy, ox = (max(d - crop_size, 0) // 2 for d in grid.shape[-2:])
-    return grid[..., oy : oy + crop_size, ox : ox + crop_size]
+    crop = grid[..., oy : oy + crop_size, ox : ox + crop_size]
+    return grid if crop.shape == grid.shape else crop.copy()
 
 
 def save_array(arr: np.ndarray, path: str | Path):
@@ -267,14 +281,22 @@ def _scan_fire(fire_dir: Path, year: int, features: bool) -> FireFiles:
     )
 
 
-def _read_fire(files: FireFiles) -> FireEvent:
-    """Parse the files of one scanned fire into a FireEvent."""
-    return FireEvent(
+def read_features(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """Parse a features.npy as a float32 (C, H, W) stack whose (H, W) is
+    its fire's shape, naming path in every error."""
+    return _checked_features(load_array(path), str(path), shape)
+
+
+def _read_fire(files: FireFiles, features: bool) -> FireEvent:
+    """Parse the files of one scanned fire into a FireEvent; with
+    features=False its features.npy, if any, is left unread."""
+    ev = FireEvent(
         id=files.id, year=files.year, gt=load_array(files.gt),
-        members=[load_array(p) for p in files.members],
-        features=None if files.features is None else load_array(files.features),
-        files=files.paths,
+        members=[load_array(p) for p in files.members], files=files.paths,
     )
+    if features and files.features is not None:
+        ev.features = read_features(files.features, ev.gt.shape)
+    return ev
 
 
 def scan_dataset(root: str | Path, features: bool = True) -> dict[int, list[FireFiles]]:
@@ -310,12 +332,16 @@ def scan_dataset(root: str | Path, features: bool = True) -> dict[int, list[Fire
     return layout
 
 
-def load_years(layout: dict[int, list[FireFiles]]) -> Iterator[list[FireEvent]]:
+def load_years(
+    layout: dict[int, list[FireFiles]], features: bool = True
+) -> Iterator[list[FireEvent]]:
     """The fires of a scanned layout, parsed one year at a time, so a
     caller that drops a year's rasters before asking for the next never
-    holds two years at once."""
+    holds two years at once.  features=False leaves every features.npy
+    unread, for a caller that reads each stack with read_features when
+    it needs it."""
     for fires in layout.values():
-        yield [_read_fire(f) for f in fires]
+        yield [_read_fire(f, features) for f in fires]
 
 
 def load_dataset(root: str | Path, features: bool = True) -> list[FireEvent]:

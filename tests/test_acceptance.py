@@ -20,6 +20,7 @@ from fireuq.distill import (
     UncertaintyHead,
     apply_head,
     fuse_ensemble,
+    head_target,
     rmsle,
     rmsle_gradient,
     sigma_max,
@@ -386,7 +387,7 @@ def test_criterion_8_distillation_correctness(announce):
         )
         train_set, val_set, val_selection = [], [], []
         for ev in generate_scenario(spec):
-            pair = (ev.features, apply_head(generating, ev.features))
+            pair = (ev.features, head_target(ev.features, apply_head(generating, ev.features)))
             if ev.year == 2021:
                 val_set.append(pair)
                 val_selection.append((ev.gt, fuse_ensemble(ev.members).mean_prob))
@@ -428,7 +429,7 @@ def test_criterion_8_distillation_correctness(announce):
         train_set, val_set, val_selection = [], [], []
         for ev in generate_scenario(spec):
             fused = fuse_ensemble(ev.members)
-            pair = (ev.features, fused.uncertainty)
+            pair = (ev.features, head_target(ev.features, fused.uncertainty))
             if ev.year == 2021:
                 val_set.append(pair)
                 val_selection.append((ev.gt, fused.mean_prob))

@@ -1,6 +1,7 @@
 """End-to-end command flows: synth, eval, sweep, stats, distill."""
 
 import csv
+import inspect
 import json
 import os
 import shutil
@@ -11,11 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fireuq import cli, distill
 from fireuq.cli import _parse_radii, main
 from fireuq.distill import (
     TrainConfig,
     UncertaintyHead,
     apply_head,
+    crop_events,
     load_head,
     load_models,
     middle_member_by_year,
@@ -25,7 +28,14 @@ from fireuq.distill import (
 from fireuq.errors import DegenerateClassError, ValidationError
 from fireuq.metrics import average_precision, error_map
 from fireuq.protocol import SweepConfig, run_sweep
-from fireuq.raster import FireEvent, GeoConfig, load_dataset, save_event
+from fireuq.raster import (
+    FireEvent,
+    GeoConfig,
+    load_dataset,
+    load_years,
+    save_event,
+    scan_dataset,
+)
 from fireuq.report import read_sweep_csv, summarize, write_summary_json
 from fireuq.synth import ScenarioSpec, generate_scenario
 
@@ -688,6 +698,98 @@ def test_load_models_peak_holds_one_year_and_one_head_workspace(tmp_path):
         tracemalloc.stop()
     assert len(model.fires) == 8
     assert peak - held < 2 * year_bytes + workspace_bytes
+
+
+def test_student_load_holds_one_fire_feature_stack_at_a_time(tmp_path):
+    """With several fires per year, the memory beyond what stays held
+    while a student is loaded is below one year's member maps, one
+    fire's feature stack and one head workspace, plus one more stack as
+    slack for the ranking and check transients: the year's six stacks
+    held together would exceed it."""
+    root = tmp_path / "pack"
+    spec = ScenarioSpec(rng_seed=2, grid_size=64, n_fires=12, n_members=15,
+                        feature_channels=16, years=(2010, 2011))
+    for ev in generate_scenario(spec):
+        save_event(root, ev)
+    year_members = 6 * 15 * 64 * 64 * 4
+    stack_bytes = 16 * 64 * 64 * 4
+    workspace_bytes = 16 * 64 * 64 * 8
+    head_path = tmp_path / "head.json"
+    save_head(head_path, UncertaintyHead(weights=np.full(16, 0.1), bias=-1.0),
+              TrainConfig(), selection_metric=None, epoch=0)
+    tracemalloc.start()
+    try:
+        [model], _ = load_models([f"student:{root}:{head_path}"], GeoConfig())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.fires) == 12
+    assert peak - held < year_members + 2 * stack_bytes + workspace_bytes
+
+
+def test_distill_holds_no_teacher_map_while_training(tmp_path, monkeypatch):
+    """When train_head starts, what fuse_ensemble allocated and is still
+    alive is less than one teacher map, as each map became its log1p
+    target (numpy's own small caches remain); while it runs, memory
+    grows by one head workspace plus slack, half the teacher maps'
+    bytes, so a float64 copy of every map made in training exceeds it."""
+    root = tmp_path / "pack"
+    spec = ScenarioSpec(rng_seed=4, grid_size=64, n_fires=32, n_members=3,
+                        feature_channels=4, years=(2019, 2020))
+    for ev in generate_scenario(spec):
+        save_event(root, ev)
+    lines, first = inspect.getsourcelines(distill.fuse_ensemble)
+    train_head = cli.train_head
+    seen = {}
+
+    def traced(*args, **kwargs):
+        fused = [
+            t for t in tracemalloc.take_snapshot().traces
+            if any(f.filename == distill.__file__ and first <= f.lineno < first + len(lines)
+                   for f in t.traceback)
+        ]
+        seen["fused_bytes"] = sum(t.size for t in fused)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = train_head(*args, **kwargs)
+        seen["growth"] = tracemalloc.get_traced_memory()[1] - start
+        return result
+
+    monkeypatch.setattr(cli, "train_head", traced)
+    tracemalloc.start()
+    try:
+        assert _run(["distill", root, "--out-dir", tmp_path / "out",
+                     "--max-epochs", "2"]) == 0
+    finally:
+        tracemalloc.stop()
+    px = 64 * 64
+    teacher_maps = 32 * px * 8
+    workspace = (4 + 3) * px * 8
+    assert seen["fused_bytes"] < px * 8
+    assert seen["growth"] < workspace + teacher_maps // 2
+
+
+def test_cropped_rasters_keep_no_uncropped_parent(tmp_path):
+    """A crop that cuts the grid is a copy: each kept gt, member map and
+    feature stack keeps alive only its own cropped bytes, its base
+    included."""
+    root = tmp_path / "pack"
+    spec = ScenarioSpec(rng_seed=3, grid_size=40, n_fires=4, n_members=3,
+                        feature_channels=4, years=(2019, 2020))
+    for ev in generate_scenario(spec):
+        save_event(root, ev)
+    n = 0
+    for events in load_years(scan_dataset(root)):
+        crop_events(events, GeoConfig(crop_size=25))
+        for ev in events:
+            for arr in (ev.gt, *ev.members, ev.features):
+                assert arr.shape[-2:] == (25, 25)
+                kept = arr
+                while kept.base is not None:
+                    kept = kept.base
+                assert kept.nbytes == arr.nbytes
+                n += 1
+    assert n == 4 * 5
 
 
 @pytest.mark.parametrize("fault", ["four-members", "missing-gt"])

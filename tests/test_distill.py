@@ -9,12 +9,14 @@ import pytest
 from fireuq.errors import DegenerateClassError, ShapeError, ValidationError
 from fireuq.distill import (
     EpochLog,
+    HeadTarget,
     TrainConfig,
     TrainResult,
     UncertaintyHead,
     apply_head,
     apply_head_each,
     fuse_ensemble,
+    head_target,
     load_head,
     rmsle,
     rmsle_gradient,
@@ -89,6 +91,58 @@ def test_fuse_bitwise_equals_widen_then_stack(n):
     assert out.mean_prob.tobytes() == stack.mean(axis=0).tobytes()
     unc = np.minimum(stack.std(axis=0, ddof=1) / sigma_max(n), 1.0)
     assert out.uncertainty.tobytes() == unc.tobytes()
+
+
+def _stack_fusion(members):
+    """The fusion formulas over one float64 stack of the members: the
+    reference the streamed sums must match bit for bit."""
+    stack = np.array(members, dtype=np.float64)
+    unc = np.minimum(stack.std(axis=0, ddof=1) / sigma_max(len(members)), 1.0)
+    return stack.mean(axis=0), unc
+
+
+def _fuzz_members(rng, kind, n, shape):
+    if kind == "uniform":
+        values = [rng.random(shape) for _ in range(n)]
+    elif kind == "binary":
+        values = [(rng.random(shape) < 0.5).astype(np.float64) for _ in range(n)]
+    else:  # within 1e-6 of 0 or 1
+        values = [np.where(rng.random(shape) < 0.5, 0.0, 1.0)
+                  + np.where(rng.random(shape) < 0.5, 1.0, -1.0) * rng.random(shape) * 1e-6
+                  for _ in range(n)]
+        values = [np.clip(v, 0.0, 1.0) for v in values]
+    return [v.astype(np.float32) for v in values]
+
+
+def test_fuse_bitwise_equals_stack_formula_fuzz():
+    """Streamed fusion gives the bits of the stacked mean and std, signed
+    zeros included, for float32 members, n = 2..31 and grids from 1 x 1
+    to 256 x 256."""
+    rng = np.random.default_rng(2024)
+    shapes = [(1, 1), (1, 9), (1, 257), (9, 1), (6, 11), (33, 17), (128, 128), (256, 256)]
+    for n in range(2, 32):
+        for k, kind in enumerate(("uniform", "binary", "near 0 or 1")):
+            shape = shapes[(3 * n + k) % len(shapes)]
+            if shape == (256, 256) and n > 8:
+                shape = (128, 128)
+            members = _fuzz_members(rng, kind, n, shape)
+            mean, unc = _stack_fusion(members)
+            out = fuse_ensemble(members)
+            assert out.mean_prob.tobytes() == mean.tobytes(), (n, kind, shape)
+            assert out.uncertainty.tobytes() == unc.tobytes(), (n, kind, shape)
+    # -0.0 in one member, in several, and in every member at one pixel
+    for n in (2, 3, 5):
+        members = _fuzz_members(rng, "binary", n, (4, 6))
+        for m in members:
+            m[m == 0.0] = -0.0
+        members[0][0, 0] = -0.0
+        for m in members[1:]:
+            m[0, 0] = -0.0 if n > 2 else 0.0
+        mean, unc = _stack_fusion(members)
+        out = fuse_ensemble(members)
+        assert np.signbit(members[0]).any()
+        assert out.mean_prob.tobytes() == mean.tobytes()
+        assert out.uncertainty.tobytes() == unc.tobytes()
 
 
 def test_fuse_validation():
@@ -241,6 +295,11 @@ def _tiny_dataset(rng, n_images=6, c=3, hw=6):
     return data
 
 
+def _targets(data):
+    """(features, teacher) pairs as train_head takes them."""
+    return [(f, head_target(f, t)) for f, t in data]
+
+
 def _plain_selection(n, hw=6):
     gt = np.zeros((hw, hw), dtype=np.uint8)
     gt[hw // 2, hw // 2] = 1
@@ -252,7 +311,7 @@ def test_train_head_zero_lr_is_identity():
     rng = np.random.default_rng(70)
     data = _tiny_dataset(rng)
     cfg = TrainConfig(lr0=0.0, max_epochs=3, patience=5)
-    res = train_head(data[:4], data[4:], cfg, _plain_selection(2))
+    res = train_head(_targets(data[:4]), _targets(data[4:]), cfg, _plain_selection(2))
     mean_t = np.mean([t.mean() for _f, t in data[:4]])
     expect_bias = math.log(mean_t / (1.0 - mean_t))
     assert (res.head.weights == 0.0).all()
@@ -264,7 +323,7 @@ def test_train_head_zero_lr_stops_after_patience():
     rng = np.random.default_rng(71)
     data = _tiny_dataset(rng)
     cfg = TrainConfig(lr0=0.0, max_epochs=100, patience=4)
-    res = train_head(data[:4], data[4:], cfg, _plain_selection(2))
+    res = train_head(_targets(data[:4]), _targets(data[4:]), cfg, _plain_selection(2))
     # epoch 0 sets the best key; 4 identical epochs then stop
     assert len(res.log) == 5
     assert res.selected_epoch == 0
@@ -277,7 +336,7 @@ def test_train_head_full_batch_loss_nonincreasing_without_momentum():
         lr0=0.05, momentum=0.0, weight_decay=0.0, batch_size=5,
         max_epochs=40, patience=40,
     )
-    res = train_head(data, data, cfg, _plain_selection(5))
+    res = train_head(_targets(data), _targets(data), cfg, _plain_selection(5))
     losses = [e.train_rmsle for e in res.log]
     for a, b in zip(losses, losses[1:]):
         assert b <= a + 1e-12
@@ -290,7 +349,7 @@ def test_train_head_reduces_loss_and_selection_is_argmax():
         lr0=0.5, momentum=0.9, weight_decay=0.0, batch_size=4,
         max_epochs=30, patience=30, rng_seed=1,
     )
-    res = train_head(data[:6], data[6:], cfg, _plain_selection(2))
+    res = train_head(_targets(data[:6]), _targets(data[6:]), cfg, _plain_selection(2))
     assert res.log[-1].train_rmsle < res.log[0].train_rmsle
     keys = [
         (e.val_auroc_at_anchor if e.val_auroc_at_anchor is not None else -math.inf,
@@ -302,18 +361,24 @@ def test_train_head_reduces_loss_and_selection_is_argmax():
 
 def test_train_head_validation_errors():
     rng = np.random.default_rng(74)
-    data = _tiny_dataset(rng, n_images=2)
+    data = _targets(_tiny_dataset(rng, n_images=2))
     cfg = TrainConfig(max_epochs=1)
     with pytest.raises(ValidationError):
         train_head([], data, cfg, _plain_selection(2))
     with pytest.raises(ValidationError):
         train_head(data, data, cfg, _plain_selection(1))
-    bad = [(np.zeros((2, 3, 3)), np.zeros((4, 4)))]
-    with pytest.raises(ShapeError):
-        train_head(bad, [], cfg, [])
-    negative = [(data[0][0], data[0][1] - 1.0)]
-    with pytest.raises(ValidationError, match="teacher"):
-        train_head(negative, [], cfg, [])
+    with pytest.raises(ShapeError, match="feature/target shape mismatch"):
+        head_target(np.zeros((2, 3, 3)), np.zeros((4, 4)))
+    f0, target0 = data[0]
+    for log1p in (np.zeros((1, 1)), np.zeros((f0.shape[1], f0.shape[2] - 1))):
+        with pytest.raises(ShapeError, match="feature/target shape mismatch"):
+            train_head([(f0, HeadTarget(log1p, target0.mean))], [], cfg, [])
+    f, t = _tiny_dataset(rng, n_images=1)[0]
+    with pytest.raises(ValidationError, match="teacher uncertainty must be >= 0"):
+        head_target(f, t - 1.0)
+    other = np.zeros((f.shape[0] + 1, *f.shape[1:]))
+    with pytest.raises(ShapeError, match="inconsistent channel count"):
+        train_head(data + [(other, head_target(other, t))], [], cfg, [])
     with pytest.raises(ShapeError, match="selection"):
         train_head(data, data[:1], cfg, _plain_selection(1, hw=5))
     [(gt, reference)] = _plain_selection(1)
@@ -322,6 +387,18 @@ def test_train_head_validation_errors():
     for threshold in (2.0, -1.0, math.nan):
         with pytest.raises(ValidationError, match="error_threshold"):
             train_head(data, data, cfg, _plain_selection(2), error_threshold=threshold)
+
+
+def test_head_target_is_log1p_and_mean_of_the_teacher_map():
+    """The target holds log1p of the teacher map, 2-D, and the map's own
+    mean, bit for bit as the raveled formulas give them."""
+    rng = np.random.default_rng(75)
+    f = _cropped_stack(rng, 3, 9, 7)
+    for t in (rng.random((9, 7)), rng.random((9, 7)).T.copy().T, rng.random((12, 9))[2:11, 1:8]):
+        target = head_target(f, t)
+        assert target.log1p.shape == t.shape and target.log1p.flags.c_contiguous
+        assert target.log1p.ravel().tobytes() == np.log1p(t.ravel()).tobytes()
+        assert target.mean == t.mean()
 
 
 def test_train_config_validation():
@@ -528,7 +605,7 @@ def test_train_head_matches_reference_loop_bitwise(c):
                     selection_anchor_px=2, rng_seed=5),
     ]
     for cfg in cfgs:
-        got = train_head(train_set, val_set, cfg, selection)
+        got = train_head(_targets(train_set), _targets(val_set), cfg, selection)
         want = _reference_train_head(train_set, val_set, cfg, selection)
         assert got.head.weights.tobytes() == want.head.weights.tobytes()
         assert got.head.bias == want.head.bias
