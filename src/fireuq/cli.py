@@ -12,12 +12,12 @@ evaluates the middle-AP backbone member's probability with the head's
 uncertainty applied to cached features.
 
 Exit codes: 0 success, 1 validation failure (bad arguments, bad layout,
-bad shapes), 2 degenerate data (well-formed inputs on which a requested
-quantity is undefined).  Commands refuse to reuse an out_dir that
-already holds a manifest unless --force is given.  Every command
-accepts --jobs and checks that it is an integer >= 1, but it changes
-nothing: every command runs serially.  It stays so that one flag set
-can drive every command.
+bad shapes) or a failed write or allocation, 2 degenerate data
+(well-formed inputs on which a requested quantity is undefined).
+Commands refuse to reuse an out_dir that already holds a manifest
+unless --force is given.  Every command accepts --jobs and checks that
+it is an integer >= 1, but it changes nothing: every command runs
+serially, and the flag stays so that one flag set drives every command.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import numpy as np
 
 from .distill import (
     TrainConfig,
-    apply_head_each,
-    crop_events,
     fuse_ensemble,
+    head_maps,
     head_target,
     load_models,
     middle_member_by_year,
     parse_model_spec,
+    read_years,
     require_features,
     save_head,
     train_head,
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .metrics import DEFAULT_NLL_EPSILON
 from .protocol import MAX_RADIUS_PX, SweepConfig, run_sweep
-from .raster import GeoConfig, load_years, save_array, scan_dataset
+from .raster import GeoConfig, save_array, scan_dataset
 from .report import (
     MANIFEST_NAME,
     has_manifest,
@@ -297,11 +297,10 @@ def cmd_distill(args) -> int:
 
     # per year: each teacher map becomes its head target right after
     # fusion, and on the val year the references that checkpoint
-    # selection needs are kept; then the members go, as training reads
-    # only the features, the targets and these references
+    # selection needs are kept; read_years then drops the members, as
+    # training reads only the features, the targets and these references
     events, targets, val_selection = [], [], []
-    for year_events in load_years(layout):
-        crop_events(year_events, geo)
+    for _files, year_events, _shapes in read_years(layout, geo):
         targets += [
             head_target(ev.features, fuse_ensemble(ev.members).uncertainty)
             for ev in year_events
@@ -309,8 +308,6 @@ def cmd_distill(args) -> int:
         if year_events[0].year == val_year:
             mid = middle_member_by_year(year_events)[val_year]
             val_selection = [(ev.gt, ev.members[mid]) for ev in year_events]
-        for ev in year_events:
-            ev.members.clear()
         events += year_events
     train_set = [(ev.features, t) for ev, t in zip(events, targets) if ev.year != val_year]
     val_set = [(ev.features, t) for ev, t in zip(events, targets) if ev.year == val_year]
@@ -329,7 +326,8 @@ def cmd_distill(args) -> int:
     write_train_log_csv(out_dir / "train_log.csv", result.log)
 
     # student maps go into the dataset layout beside their fires
-    maps = apply_head_each(result.head, [ev.features for ev in events])
+    maps = head_maps(result.head, (ev.features for ev in events),
+                     max(ev.gt.size for ev in events))
     for ev, unc in zip(events, maps):
         save_array(unc.astype(np.float32), root / str(ev.year) / ev.id / "student_unc.npy")
 
@@ -474,6 +472,13 @@ def main(argv=None) -> int:
         return 2
     except FireUQError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a write that fails, as into a directory's place
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'allocation refused'})", file=sys.stderr)
         return 1
 
 

@@ -9,10 +9,10 @@ momentum, coupled L2 weight decay on the weights, polynomial LR decay,
 early stopping, and checkpoint selection by validation AUROC inside the
 anchor-radius evaluation region.
 
-load_models builds the models the protocol scores from model specs
-(``ensemble:<dir>``, ``student:<dir>:<head.json>``): per year, the
-cropped fires, the middle-AP reference member, and fusion or the head,
-with a student's feature stacks read one fire at a time.
+Training and load_models read a pack through read_years, one cropped
+year at a time, and compute student maps with head_maps.  load_models
+builds the models the protocol scores from model specs (``ensemble:<dir>``,
+``student:<dir>:<head.json>``).
 """
 
 from __future__ import annotations
@@ -243,18 +243,20 @@ def rmsle(student: np.ndarray, teacher: np.ndarray) -> float:
 
 def apply_head(head: UncertaintyHead, features: np.ndarray) -> np.ndarray:
     """sigmoid(w . f + b) per pixel over a (C, H, W) feature stack."""
-    return next(apply_head_each(head, [features]))
+    f = np.asarray(features)
+    return next(head_maps(head, [f], math.prod(f.shape[1:])))
 
 
-def apply_head_each(head: UncertaintyHead, stacks: list[np.ndarray]):
-    """Yield apply_head of each (C, H, W) feature stack in turn, all
-    computed in one workspace sized to the largest stack.  Each map is
-    copied out of the workspace, so the caller owns it.  Every stack is
-    checked before the first map is computed."""
-    stacks = [_head_input(head, f) for f in stacks]
-    ws = _Workspace(head.channels, max((math.prod(f.shape[1:]) for f in stacks), default=0))
+def head_maps(head: UncertaintyHead, stacks, n_px: int):
+    """Yield apply_head of each (C, H, W) stack of an iterable, computed
+    in one workspace of n_px >= each stack's pixels.  Each map is copied
+    out, and each stack dropped before the next is requested, so a lazy
+    iterable holds one stack at a time."""
+    ws = _Workspace(head.channels, n_px)
     for f in stacks:
-        yield ws.head_map(head, f)
+        s = ws.head_map(head, _head_input(head, f))
+        del f  # before the next stack is requested
+        yield s
 
 
 def _head_input(head: UncertaintyHead, features) -> np.ndarray:
@@ -268,27 +270,6 @@ def _head_input(head: UncertaintyHead, features) -> np.ndarray:
             f"apply_head: {f.shape[0]} feature channels vs head with {head.channels}"
         )
     return f
-
-
-def _student_maps(
-    head: UncertaintyHead,
-    fires: list[FireFiles],
-    shapes: list[tuple[int, ...]],
-    crop_size: int,
-) -> list[np.ndarray]:
-    """apply_head of each fire's feature stack, center-cropped to at most
-    crop_size per axis, in one workspace sized to the largest crop.  Each
-    stack is parsed (and checked against its fire's uncropped shape) just
-    before its map is computed and dropped right after, so one fire's
-    stack is held at a time."""
-    n = max(math.prod(min(d, crop_size) for d in shape) for shape in shapes)
-    ws = _Workspace(head.channels, n)
-    maps = []
-    for files, shape in zip(fires, shapes):
-        f = center_crop_at_most(read_features(files.features, shape), crop_size)
-        maps.append(ws.head_map(head, _head_input(head, f)))
-        del f  # before the next stack is parsed
-    return maps
 
 
 def rmsle_gradient(
@@ -547,15 +528,23 @@ def parse_model_spec(text: str) -> tuple[str, Path, Path | None]:
     )
 
 
-def crop_events(events: list[FireEvent], geo: GeoConfig):
-    """Center-crop each event's rasters in place to at most geo.crop_size
-    per axis.  A crop of a validated raster is valid, so the events are
-    not validated again."""
-    for ev in events:
-        ev.gt = center_crop_at_most(ev.gt, geo.crop_size)
-        ev.members = [center_crop_at_most(m, geo.crop_size) for m in ev.members]
-        if ev.features is not None:
-            ev.features = center_crop_at_most(ev.features, geo.crop_size)
+def read_years(layout: dict[int, list[FireFiles]], geo: GeoConfig, features: bool = True):
+    """Yield (files, events, shapes) per year of a scanned layout: its
+    FireFiles, its fires from load_years with each raster center-cropped
+    in place to at most geo.crop_size per axis (a crop of a valid raster
+    is valid), and each fire's uncropped (H, W), which its features.npy
+    must have.  The year's events drop their member maps when the next
+    year is requested or the reader is exhausted."""
+    for files, events in zip(layout.values(), load_years(layout, features)):
+        shapes = [ev.gt.shape for ev in events]
+        for ev in events:
+            ev.gt = center_crop_at_most(ev.gt, geo.crop_size)
+            ev.members = [center_crop_at_most(m, geo.crop_size) for m in ev.members]
+            if ev.features is not None:
+                ev.features = center_crop_at_most(ev.features, geo.crop_size)
+        yield files, events, shapes
+        for ev in events:
+            ev.members.clear()
 
 
 def require_features(layout: dict[int, list[FireFiles]], reader: str):
@@ -591,15 +580,13 @@ def middle_member_by_year(
 
 def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
     """One Model per spec, plus the files it parsed.  Each distinct
-    dataset root is scanned, then read one year at a time, each raster
-    cropped by crop_events.  A year's fires are shared by the root's
-    models: each has its year's middle-AP member as the error-map
-    reference, with that member's AP.  An ensemble scores the fused
-    members; a student scores the reference with the head's uncertainty,
-    reading each fire's features.npy only while it computes that fire's
-    map.  Once a year's outputs are computed, each fire drops its member
-    maps, keeping the reference as Fire.reference.  So at most one year's
-    member maps and one fire's feature stack are held at a time."""
+    dataset root is scanned, then read by read_years.  A year's fires are
+    shared by the root's models: each has its year's middle-AP member as
+    the error-map reference (Fire.reference, kept when read_years drops
+    the members), with that member's AP.  An ensemble scores the fused
+    members; a student scores the reference with head_maps' uncertainty,
+    parsing each fire's features.npy just before its map.  So at most one
+    year's member maps and one fire's feature stack are held at a time."""
     parsed = [parse_model_spec(text) for text in specs]
     heads = [load_head(h)[0] if h is not None else None for _kind, _root, h in parsed]
     by_root: dict[Path, list[int]] = {}
@@ -613,28 +600,27 @@ def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pat
         layout = scan_dataset(root, features=student)
         if student:
             require_features(layout, "student model")
-        for files, events in zip(layout.values(), load_years(layout, features=False)):
-            # uncropped, as each features.npy must be
-            shapes = [ev.gt.shape for ev in events]
-            crop_events(events, geo)
+        for files, events, shapes in read_years(layout, geo, features=False):
             aps: list = []
             mids = middle_member_by_year(events, aps)
             fires = [
                 Fire(ev, ev.members[mids[ev.year]], None if a is None else a[mids[ev.year]])
                 for ev, a in zip(events, aps)
             ]
+            n_px = max(ev.gt.size for ev in events)
             for i in readers:
                 models[i].fires += fires
                 if parsed[i][0] == "ensemble":
                     teachers = (fuse_ensemble(ev.members) for ev in events)
                     models[i].outputs += [(t.mean_prob, t.uncertainty) for t in teachers]
                 else:
-                    maps = _student_maps(heads[i], files, shapes, geo.crop_size)
+                    stacks = (
+                        center_crop_at_most(read_features(ff.features, shape), geo.crop_size)
+                        for ff, shape in zip(files, shapes)
+                    )
+                    # exhausted here, so its workspace goes before the next year
+                    maps = list(head_maps(heads[i], stacks, n_px))
                     models[i].outputs += [(f.reference, u) for f, u in zip(fires, maps)]
-            # each Fire keeps its event, so the year's member maps are
-            # dropped here, before the next year is read
-            for ev in events:
-                ev.members.clear()
         inputs += [p for fires in layout.values() for f in fires for p in f.paths]
     inputs += [h for _kind, _root, h in parsed if h is not None]
     return models, inputs

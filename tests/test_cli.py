@@ -18,11 +18,11 @@ from fireuq.distill import (
     TrainConfig,
     UncertaintyHead,
     apply_head,
-    crop_events,
     load_head,
     load_models,
     middle_member_by_year,
     parse_model_spec,
+    read_years,
     save_head,
 )
 from fireuq.errors import DegenerateClassError, ValidationError
@@ -32,7 +32,6 @@ from fireuq.raster import (
     FireEvent,
     GeoConfig,
     load_dataset,
-    load_years,
     save_event,
     scan_dataset,
 )
@@ -779,8 +778,7 @@ def test_cropped_rasters_keep_no_uncropped_parent(tmp_path):
     for ev in generate_scenario(spec):
         save_event(root, ev)
     n = 0
-    for events in load_years(scan_dataset(root)):
-        crop_events(events, GeoConfig(crop_size=25))
+    for _files, events, _shapes in read_years(scan_dataset(root), GeoConfig(crop_size=25)):
         for ev in events:
             for arr in (ev.gt, *ev.members, ev.features):
                 assert arr.shape[-2:] == (25, 25)
@@ -790,6 +788,29 @@ def test_cropped_rasters_keep_no_uncropped_parent(tmp_path):
                 assert kept.nbytes == arr.nbytes
                 n += 1
     assert n == 4 * 5
+
+
+def test_read_years_yields_uncropped_shapes_and_drops_each_year_members(tmp_path):
+    """Each year comes with its scanned files and each fire's uncropped
+    shape, its rasters cropped per axis; its member lists are emptied
+    when the next year is requested, the last year's when the reader is
+    exhausted, while a member taken out of a list stays whole."""
+    root = tmp_path / "pack"
+    _hand_pack(root, [(30, 21), (9, 40), (12, 12)])
+    layout = scan_dataset(root)
+    years, shapes, kept = [], [], []
+    for files, events, year_shapes in read_years(layout, GeoConfig(crop_size=20)):
+        assert files == layout[events[0].year]
+        assert all(not ev.members for prev in years for ev in prev)
+        for ev, shape in zip(events, year_shapes):
+            assert len(ev.members) == 3
+            assert ev.gt.shape == ev.features.shape[1:] == tuple(min(d, 20) for d in shape)
+        years.append(events)
+        shapes += year_shapes
+        kept.append(events[0].members[1])
+    assert all(not ev.members for prev in years for ev in prev)
+    assert shapes == [(30, 21), (9, 40), (12, 12)]
+    assert [m.shape for m in kept] == [(20, 20), (9, 20), (12, 12)]
 
 
 @pytest.mark.parametrize("fault", ["four-members", "missing-gt"])
@@ -888,6 +909,10 @@ _CORRUPTED_CASES = {
                            "year 2019 is also parsed from"),
     "out-dir-is-a-file": (["eval", "--model", "ensemble:{root}", "--anchor", "2"], 1,
                           "is not a directory"),
+    # a write that fails ends in one line naming the path; the out-dir
+    # holds only the directory in records.csv's place
+    "records-csv-is-a-directory": (["eval", "--model", "ensemble:{root}", "--anchor", "2"],
+                                   1, "Is a directory"),
     "reversed-radii": (["sweep", "--model-a", "ensemble:{root}",
                         "--model-b", "ensemble:{root}", "--radii", "5..2"], 1, None),
     "diverging-distill": (["distill", "{root}", "--lr0", "1e308", "--max-epochs", "3"], 2,
@@ -959,9 +984,10 @@ _CORRUPTED_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_CORRUPTED_CASES))
 def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
-    """Each malformed input or argument ends in exit 1 or 2 with one
-    stderr line, no traceback and no out-dir, in a fresh interpreter
-    that treats any RuntimeWarning as an error."""
+    """Each malformed input or argument, or unwritable output, ends in
+    exit 1 or 2 with one stderr line, no traceback and no out-dir (or
+    none beyond what the case made), in a fresh interpreter that treats
+    any RuntimeWarning as an error."""
     args, code, message = _CORRUPTED_CASES[case]
     root, out = tmp_path / "pack", tmp_path / "out"
     _small_pack(root)
@@ -985,6 +1011,9 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         shutil.copytree(original, offending)
     if case == "out-dir-is-a-file":
         out.write_text("not a directory")
+    if case == "records-csv-is-a-directory":
+        offending = out / "records.csv"
+        offending.mkdir(parents=True)
     if case == "huge-npy-header":
         offending = fire / "gt.npy"
         with open(offending, "wb") as f:
@@ -1044,7 +1073,10 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1, proc.stderr
-    assert not out.is_dir()
+    if case == "records-csv-is-a-directory":
+        assert list(out.iterdir()) == [offending]
+    else:
+        assert not out.is_dir()
     if message is not None:
         assert message in lines[0]
     if offending is not None:
@@ -1055,6 +1087,22 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         assert out.read_text() == "not a directory"
     if args[0] == "distill":
         assert not list(root.glob("*/*/student_unc.npy"))
+
+
+def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    """An allocation numpy refuses, as for synth --grid-size 100000,
+    ends in exit 1 and one stderr line; the refusal is simulated, so no
+    large array is requested."""
+    def refuse(spec, out_dir):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape "
+                          "(100000, 100000) and data type float64")
+
+    monkeypatch.setattr(cli, "write_scenario", refuse)
+    assert main(["synth", "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory (Unable to allocate 149. GiB for an array with "
+                   "shape (100000, 100000) and data type float64)\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_manifests_digest_exactly_the_parsed_files(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from fireuq.distill import (
     TrainResult,
     UncertaintyHead,
     apply_head,
-    apply_head_each,
     fuse_ensemble,
+    head_maps,
     head_target,
     load_head,
     rmsle,
@@ -220,22 +221,35 @@ def test_apply_head_saturates_without_overflow_warning():
     assert out.tolist() == [[0.0, 1.0, 0.5]]
 
 
-def test_apply_head_each_gives_apply_head_bitwise_from_one_workspace():
+def test_head_maps_gives_apply_head_bitwise_from_one_workspace():
     rng = np.random.default_rng(13)
     head = UncertaintyHead(weights=rng.normal(size=3), bias=0.2)
     stacks = [rng.normal(size=(3, h, w)).astype(np.float32) for h, w in
               ((5, 7), (9, 9), (2, 3), (9, 9))]
-    maps = list(apply_head_each(head, stacks))
+    alive = []
+
+    def one_shot():
+        # a copy per stack, so only head_maps can keep it alive
+        for f in stacks:
+            assert all(ref() is None for ref in alive)
+            f = f.copy()
+            alive.append(weakref.ref(f))
+            yield f
+
+    maps = list(head_maps(head, one_shot(), 81))
     # each map is copied out of the shared workspace, so a later map
     # cannot overwrite an earlier one
     assert all(m.base is None for m in maps)
+    assert len(maps) == len(stacks)
     for f, got in zip(stacks, maps):
         assert got.shape == f.shape[1:]
         assert got.tobytes() == apply_head(head, f).tobytes()
-    # every stack is checked before any map is computed
+    # a stack of the wrong channel count is refused when it is reached
+    bad = head_maps(head, iter(stacks[:1] + [np.zeros((2, 4, 4))]), 81)
+    assert next(bad).tobytes() == maps[0].tobytes()
     with pytest.raises(ShapeError):
-        next(apply_head_each(head, stacks + [np.zeros((2, 4, 4))]))
-    assert list(apply_head_each(head, [])) == []
+        next(bad)
+    assert list(head_maps(head, iter([]), 0)) == []
 
 
 def test_apply_head_shape_validation():

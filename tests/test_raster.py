@@ -261,7 +261,7 @@ def test_load_array_reads_both_header_versions(tmp_path, version):
     assert back.dtype == PROB_DTYPE and back.shape == (2, 3) and not back.any()
 
 
-def test_load_event_rejects_out_of_range_member_file(tmp_path):
+def test_load_dataset_rejects_out_of_range_member_file(tmp_path):
     d = tmp_path / "2020" / "fire"
     save_array(_mask([[0, 1]]), d / "gt.npy")
     save_array(np.array([[0.5, 0.9]], dtype=np.float32) * 2.0, d / "member_0.npy")
@@ -362,7 +362,7 @@ def _demo_event(fire_id, year, seed, n_members=3, size=8, with_features=True):
     return FireEvent(id=fire_id, year=year, gt=gt, members=members, features=features)
 
 
-def test_save_load_event_round_trip(tmp_path):
+def test_save_event_load_dataset_round_trip(tmp_path):
     ev = _demo_event("fire_000", 2019, seed=3)
     save_event(tmp_path, ev)
     back = _load_fire(tmp_path / "2019" / "fire_000")
@@ -392,7 +392,7 @@ def test_member_ordering_is_numeric_not_lexicographic(tmp_path):
         assert float(m[0, 0]) == pytest.approx((k + 1) / 16.0)
 
 
-def test_load_event_requires_contiguous_member_indices(tmp_path):
+def test_scan_dataset_requires_contiguous_member_indices(tmp_path):
     d = tmp_path / "2020" / "gap"
     save_array(_mask(np.eye(3)), d / "gt.npy")
     for k in (0, 1, 3):
@@ -402,7 +402,7 @@ def test_load_event_requires_contiguous_member_indices(tmp_path):
         scan_dataset(tmp_path)
 
 
-def test_load_event_missing_gt(tmp_path):
+def test_scan_dataset_refuses_a_fire_without_gt(tmp_path):
     d = tmp_path / "2020" / "nogt"
     for k in range(3):
         save_array(_prob(np.zeros((3, 3))), d / f"member_{k}.npy")
@@ -492,7 +492,7 @@ def test_load_dataset_validates_each_file_once(tmp_path, monkeypatch):
         f for f in files if f.endswith("features.npy"))
 
 
-def test_load_event_refuses_two_files_for_one_member_index(tmp_path):
+def test_scan_dataset_refuses_two_files_for_one_member_index(tmp_path):
     save_event(tmp_path, _demo_event("fire", 2020, seed=5))
     d = tmp_path / "2020" / "fire"
     shutil.copyfile(d / "member_1.npy", d / "member_001.npy")
