@@ -34,7 +34,6 @@ from .errors import (
     ValidationError,
 )
 from .metrics import (
-    MetricRecord,
     average_precision,
     average_surface_distance,
     brier,
@@ -56,5 +55,6 @@ from .protocol import (
     run_sweep,
 )
 from .raster import FireEvent, GeoConfig, center_crop, load_dataset
+from .report import MetricRecord
 from .stats import rank_biserial, wilcoxon_one_sided
 from .synth import ScenarioSpec, generate_scenario, write_scenario

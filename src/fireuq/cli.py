@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import DEFAULT_NLL_EPSILON
-from .protocol import MAX_RADIUS_PX, SweepConfig, run_sweep
+from .protocol import MAX_RADIUS_PX, SweepConfig, run_sweep, summarize
 from .raster import GeoConfig, save_array, scan_dataset
 from .report import (
     MANIFEST_NAME,
@@ -56,13 +56,10 @@ from .report import (
     pair_records,
     read_json,
     read_sweep_csv,
-    summarize,
     write_diff_csv,
     write_json,
     write_manifest,
     write_markdown_table,
-    write_stats_json,
-    write_summary_json,
     write_sweep_csv,
     write_train_log_csv,
 )
@@ -155,7 +152,7 @@ def cmd_eval(args) -> int:
     summary = summarize(sweep.records, anchor)
 
     write_sweep_csv(out_dir / "records.csv", sweep.records)
-    write_summary_json(out_dir / "summary.json", summary, meta={"model": args.model})
+    write_json(out_dir / "summary.json", {**summary, "meta": {"model": args.model}})
     write_markdown_table(out_dir / "table.md", summary, title=f"Evaluation: {args.model}")
     write_manifest(out_dir, "eval", _config_snapshot(args, anchor), inputs)
     return 0
@@ -178,10 +175,9 @@ def cmd_sweep(args) -> int:
 
     for label, spec, result in zip(("a", "b"), specs, results):
         write_sweep_csv(out_dir / f"sweep_{label}.csv", result.records)
-        write_summary_json(
+        write_json(
             out_dir / f"summary_{label}.json",
-            summarize(result.records, anchor),
-            meta={"model": spec},
+            {**summarize(result.records, anchor), "meta": {"model": spec}},
         )
     pairs, unmatched = pair_records(results[0].records, results[1].records)
     write_diff_csv(out_dir / "diff.csv", pairs)
@@ -252,16 +248,9 @@ def cmd_stats(args) -> int:
             diffs = [-d for d in diffs]  # bitwise vb - va
         blocks.append(stats_block(metric, diffs))
 
-    write_stats_json(
-        out_dir / "stats.json",
-        blocks,
-        meta={
-            "anchor_radius_px": anchor,
-            "direction": args.direction,
-            "n_excluded": excluded,
-            "n_unmatched": unmatched,
-        },
-    )
+    meta = {"anchor_radius_px": anchor, "direction": args.direction,
+            "n_excluded": excluded, "n_unmatched": unmatched}
+    write_json(out_dir / "stats.json", {"tests": blocks, "meta": meta})
     write_manifest(out_dir, "stats", _config_snapshot(args, anchor), inputs)
     return 0
 

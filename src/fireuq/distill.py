@@ -91,6 +91,8 @@ class TrainConfig:
             raise ValidationError("patience must be >= 1")
         if not 0 <= self.selection_anchor_px <= MAX_RADIUS_PX:
             raise ValidationError(f"selection_anchor_px must lie in [0, {MAX_RADIUS_PX}]")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def sigma_max(n: int) -> float:

@@ -9,12 +9,12 @@ scores sorted ascending and the positives' scores sorted ascending; a
 caller that reads only one of them skips the other's arithmetic.
 
 Every masked metric funnels through one region-selection path, so a
-region of all ones reproduces the unmasked value bitwise.
+region of all ones reproduces the unmasked value bitwise.  The record
+that holds one fire's metrics at one radius, and its checks, live in
+report.MetricRecord.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,37 +22,6 @@ from .errors import DegenerateClassError, ShapeError, ValidationError
 from .morphology import extract_boundary, squared_edt_at
 
 DEFAULT_NLL_EPSILON = 1e-7
-
-
-@dataclass
-class MetricRecord:
-    """All per-fire metrics at one evaluation radius.
-
-    A metric that is undefined on this fire (single-class region, missing
-    boundary) is stored as None and later emitted as an empty CSV cell.
-    """
-
-    fire_id: str
-    year: int
-    radius_px: int
-    ap: float | None = None
-    asd_m: float | None = None
-    brier: float | None = None
-    nll: float | None = None
-    auroc: float | None = None
-    auprc: float | None = None
-    error_prevalence: float | None = None
-    n_eval_px: int | None = None
-
-    def __post_init__(self):
-        for name in ("ap", "auroc", "auprc", "brier", "error_prevalence"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{self.fire_id}: {name}={v} outside [0, 1]")
-        if self.nll is not None and self.nll < 0.0:
-            raise ValidationError(f"{self.fire_id}: negative nll")
-        if self.asd_m is not None and self.asd_m < 0.0:
-            raise ValidationError(f"{self.fire_id}: negative asd_m")
 
 
 def _check_shapes(a: np.ndarray, b: np.ndarray, region: np.ndarray | None):
@@ -252,6 +221,13 @@ def brier_terms(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (p - y) ** 2
 
 
+def check_nll_epsilon(epsilon: float, name: str):
+    """Refuse an NLL clip outside (0, 0.5), or below float64's resolution
+    at 1, where 1 - epsilon == 1.0 would leave log(1 - p) = -inf."""
+    if not (0.0 < epsilon < 0.5 and 1.0 - epsilon < 1.0):
+        raise ValidationError(f"{name} must lie in (0, 0.5) with 1 - epsilon < 1, got {epsilon!r}")
+
+
 def nll_terms(p: np.ndarray, y: np.ndarray, epsilon: float) -> np.ndarray:
     """Per-pixel negative log-likelihoods of float64 probabilities p,
     clipped to [epsilon, 1 - epsilon], and 0/1 labels y; nll is their
@@ -280,8 +256,7 @@ def nll(
 ) -> float:
     """Mean negative log-likelihood with probabilities clipped to
     [epsilon, 1 - epsilon]."""
-    if not 0.0 < epsilon < 0.5:
-        raise ValidationError("nll: epsilon must lie in (0, 0.5)")
+    check_nll_epsilon(epsilon, "nll: epsilon")
     _check_shapes(np.asarray(probs), np.asarray(gt), region)
     p = _select(np.asarray(probs, dtype=np.float64), region)
     y = _select(np.asarray(gt), region).astype(np.float64)

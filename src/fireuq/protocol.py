@@ -1,6 +1,7 @@
 """Boundary-aware evaluation protocol: FCER construction, radius sweep,
-ASD-derived anchor radius, and the mean +- population std convention
-of the per-year summaries (report.summarize builds those).
+ASD-derived anchor radius, and every aggregate of a sweep's records:
+summarize derives the per-radius means, the per-year means and their
+mean +- population std in one place, once.
 
 The evaluation region for a fire at radius r is the ground-truth mask
 dilated by a Euclidean disk of r pixels.  Sweeping r shows how
@@ -24,18 +25,17 @@ from .errors import (
 )
 from .metrics import (
     DEFAULT_NLL_EPSILON,
-    MetricRecord,
     average_precision,
     average_surface_distance,
     brier_terms,
+    check_nll_epsilon,
     error_map,
     nll_terms,
     ranking_from_sorted,
 )
 from .morphology import dilate, squared_edt_within
 from .raster import FireEvent, GeoConfig
-
-METRIC_COLUMNS = ("ap", "asd_m", "brier", "nll", "auroc", "auprc", "error_prevalence")
+from .report import METRIC_COLUMNS, MetricRecord
 
 # the largest radius or anchor accepted, in pixels: longer than the diagonal
 # of any raster that fits in memory, and safe in int64 index arithmetic
@@ -69,8 +69,7 @@ class SweepConfig:
             )
         if not 0.0 <= self.error_threshold <= 1.0:
             raise ValidationError("error_threshold must lie in [0, 1]")
-        if not 0.0 < self.nll_epsilon < 0.5:
-            raise ValidationError("nll_epsilon must lie in (0, 0.5)")
+        check_nll_epsilon(self.nll_epsilon, "--epsilon (nll_epsilon)")
 
 
 @dataclass
@@ -108,7 +107,7 @@ class SweepResult:
     """Everything one sweep produced for one model: one MetricRecord per
     (fire, radius), fire by fire in the model's order and radii ascending
     within a fire, and the anchor radius they were scored at.
-    report.summarize derives every aggregate from them.
+    summarize derives every aggregate from them.
     """
 
     records: list[MetricRecord]
@@ -209,8 +208,12 @@ def run_sweep(
     Degenerate per-fire cases (single-class region, empty ground truth,
     missing boundary) leave the affected metrics as None and the run
     continues.  Raises DegenerateDataError when the anchor is to be
-    resolved and no fire has a defined ASD.  Everything runs serially in
-    the calling thread: the CLI's --jobs is accepted and validated but
+    resolved and no fire has a defined ASD.  Each record is built once,
+    with every field set, so MetricRecord's check sees every value: a
+    metric that is not finite or out of its range, such as the ASD of a
+    meters_per_pixel near the float64 maximum, raises ValidationError
+    before any record is returned.  Everything runs serially in the
+    calling thread: the CLI's --jobs is accepted and validated but
     changes nothing, and stays so that one flag set drives every command.
     Returns one SweepResult per model, in order.
     """
@@ -293,24 +296,18 @@ def run_sweep(
             s, y = u[order], errors[order].astype(bool)
             records = per_fire[m][i] = []
             for r, keep in zip(radii, inside):
-                rec = MetricRecord(
-                    ev.id,
-                    ev.year,
-                    radius_px=r,
-                    ap=ap,
-                    asd_m=asd,
-                    brier=float(np.mean(b_terms[keep])),
-                    nll=float(np.mean(n_terms[keep])),
-                    n_eval_px=int(np.count_nonzero(keep)),
-                )
                 ranked = keep[order]
                 try:
-                    rec.auprc, rec.auroc, rec.error_prevalence = ranking_from_sorted(
-                        s[ranked], s[ranked & y]
-                    )
+                    auprc, auroc, prevalence = ranking_from_sorted(s[ranked], s[ranked & y])
                 except DegenerateClassError:
-                    pass
-                records.append(rec)
+                    auprc = auroc = prevalence = None
+                records.append(MetricRecord(
+                    ev.id, ev.year, radius_px=r, ap=ap, asd_m=asd,
+                    brier=float(np.mean(b_terms[keep])),
+                    nll=float(np.mean(n_terms[keep])),
+                    auroc=auroc, auprc=auprc, error_prevalence=prevalence,
+                    n_eval_px=int(np.count_nonzero(keep)),
+                ))
 
     for group in holders.values():
         score(group)
@@ -329,6 +326,49 @@ def aggregate_mean_std(per_year_values) -> tuple[float, float]:
     if not np.isfinite(vals).all():
         raise ValidationError("aggregate_mean_std: non-finite value")
     return float(vals.mean()), float(vals.std(ddof=0))
+
+
+def summarize(records: list[MetricRecord], anchor_radius_px: int) -> dict:
+    """The summary JSON payload of one model's records.
+
+    per_radius maps each radius to each metric's mean over the fires
+    where it is defined (None where it is nowhere) and the number of
+    those fires; per_year holds those means per year at the anchor
+    radius (Table-1 layout), years ascending; mean_std holds each
+    metric's [mean, population std] across the years where it is
+    defined, or None.  Keys are strings, as in the JSON.  Records are
+    bucketed in record order, so each mean sums in that order.
+    """
+
+    def means(recs: list[MetricRecord]) -> tuple[dict, dict]:
+        values, counts = {}, {}
+        for name in METRIC_COLUMNS:
+            defined = [v for rec in recs if (v := getattr(rec, name)) is not None]
+            values[name] = float(np.mean(defined)) if defined else None
+            counts[name] = len(defined)
+        return values, counts
+
+    by_radius: dict[int, list[MetricRecord]] = {}
+    by_year: dict[int, list[MetricRecord]] = {}
+    for rec in records:
+        by_radius.setdefault(rec.radius_px, []).append(rec)
+        if rec.radius_px == anchor_radius_px:
+            by_year.setdefault(rec.year, []).append(rec)
+    per_radius = {}
+    for r in sorted(by_radius):
+        aggregates, counts = means(by_radius[r])
+        per_radius[str(r)] = {"aggregates": aggregates, "counts": counts}
+    per_year = {str(y): means(by_year[y])[0] for y in sorted(by_year)}
+    mean_std = {}
+    for name in METRIC_COLUMNS:
+        vals = [row[name] for row in per_year.values() if row[name] is not None]
+        mean_std[name] = list(aggregate_mean_std(vals)) if vals else None
+    return {
+        "anchor_radius_px": anchor_radius_px,
+        "per_radius": per_radius,
+        "per_year": per_year,
+        "mean_std": mean_std,
+    }
 
 
 def relative_to_baseline(value: float, baseline: float) -> int:

@@ -1,11 +1,10 @@
-"""Report emission: sweep CSV, summary JSON, Markdown tables, training
-logs, and the per-run manifest; and the sweep CSV read back.
+"""The sweep record and the files a run writes.
 
-pair_records is the one pairing of two models' records: diff.csv and
-the stats command both take its pairs.  summarize derives every
-aggregate of one model's records, so each per-radius mean, per-year mean
-and mean +- std is computed in one place, once; the summary JSON and the
-Markdown table both render its result.
+MetricRecord is the one definition of a per-fire record: CSV_COLUMNS
+and METRIC_COLUMNS are its fields, and its __post_init__ is the one
+check of its values, so run_sweep builds no record that read_sweep_csv
+would refuse.  pair_records is the one pairing of two models' records,
+for diff.csv and the stats command.  This module imports no numpy.
 Everything here is byte-deterministic: CSV cells print floats via repr
 (shortest round-trip form), JSON is emitted with sorted keys, and the
 manifest timestamp honors SOURCE_DATE_EPOCH so archival reruns can be
@@ -20,19 +19,59 @@ import json
 import math
 import os
 import time
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ParseError, ValidationError
-from .metrics import MetricRecord
-from .protocol import METRIC_COLUMNS, aggregate_mean_std
 
 MANIFEST_NAME = "manifest.json"
 
-CSV_COLUMNS = ("fire_id", "year", "radius_px", *METRIC_COLUMNS, "n_eval_px")
+# the metrics >= 0 with no upper bound; every other metric lies in [0, 1]
+_UNBOUNDED_METRICS = ("asd_m", "nll")
+
+
+@dataclass(frozen=True)
+class MetricRecord:
+    """All per-fire metrics at one evaluation radius.
+
+    A metric that is undefined on this fire (single-class region, missing
+    boundary) is stored as None and later emitted as an empty CSV cell.
+    Every other metric is finite, asd_m and nll are >= 0, and the rest
+    lie in [0, 1].  A record is checked once, where it is built, and is
+    frozen, so no later assignment skips the check.
+    """
+
+    fire_id: str
+    year: int
+    radius_px: int
+    ap: float | None = None
+    asd_m: float | None = None
+    brier: float | None = None
+    nll: float | None = None
+    auroc: float | None = None
+    auprc: float | None = None
+    error_prevalence: float | None = None
+    n_eval_px: int | None = None
+
+    def __post_init__(self):
+        for name in METRIC_COLUMNS:
+            v = getattr(self, name)
+            if v is None:
+                continue
+            if not math.isfinite(v):
+                raise ValidationError(f"{self.fire_id}: {name}={v} is not finite")
+            if name in _UNBOUNDED_METRICS:
+                if v < 0.0:
+                    raise ValidationError(f"{self.fire_id}: {name}={v} is negative")
+            elif not 0.0 <= v <= 1.0:
+                raise ValidationError(f"{self.fire_id}: {name}={v} outside [0, 1]")
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricRecord))
+# the columns between the identity (fire_id, year, radius_px) and n_eval_px
+METRIC_COLUMNS = CSV_COLUMNS[3:-1]
 
 _MARKDOWN_METRICS = (
     ("ap", "AP", 2, 1.0),
@@ -61,15 +100,20 @@ def _write_csv(path: str | Path, header, rows):
         writer.writerows(rows)
 
 
+def _write_dataclass_csv(path: str | Path, columns, records):
+    """One row per dataclass record: the header is its field names,
+    columns, and each cell is _cell of that field."""
+    _write_csv(path, columns, ([_cell(getattr(rec, c)) for c in columns] for rec in records))
+
+
 def write_sweep_csv(path: str | Path, records: list[MetricRecord]):
-    rows = ([_cell(getattr(rec, c)) for c in CSV_COLUMNS] for rec in records)
-    _write_csv(path, CSV_COLUMNS, rows)
+    _write_dataclass_csv(path, CSV_COLUMNS, records)
 
 
 def read_sweep_csv(path: str | Path) -> list[MetricRecord]:
     """The records of a CSV that write_sweep_csv wrote, an empty metric
-    cell read as None.  A cell that does not parse, a non-finite metric,
-    a metric outside its range and a second row for one (year, fire_id,
+    cell read as None.  A cell that does not parse, a record that
+    MetricRecord refuses and a second row for one (year, fire_id,
     radius_px) are each refused as "<path>: line N: ..."."""
     path = Path(path)
     if not path.is_file():
@@ -85,9 +129,6 @@ def read_sweep_csv(path: str | Path) -> list[MetricRecord]:
             for row in reader:
                 try:
                     metrics = {c: None if row[c] == "" else float(row[c]) for c in METRIC_COLUMNS}
-                    for c, v in metrics.items():
-                        if v is not None and not math.isfinite(v):
-                            raise ValueError(f"{c}={v} is not finite")
                     n_eval_px = None if row["n_eval_px"] == "" else int(row["n_eval_px"])
                     rec = MetricRecord(row["fire_id"], int(row["year"]), int(row["radius_px"]),
                                        **metrics, n_eval_px=n_eval_px)
@@ -140,60 +181,12 @@ def write_diff_csv(path: str | Path, pairs: list[tuple[MetricRecord, MetricRecor
     _write_csv(path, CSV_COLUMNS, rows)
 
 
-def summarize(records: list[MetricRecord], anchor_radius_px: int) -> dict:
-    """The summary JSON payload of one model's records.
-
-    per_radius maps each radius to each metric's mean over the fires
-    where it is defined (None where it is nowhere) and the number of
-    those fires; per_year holds those means per year at the anchor
-    radius (Table-1 layout), years ascending; mean_std holds each
-    metric's [mean, population std] across the years where it is
-    defined, or None.  Keys are strings, as in the JSON.  Records are
-    bucketed in record order, so each mean sums in that order.
-    """
-
-    def means(recs: list[MetricRecord]) -> tuple[dict, dict]:
-        values, counts = {}, {}
-        for name in METRIC_COLUMNS:
-            defined = [v for rec in recs if (v := getattr(rec, name)) is not None]
-            values[name] = float(np.mean(defined)) if defined else None
-            counts[name] = len(defined)
-        return values, counts
-
-    by_radius: dict[int, list[MetricRecord]] = {}
-    by_year: dict[int, list[MetricRecord]] = {}
-    for rec in records:
-        by_radius.setdefault(rec.radius_px, []).append(rec)
-        if rec.radius_px == anchor_radius_px:
-            by_year.setdefault(rec.year, []).append(rec)
-    per_radius = {}
-    for r in sorted(by_radius):
-        aggregates, counts = means(by_radius[r])
-        per_radius[str(r)] = {"aggregates": aggregates, "counts": counts}
-    per_year = {str(y): means(by_year[y])[0] for y in sorted(by_year)}
-    mean_std = {}
-    for name in METRIC_COLUMNS:
-        vals = [row[name] for row in per_year.values() if row[name] is not None]
-        mean_std[name] = list(aggregate_mean_std(vals)) if vals else None
-    return {
-        "anchor_radius_px": anchor_radius_px,
-        "per_radius": per_radius,
-        "per_year": per_year,
-        "mean_std": mean_std,
-    }
-
-
-def write_summary_json(path: str | Path, summary: dict, meta: dict | None = None):
-    """summarize's payload, plus meta under "meta" when given."""
-    write_json(path, {**summary, "meta": meta} if meta else summary)
-
-
 def format_mean_std(mean: float, std: float, decimals: int) -> str:
     return f"{mean:.{decimals}f}±{std:.{decimals}f}"
 
 
 def write_markdown_table(path: str | Path, summary: dict, title: str):
-    """Human-readable per-year table of summarize's payload, with a
+    """Human-readable per-year table of protocol.summarize's payload, with a
     Mean+-std bottom row."""
     lines = [f"# {title}", "", f"Anchor radius: {summary['anchor_radius_px']} px", ""]
     header = ["Year"] + [label for _n, label, _d, _s in _MARKDOWN_METRICS]
@@ -219,21 +212,10 @@ def write_markdown_table(path: str | Path, summary: dict, title: str):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_stats_json(path: str | Path, blocks: list[dict], meta: dict | None = None):
-    payload: dict = {"tests": blocks}
-    if meta:
-        payload["meta"] = meta
-    write_json(path, payload)
-
-
 def write_train_log_csv(path: str | Path, log):
-    rows = (
-        [row.epoch, repr(row.lr), repr(row.train_rmsle), repr(row.val_rmsle),
-         "" if row.val_auroc_at_anchor is None else repr(row.val_auroc_at_anchor)]
-        for row in log
-    )
-    header = ["epoch", "lr", "train_rmsle", "val_rmsle", "val_auroc_at_anchor"]
-    _write_csv(path, header, rows)
+    """One row per epoch of a training log, which holds at least one,
+    as train_head's does."""
+    _write_dataclass_csv(path, [f.name for f in fields(log[0])], log)
 
 
 def _sha256(path: Path) -> str:

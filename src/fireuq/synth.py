@@ -22,6 +22,9 @@ from .raster import FireEvent
 from .report import write_json
 
 DEFAULT_YEARS = (2018, 2019, 2020, 2021)
+# every array synth builds for a grid this size is terabytes but has a size
+# numpy can represent, so a grid too big for memory raises MemoryError
+MAX_GRID_SIZE = 2**20
 
 
 @dataclass(frozen=True)
@@ -39,16 +42,20 @@ class ScenarioSpec:
     years: tuple[int, ...] = DEFAULT_YEARS
 
     def __post_init__(self):
-        if self.grid_size < 8:
-            raise ValidationError("grid_size must be >= 8")
-        if self.n_fires < 1:
-            raise ValidationError("n_fires must be >= 1")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if not 8 <= self.grid_size <= MAX_GRID_SIZE:
+            raise ValidationError(f"grid_size must lie in [8, {MAX_GRID_SIZE}]")
+        # SeedSequence.spawn counts the fires in uint32
+        if not 1 <= self.n_fires < 2**32:
+            raise ValidationError(f"n_fires must lie in [1, {2**32 - 1}]")
         if self.n_members < 3 or self.n_members % 2 == 0:
             # evaluation takes the median member as the error-map reference
             raise ValidationError(f"n_members must be odd and >= 3, got {self.n_members}")
         lo, hi = self.blob_count_range
-        if lo < 1 or hi < lo:
-            raise ValidationError("blob_count_range must be nonempty with min >= 1")
+        # a fire draws its blob count from [lo, hi + 1) in int64
+        if not 1 <= lo <= hi < 2**63 - 1:
+            raise ValidationError(f"blob_count_range must be nonempty within [1, {2**63 - 2}]")
         rlo, rhi = self.blob_radius_range_px
         if rlo < 1 or rhi < rlo:
             raise ValidationError("blob_radius_range_px must be nonempty with min >= 1")

@@ -27,7 +27,7 @@ from fireuq.distill import (
 )
 from fireuq.errors import DegenerateClassError, ValidationError
 from fireuq.metrics import average_precision, error_map
-from fireuq.protocol import SweepConfig, run_sweep
+from fireuq.protocol import SweepConfig, run_sweep, summarize
 from fireuq.raster import (
     FireEvent,
     GeoConfig,
@@ -35,7 +35,7 @@ from fireuq.raster import (
     save_event,
     scan_dataset,
 )
-from fireuq.report import read_sweep_csv, summarize, write_summary_json
+from fireuq.report import read_sweep_csv, write_json
 from fireuq.synth import ScenarioSpec, generate_scenario
 
 @pytest.fixture(autouse=True)
@@ -606,7 +606,7 @@ def test_summary_json_is_summarize_of_the_sweep_csv(mixed_sweep, tmp_path):
         written = mixed_sweep / f"summary_{side}.json"
         records = read_sweep_csv(mixed_sweep / f"sweep_{side}.csv")
         meta = json.loads(written.read_text())["meta"]
-        write_summary_json(tmp_path / written.name, summarize(records, anchor), meta)
+        write_json(tmp_path / written.name, {**summarize(records, anchor), "meta": meta})
         assert (tmp_path / written.name).read_bytes() == written.read_bytes()
 
 
@@ -927,6 +927,27 @@ _CORRUPTED_CASES = {
                                "poly_power must be finite"),
     "synth-inf-noise-sigma": (["synth", "--noise-sigma", "inf"], 1,
                               "member_noise_sigma must be finite"),
+    # seeds and counts numpy cannot take, and a grid too large for numpy to
+    # size, are refused before anything is drawn or allocated
+    "synth-negative-seed": (["synth", "--seed", "-1"], 1, "rng_seed must be >= 0"),
+    "synth-n-fires-beyond-int64": (["synth", "--n-fires", "100000000000000000000"], 1,
+                                   "n_fires must lie in"),
+    "synth-blob-count-beyond-int64": (["synth", "--blob-count", "1",
+                                       "100000000000000000000"], 1,
+                                      "blob_count_range must be nonempty within"),
+    "synth-grid-size-beyond-bound": (["synth", "--grid-size", "1073741824"], 1,
+                                     "grid_size must lie in [8, 1048576]"),
+    # refused before the pack is read, so a missing root is not reported
+    "distill-negative-seed-missing-root": (["distill", "{root}/missing", "--seed", "-1"], 1,
+                                           "rng_seed must be >= 0"),
+    # an epsilon below float64's resolution at 1 leaves the NLL clip at p = 1
+    "sweep-epsilon-below-float64-resolution": (["sweep", "--model-a", "ensemble:{root}",
+                                                "--model-b", "ensemble:{root}",
+                                                "--epsilon", "1e-17"], 1, "--epsilon"),
+    # an ASD beyond float64 is refused where its record is built, before any write
+    "sweep-asd-beyond-float64": (["sweep", "--model-a", "ensemble:{root}",
+                                  "--model-b", "ensemble:{root}", "--anchor", "2",
+                                  "--mpp", "1e308"], 1, "fire_000: asd_m=inf is not finite"),
     # the dataset layout has no directory name for a negative year
     "synth-negative-year": (["synth", "--years", "-1", "2020", "--n-fires", "4"], 1,
                             "years must be >= 0"),
@@ -951,11 +972,11 @@ _CORRUPTED_CASES = {
     "stats-empty-radius-cell": (["stats", "{sweep}"], 1, "line 3: "),
     # a second anchor row for one fire would silently replace the first
     "stats-duplicate-anchor-row": (["stats", "{sweep}"], 1, "repeats line 3"),
-    # a metric cell outside its range, or non-finite in a column whose
-    # range check a nan passes, is refused where it is read
+    # a metric cell outside its range, or non-finite, is refused where it is read
     "stats-out-of-range-metric-cell": (["stats", "{sweep}"], 1,
                                        "line 3: fire_000: auroc=1.5 outside [0, 1]"),
-    "stats-nan-metric-cell": (["stats", "{sweep}"], 1, "line 3: nll=nan is not finite"),
+    "stats-nan-metric-cell": (["stats", "{sweep}"], 1,
+                              "line 3: fire_000: nll=nan is not finite"),
     # ... or with the sweep's summary.json nested past the parser's recursion
     "stats-nested-summary-json": (["stats", "{sweep}"], 1, "malformed JSON"),
     # ... or at an anchor the sweep did not score, refused naming the radii it did

@@ -7,7 +7,6 @@ import pytest
 
 from fireuq.errors import DegenerateClassError, ShapeError, ValidationError
 from fireuq.metrics import (
-    MetricRecord,
     average_precision,
     average_precisions,
     average_surface_distance,
@@ -29,6 +28,7 @@ from fireuq.oracles import (
     oracle_nll,
     oracle_precision_recall,
 )
+from fireuq.report import MetricRecord
 
 # six-pixel worked example used throughout: uncertainty descending,
 # errors at ranks 1 and 3
@@ -496,6 +496,13 @@ def test_nll_epsilon_validation_and_oracle():
         nll(probs, gt, epsilon=0.0)
     with pytest.raises(ValidationError):
         nll(probs, gt, epsilon=0.5)
+    # an epsilon below float64's resolution at 1 would leave 1 - epsilon == 1.0,
+    # so a hard 1 on a 0 label would cost log(0); 2**-53 is the smallest step below 1
+    hard, labels = np.array([[0.0, 1.0]]), np.array([[1, 0]])
+    for eps in (1e-17, 2.0**-54):
+        with pytest.raises(ValidationError, match="1 - epsilon < 1"):
+            nll(hard, labels, epsilon=eps)
+    assert nll(hard, labels, epsilon=2.0**-53) == pytest.approx(53 * math.log(2), rel=1e-12)
     rng = np.random.default_rng(13)
     for _ in range(20):
         p = rng.random((1, 12))

@@ -125,7 +125,7 @@ _COLUMN_CASES = _column_cases()
 
 
 @pytest.mark.parametrize("name", sorted(_COLUMN_CASES))
-def test_edt_and_dilate_match_oracles_on_envelope_edge_cases(name):
+def test_edt_and_dilate_match_oracles_on_column_edge_cases(name):
     m = _COLUMN_CASES[name]
     d2 = squared_edt(m)
     assert d2.dtype == np.float64
@@ -150,7 +150,7 @@ def test_edt_and_dilate_match_oracles_on_few_occupied_columns():
 
 
 @pytest.mark.parametrize("name", sorted(_COLUMN_CASES))
-def test_squared_edt_at_equals_squared_edt_on_envelope_edge_cases(name):
+def test_squared_edt_at_equals_squared_edt_on_column_edge_cases(name):
     m = _COLUMN_CASES[name]
     pts = np.argwhere(np.ones_like(m))
     assert (squared_edt_at(m, pts) == squared_edt(m).ravel()).all()

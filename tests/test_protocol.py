@@ -1,5 +1,5 @@
 """FCER construction, anchor resolution, radius sweep, and the
-per-radius aggregates report.summarize derives from a sweep's records."""
+per-radius aggregates summarize derives from a sweep's records."""
 
 import numpy as np
 import pytest
@@ -20,9 +20,10 @@ from fireuq.protocol import (
     relative_to_baseline,
     resolve_anchor,
     run_sweep,
+    summarize,
 )
 from fireuq.raster import FireEvent, GeoConfig
-from fireuq.report import summarize
+from fireuq.report import METRIC_COLUMNS
 from fireuq.synth import ScenarioSpec, generate_scenario
 
 GEO = GeoConfig(meters_per_pixel=375.0, crop_size=128)
@@ -165,6 +166,9 @@ def test_sweep_config_validation():
         SweepConfig(error_threshold=np.nan)
     with pytest.raises(ValidationError):
         SweepConfig(nll_epsilon=0.5)
+    with pytest.raises(ValidationError, match="--epsilon"):
+        SweepConfig(nll_epsilon=1e-17)
+    SweepConfig(nll_epsilon=2.0**-53)
 
 
 def _scenario_events(seed=0, n_fires=6, grid=24):
@@ -552,7 +556,7 @@ def test_run_sweep_aggregates_equal_per_radius_filter_over_many_radii():
     assert sorted(map(int, per_radius)) == sorted(radii + (3,))
     for r in sorted(radii + (3,)):
         at_r = [rec for rec in result.records if rec.radius_px == r]
-        for name in protocol.METRIC_COLUMNS:
+        for name in METRIC_COLUMNS:
             values = [getattr(rec, name) for rec in at_r]
             defined = [v for v in values if v is not None]
             mean = float(np.mean(defined)) if defined else None

@@ -1,19 +1,22 @@
 """CSV/JSON/Markdown emission and manifest determinism helpers."""
 
+import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
 from fireuq.errors import ValidationError
-from fireuq.metrics import MetricRecord
+from fireuq.protocol import summarize
 from fireuq.report import (
     CSV_COLUMNS,
+    METRIC_COLUMNS,
+    MetricRecord,
     digest_inputs,
     format_mean_std,
     manifest_timestamp,
     pair_records,
-    summarize,
     write_diff_csv,
     write_markdown_table,
     write_sweep_csv,
@@ -38,6 +41,27 @@ def test_sweep_csv_layout(tmp_path):
     # undefined metrics become empty cells, not "None"
     assert lines[2] == "f1,2018,4,,,,,,,,0"
     assert lines[-1] == ""  # trailing newline
+
+
+def test_csv_columns_are_the_record_fields():
+    assert CSV_COLUMNS == ("fire_id", "year", "radius_px", *METRIC_COLUMNS, "n_eval_px")
+    assert METRIC_COLUMNS == (
+        "ap", "asd_m", "brier", "nll", "auroc", "auprc", "error_prevalence")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", METRIC_COLUMNS)
+def test_metric_record_refuses_non_finite_metrics(name, bad):
+    """A record is checked where it is built, so run_sweep makes no
+    record that read_sweep_csv would refuse."""
+    with pytest.raises(ValidationError, match=f"^f0: {name}={bad} is not finite$"):
+        MetricRecord("f0", 2018, 4, **{name: bad})
+
+
+def test_metric_record_is_frozen():
+    rec = MetricRecord("f0", 2018, 4, auroc=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.auroc = 1.5
 
 
 def test_diff_csv_zero_for_identical_inputs(tmp_path):
