@@ -36,7 +36,6 @@ from .distill import (
     load_models,
     middle_member_by_year,
     parse_model_spec,
-    read_years,
     require_features,
     save_head,
     train_head,
@@ -49,7 +48,7 @@ from .errors import (
 )
 from .metrics import DEFAULT_NLL_EPSILON
 from .protocol import MAX_RADIUS_PX, SweepConfig, run_sweep, summarize
-from .raster import GeoConfig, save_array, scan_dataset
+from .raster import GeoConfig, read_years, save_array, scan_dataset
 from .report import (
     MANIFEST_NAME,
     has_manifest,
@@ -284,22 +283,24 @@ def cmd_distill(args) -> int:
     if len(years) < 2:
         raise ValidationError("distillation needs at least two years (train + val)")
 
-    # per year: each teacher map becomes its head target right after
-    # fusion, and on the val year the references that checkpoint
-    # selection needs are kept; read_years then drops the members, as
-    # training reads only the features, the targets and these references
-    events, targets, val_selection = [], [], []
-    for _files, year_events, _shapes in read_years(layout, geo):
+    # per year: the stacks are kept, each teacher map becomes its head
+    # target right after fusion, and on the val year the references that
+    # checkpoint selection needs are kept; read_years then drops the
+    # members, as training reads only these
+    events, features, targets, val_selection = [], [], [], []
+    for year_events, stacks in read_years(layout, geo.crop_size):
+        year_features = list(stacks())
         targets += [
-            head_target(ev.features, fuse_ensemble(ev.members).uncertainty)
-            for ev in year_events
+            head_target(f, fuse_ensemble(ev.members).uncertainty)
+            for ev, f in zip(year_events, year_features)
         ]
         if year_events[0].year == val_year:
             mid = middle_member_by_year(year_events)[val_year]
             val_selection = [(ev.gt, ev.members[mid]) for ev in year_events]
         events += year_events
-    train_set = [(ev.features, t) for ev, t in zip(events, targets) if ev.year != val_year]
-    val_set = [(ev.features, t) for ev, t in zip(events, targets) if ev.year == val_year]
+        features += year_features
+    train_set = [(f, t) for ev, f, t in zip(events, features, targets) if ev.year != val_year]
+    val_set = [(f, t) for ev, f, t in zip(events, features, targets) if ev.year == val_year]
 
     result = train_head(
         train_set, val_set, cfg, val_selection, error_threshold=args.threshold
@@ -315,8 +316,7 @@ def cmd_distill(args) -> int:
     write_train_log_csv(out_dir / "train_log.csv", result.log)
 
     # student maps go into the dataset layout beside their fires
-    maps = head_maps(result.head, (ev.features for ev in events),
-                     max(ev.gt.size for ev in events))
+    maps = head_maps(result.head, features, max(ev.gt.size for ev in events))
     for ev, unc in zip(events, maps):
         save_array(unc.astype(np.float32), root / str(ev.year) / ev.id / "student_unc.npy")
 
@@ -356,11 +356,7 @@ def _config_snapshot(args, anchor) -> dict:
     byte-identical manifests.
     """
     skip = {"func", "jobs", "force", "out_dir"}
-    snapshot = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in sorted(vars(args).items())
-        if k not in skip
-    }
+    snapshot = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     if anchor is not None:
         snapshot["resolved_anchor_px"] = anchor
     return snapshot

@@ -9,10 +9,11 @@ momentum, coupled L2 weight decay on the weights, polynomial LR decay,
 early stopping, and checkpoint selection by validation AUROC inside the
 anchor-radius evaluation region.
 
-Training and load_models read a pack through read_years, one cropped
-year at a time, and compute student maps with head_maps.  load_models
-builds the models the protocol scores from model specs (``ensemble:<dir>``,
-``student:<dir>:<head.json>``).
+Training and load_models read a pack through raster.read_years, the one
+pack reader: one cropped year at a time, and each year's feature stacks
+one fire at a time.  Both compute student maps with head_maps.
+load_models builds the models the protocol scores from model specs
+(``ensemble:<dir>``, ``student:<dir>:<head.json>``).
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ import numpy as np
 from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
 from .metrics import average_precisions, error_map, uq_auroc
 from .protocol import MAX_RADIUS_PX, Fire, Model, fcer_pixels
-from .raster import (
-    FireEvent,
-    FireFiles,
-    GeoConfig,
-    center_crop_at_most,
-    load_years,
-    read_features,
-    scan_dataset,
-)
+from .raster import FireEvent, FireFiles, GeoConfig, read_years, scan_dataset
 from .report import read_json, write_json
 
 
@@ -502,15 +495,20 @@ def load_head(path: str | Path) -> tuple[UncertaintyHead, dict]:
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: head checkpoint must be a JSON object")
     try:
-        head = UncertaintyHead(
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            bias=float(payload["bias"]),
-        )
-        channels = int(payload["channels"])
+        channels, weights, bias = payload["channels"], payload["weights"], payload["bias"]
     except KeyError as exc:
         raise ValidationError(f"{path}: missing checkpoint field {exc}") from exc
-    # a JSON integer beyond float range overflows float(), and an inf int()
-    except (TypeError, ValueError, OverflowError, ShapeError) as exc:
+    # the JSON types save_head writes; a bool is not a number here
+    if type(channels) is not int:
+        raise ValidationError(f"{path}: channels must be a JSON integer, got {channels!r}")
+    if not (type(weights) is list and all(type(w) in (int, float) for w in weights)):
+        raise ValidationError(f"{path}: weights must be a list of JSON numbers")
+    if type(bias) not in (int, float):
+        raise ValidationError(f"{path}: bias must be a JSON number, got {bias!r}")
+    try:
+        head = UncertaintyHead(weights=np.asarray(weights, dtype=np.float64), bias=float(bias))
+    # a JSON integer beyond float range overflows float()
+    except OverflowError as exc:
         raise ValidationError(f"{path}: malformed checkpoint field ({exc})") from exc
     if head.channels != channels:
         raise ValidationError(f"{path}: channel count disagrees with weights")
@@ -528,25 +526,6 @@ def parse_model_spec(text: str) -> tuple[str, Path, Path | None]:
     raise ValidationError(
         f"bad model spec {text!r}; want ensemble:<dir> or student:<dir>:<head.json>"
     )
-
-
-def read_years(layout: dict[int, list[FireFiles]], geo: GeoConfig, features: bool = True):
-    """Yield (files, events, shapes) per year of a scanned layout: its
-    FireFiles, its fires from load_years with each raster center-cropped
-    in place to at most geo.crop_size per axis (a crop of a valid raster
-    is valid), and each fire's uncropped (H, W), which its features.npy
-    must have.  The year's events drop their member maps when the next
-    year is requested or the reader is exhausted."""
-    for files, events in zip(layout.values(), load_years(layout, features)):
-        shapes = [ev.gt.shape for ev in events]
-        for ev in events:
-            ev.gt = center_crop_at_most(ev.gt, geo.crop_size)
-            ev.members = [center_crop_at_most(m, geo.crop_size) for m in ev.members]
-            if ev.features is not None:
-                ev.features = center_crop_at_most(ev.features, geo.crop_size)
-        yield files, events, shapes
-        for ev in events:
-            ev.members.clear()
 
 
 def require_features(layout: dict[int, list[FireFiles]], reader: str):
@@ -582,12 +561,13 @@ def middle_member_by_year(
 
 def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
     """One Model per spec, plus the files it parsed.  Each distinct
-    dataset root is scanned, then read by read_years.  A year's fires are
-    shared by the root's models: each has its year's middle-AP member as
-    the error-map reference (Fire.reference, kept when read_years drops
-    the members), with that member's AP.  An ensemble scores the fused
-    members; a student scores the reference with head_maps' uncertainty,
-    parsing each fire's features.npy just before its map.  So at most one
+    dataset root is scanned, then read by raster.read_years.  A year's
+    fires are shared by the root's models: each has its year's middle-AP
+    member as the error-map reference (Fire.reference, kept when
+    read_years drops the members), with that member's AP.  An ensemble
+    scores the fused members; a student scores the reference with
+    head_maps' uncertainty over its own pass of the year's stacks, which
+    parses each fire's features.npy just before its map.  So at most one
     year's member maps and one fire's feature stack are held at a time."""
     parsed = [parse_model_spec(text) for text in specs]
     heads = [load_head(h)[0] if h is not None else None for _kind, _root, h in parsed]
@@ -602,7 +582,7 @@ def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pat
         layout = scan_dataset(root, features=student)
         if student:
             require_features(layout, "student model")
-        for files, events, shapes in read_years(layout, geo, features=False):
+        for events, stacks in read_years(layout, geo.crop_size):
             aps: list = []
             mids = middle_member_by_year(events, aps)
             fires = [
@@ -616,12 +596,8 @@ def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pat
                     teachers = (fuse_ensemble(ev.members) for ev in events)
                     models[i].outputs += [(t.mean_prob, t.uncertainty) for t in teachers]
                 else:
-                    stacks = (
-                        center_crop_at_most(read_features(ff.features, shape), geo.crop_size)
-                        for ff, shape in zip(files, shapes)
-                    )
                     # exhausted here, so its workspace goes before the next year
-                    maps = list(head_maps(heads[i], stacks, n_px))
+                    maps = list(head_maps(heads[i], stacks(), n_px))
                     models[i].outputs += [(f.reference, u) for f, u in zip(fires, maps)]
         inputs += [p for fires in layout.values() for f in fires for p in f.paths]
     inputs += [h for _kind, _root, h in parsed if h is not None]

@@ -26,15 +26,18 @@ output, and nothing here reads it.
 Reading has two steps.  scan_dataset checks the whole layout (year and
 fire directories, gt.npy, contiguous member indices, one odd member
 count of at least 3) before any array is read, so of two faults in one
-root a layout fault is reported before a parse fault.  load_years then
-parses one year's fires at a time; a caller that drops a year's member
-maps and feature stacks before the next year holds only one year of
-them, and one that reads the stacks apart holds one fire's at a time.
-load_dataset is that reader flattened, for callers that want every
-fire at once.  Each loaded FireEvent lists the files it was parsed
-from, which is what manifests digest.  load_array reads an NPY header
-before its data and refuses a header whose shape and dtype do not match
-the bytes the file holds, so a forged shape allocates nothing.
+root a layout fault is reported before a parse fault.  read_years, the
+one pack reader of the commands, then parses and crops one year's gt
+and member maps at a time, and hands out the year's feature stacks as
+a stream that parses, checks and crops one features.npy at a time,
+after all of that year's member maps.  So every command reports a bad
+member map before a bad features.npy of the same year, and holds one
+year of member maps and, unless it keeps them, one fire's stack.
+load_dataset reads every fire at once, uncropped and with its
+features.  Each loaded FireEvent lists the files it was parsed from,
+which is what manifests digest.  load_array reads an NPY header before
+its data and refuses a header whose shape and dtype do not match the
+bytes the file holds, so a forged shape allocates nothing.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -287,16 +290,13 @@ def read_features(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     return _checked_features(load_array(path), str(path), shape)
 
 
-def _read_fire(files: FireFiles, features: bool) -> FireEvent:
-    """Parse the files of one scanned fire into a FireEvent; with
-    features=False its features.npy, if any, is left unread."""
-    ev = FireEvent(
+def _read_fire(files: FireFiles) -> FireEvent:
+    """Parse the gt.npy and member maps of one scanned fire into a
+    FireEvent; its features.npy, if any, is left to read_features."""
+    return FireEvent(
         id=files.id, year=files.year, gt=load_array(files.gt),
         members=[load_array(p) for p in files.members], files=files.paths,
     )
-    if features and files.features is not None:
-        ev.features = read_features(files.features, ev.gt.shape)
-    return ev
 
 
 def scan_dataset(root: str | Path, features: bool = True) -> dict[int, list[FireFiles]]:
@@ -332,23 +332,46 @@ def scan_dataset(root: str | Path, features: bool = True) -> dict[int, list[Fire
     return layout
 
 
-def load_years(
-    layout: dict[int, list[FireFiles]], features: bool = True
-) -> Iterator[list[FireEvent]]:
-    """The fires of a scanned layout, parsed one year at a time, so a
-    caller that drops a year's rasters before asking for the next never
-    holds two years at once.  features=False leaves every features.npy
-    unread, for a caller that reads each stack with read_features when
-    it needs it."""
+def _read_stacks(fires: list[FireFiles], shapes: list, crop_size: int):
+    """The feature stack of each fire, parsed against its uncropped
+    shape and then center-cropped to at most crop_size per axis."""
+    for f, shape in zip(fires, shapes):
+        yield center_crop_at_most(read_features(f.features, shape), crop_size)
+
+
+def read_years(layout: dict[int, list[FireFiles]], crop_size: int):
+    """Yield (events, stacks) per year of a scanned layout.  events are
+    the year's fires, their gt and member maps parsed and center-cropped
+    in place to at most crop_size per axis (a crop of a valid raster is
+    valid).  Each call of stacks returns a fresh iterator over the year's
+    feature stacks, in fire order, each parsed by read_features against
+    its fire's uncropped (H, W) and cropped like the rasters; every fire
+    must have a features.npy when it is called.  The year's events drop
+    their member maps when the next year is requested or the reader is
+    exhausted."""
     for fires in layout.values():
-        yield [_read_fire(f, features) for f in fires]
+        events = [_read_fire(f) for f in fires]
+        shapes = [ev.gt.shape for ev in events]
+        for ev in events:
+            ev.gt = center_crop_at_most(ev.gt, crop_size)
+            ev.members = [center_crop_at_most(m, crop_size) for m in ev.members]
+        yield events, partial(_read_stacks, fires, shapes, crop_size)
+        for ev in events:
+            ev.members.clear()
 
 
 def load_dataset(root: str | Path, features: bool = True) -> list[FireEvent]:
-    """Load every fire under <root>/<year>/<fire_id>/, sorted by (year, id):
-    the years of load_years, flattened.  features=False leaves every
-    features.npy unread."""
-    return [ev for events in load_years(scan_dataset(root, features)) for ev in events]
+    """Load every fire under <root>/<year>/<fire_id>/, uncropped and
+    sorted by (year, id), each with its feature stack.  features=False
+    leaves every features.npy unread."""
+    events = []
+    for fires in scan_dataset(root, features).values():
+        for f in fires:
+            ev = _read_fire(f)
+            if f.features is not None:
+                ev.features = read_features(f.features, ev.gt.shape)
+            events.append(ev)
+    return events
 
 
 def save_event(root: str | Path, event: FireEvent):

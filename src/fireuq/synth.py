@@ -146,14 +146,6 @@ def generate_scenario(spec: ScenarioSpec) -> list[FireEvent]:
     ]
 
 
-def scenario_manifest(spec: ScenarioSpec) -> dict:
-    d = asdict(spec)
-    d["blob_count_range"] = list(spec.blob_count_range)
-    d["blob_radius_range_px"] = list(spec.blob_radius_range_px)
-    d["years"] = list(spec.years)
-    return d
-
-
 def write_scenario(spec: ScenarioSpec, out_dir: str | Path) -> list[FireEvent]:
     """Generate and write a scenario pack in the dataset layout, plus a
     scenario.json recording the generating spec."""
@@ -163,5 +155,5 @@ def write_scenario(spec: ScenarioSpec, out_dir: str | Path) -> list[FireEvent]:
     events = generate_scenario(spec)
     for ev in events:
         save_event(out_dir, ev)
-    write_json(out_dir / "scenario.json", scenario_manifest(spec))
+    write_json(out_dir / "scenario.json", asdict(spec))
     return events

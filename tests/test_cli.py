@@ -22,16 +22,16 @@ from fireuq.distill import (
     load_models,
     middle_member_by_year,
     parse_model_spec,
-    read_years,
     save_head,
 )
-from fireuq.errors import DegenerateClassError, ValidationError
+from fireuq.errors import DegenerateClassError, ShapeError, ValidationError
 from fireuq.metrics import average_precision, error_map
 from fireuq.protocol import SweepConfig, run_sweep, summarize
 from fireuq.raster import (
     FireEvent,
     GeoConfig,
     load_dataset,
+    read_years,
     save_event,
     scan_dataset,
 )
@@ -778,9 +778,9 @@ def test_cropped_rasters_keep_no_uncropped_parent(tmp_path):
     for ev in generate_scenario(spec):
         save_event(root, ev)
     n = 0
-    for _files, events, _shapes in read_years(scan_dataset(root), GeoConfig(crop_size=25)):
-        for ev in events:
-            for arr in (ev.gt, *ev.members, ev.features):
+    for events, stacks in read_years(scan_dataset(root), 25):
+        for ev, features in zip(events, stacks()):
+            for arr in (ev.gt, *ev.members, features):
                 assert arr.shape[-2:] == (25, 25)
                 kept = arr
                 while kept.base is not None:
@@ -790,27 +790,36 @@ def test_cropped_rasters_keep_no_uncropped_parent(tmp_path):
     assert n == 4 * 5
 
 
-def test_read_years_yields_uncropped_shapes_and_drops_each_year_members(tmp_path):
-    """Each year comes with its scanned files and each fire's uncropped
-    shape, its rasters cropped per axis; its member lists are emptied
-    when the next year is requested, the last year's when the reader is
-    exhausted, while a member taken out of a list stays whole."""
+def test_read_years_checks_stacks_at_uncropped_shapes_and_drops_each_year_members(tmp_path):
+    """Each year's rasters are cropped per axis, and each call of its
+    stacks parses the year's feature stacks afresh, cropped like the
+    rasters; its member lists are emptied when the next year is
+    requested, the last year's when the reader is exhausted, while a
+    member taken out of a list stays whole.  A stack is checked against
+    its fire's uncropped shape, which the crop would hide."""
     root = tmp_path / "pack"
     _hand_pack(root, [(30, 21), (9, 40), (12, 12)])
-    layout = scan_dataset(root)
-    years, shapes, kept = [], [], []
-    for files, events, year_shapes in read_years(layout, GeoConfig(crop_size=20)):
-        assert files == layout[events[0].year]
+    years, kept = [], []
+    for events, stacks in read_years(scan_dataset(root), 20):
         assert all(not ev.members for prev in years for ev in prev)
-        for ev, shape in zip(events, year_shapes):
-            assert len(ev.members) == 3
-            assert ev.gt.shape == ev.features.shape[1:] == tuple(min(d, 20) for d in shape)
+        [ev] = events
+        first, again = list(stacks()), list(stacks())
+        assert len(first) == len(again) == 1 and first[0] is not again[0]
+        assert first[0].tobytes() == again[0].tobytes()
+        assert len(ev.members) == 3
+        assert ev.gt.shape == first[0].shape[1:]
         years.append(events)
-        shapes += year_shapes
-        kept.append(events[0].members[1])
+        kept.append(ev.members[1])
     assert all(not ev.members for prev in years for ev in prev)
-    assert shapes == [(30, 21), (9, 40), (12, 12)]
     assert [m.shape for m in kept] == [(20, 20), (9, 20), (12, 12)]
+    # a (30, 21) fire whose (29, 21) stack crops, like its rasters, to (20, 20)
+    features = root / "2018" / "fire_000" / "features.npy"
+    np.save(features, np.load(features)[:, 1:])
+    events, stacks = next(read_years(scan_dataset(root), 20))
+    assert events[0].gt.shape == (20, 20)
+    with pytest.raises(ShapeError) as exc:
+        next(stacks())
+    assert str(exc.value) == f"{features}: shape (29, 21) != gt shape (30, 21)"
 
 
 @pytest.mark.parametrize("fault", ["four-members", "missing-gt"])
@@ -1000,7 +1009,42 @@ _CORRUPTED_CASES = {
     "head-json-nested": (["sweep", "--model-a", "ensemble:{root}",
                           "--model-b", "student:{root}:{head}", "--anchor", "2"], 1,
                          "malformed head checkpoint"),
+    "head-json-string-weights": (["eval", "--model", "student:{root}:{head}",
+                                  "--anchor", "2"], 1,
+                                 "weights must be a list of JSON numbers"),
 }
+
+# the commands that read feature stacks, each run on a pack with one bad
+# features.npy: "<command>-features-<fault>" -> the fault's message
+_STACK_READERS = {
+    "distill": ["distill", "{root}", "--max-epochs", "1"],
+    "eval-student": ["eval", "--model", "student:{root}:{head}", "--anchor", "2"],
+    "sweep-student": ["sweep", "--model-a", "ensemble:{root}",
+                      "--model-b", "student:{root}:{head}", "--anchor", "2", "--radii", "0..2"],
+}
+_STACK_FAULTS = {
+    "truncated": "header claims shape",
+    # a header claiming 10**4 x 10**7 x 10**7 float32, refused before any allocation
+    "huge-header": "header claims shape",
+    "2d": "expected 3-D (C, H, W) array, got 2-D",
+    "complex": "dtype complex64 is not bool, integer or float",
+    "nan": "contains NaN or Inf",
+    # a 28x28 stack beside a 30x30 gt.npy: --crop 20 makes both 20x20, so
+    # only the check against the uncropped shape refuses it
+    "shape-hidden-by-crop": "shape (28, 28) != gt shape (30, 30)",
+}
+_CORRUPTED_CASES.update({
+    f"{command}-features-{fault}": (
+        args + (["--crop", "20"] if fault == "shape-hidden-by-crop" else []), 1, message)
+    for command, args in _STACK_READERS.items() for fault, message in _STACK_FAULTS.items()
+})
+# one year's earlier fire has a bad features.npy and its later fire a bad
+# member_1.npy: each command parses a year's stacks after all of its member
+# maps, so each names the member map
+_CORRUPTED_CASES.update({
+    f"{command}-stack-fault-then-member-fault": (args, 1, None)
+    for command, args in _STACK_READERS.items()
+})
 
 
 @pytest.mark.parametrize("case", sorted(_CORRUPTED_CASES))
@@ -1046,6 +1090,33 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         (fire / "features.npy").unlink()
         for npy in root.glob("*/*/*.npy"):
             npy.write_bytes(b"not an NPY file")
+    fault = case.partition("-features-")[2]
+    if fault:
+        offending = fire / "features.npy"
+        features = np.load(offending)
+    if fault == "truncated":
+        offending.write_bytes(offending.read_bytes()[:-8])
+    if fault == "huge-header":
+        with open(offending, "wb") as f:
+            np.lib.format.write_array_header_1_0(
+                f, {"descr": "<f4", "fortran_order": False, "shape": (10**4, 10**7, 10**7)})
+            f.write(bytes(64))
+    if fault == "2d":
+        np.save(offending, features[0])
+    if fault == "complex":
+        np.save(offending, features.astype(np.complex64))
+    if fault == "nan":
+        features[1, 3, 4] = np.nan
+        np.save(offending, features)
+    if fault == "shape-hidden-by-crop":
+        for name in ("gt.npy", "member_0.npy", "member_1.npy", "member_2.npy"):
+            np.save(fire / name, np.pad(np.load(fire / name), 7))
+        np.save(offending, np.pad(features, ((0, 0), (6, 6), (6, 6))))
+    if case.endswith("stack-fault-then-member-fault"):
+        shutil.copytree(root / "2018" / "fire_000", root / "2019" / "fire_000")
+        (root / "2019" / "fire_000" / "features.npy").write_bytes(b"not an NPY file")
+        offending = fire / "member_1.npy"
+        offending.write_bytes(b"not an NPY file")
     head = tmp_path / "head.json"
     if any("{head}" in a for a in args):
         save_head(head, UncertaintyHead(weights=np.zeros(4), bias=0.0), TrainConfig(),
@@ -1057,6 +1128,8 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         head.write_text(payload.replace('"bias": 0.0', '"bias": 1' + "0" * 400))
     if case == "head-json-nested":
         head.write_text("[" * 100_000 + "]" * 100_000)
+    if case == "head-json-string-weights":
+        head.write_text(json.dumps({**json.loads(payload), "weights": ["0"] * 4}))
     sweep = tmp_path / "sweep"
     if args[0] == "stats":
         assert _run(["sweep", "--model-a", f"ensemble:{root}", "--model-b",

@@ -1,6 +1,8 @@
 """Ensemble fusion, RMSLE head math and the SGD training loop."""
 
+import json
 import math
+import re
 import warnings
 import weakref
 
@@ -468,6 +470,23 @@ def test_load_head_rejects_malformed(tmp_path):
             load_head(p)
     with pytest.raises(ValidationError, match="missing.json"):
         load_head(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("channels", 2.9), ("channels", True), ("channels", "2"),
+    ("weights", ["0.1", "1e3"]), ("weights", [True, 0.5]),
+    ("bias", "-0.5"), ("bias", False),
+])
+def test_load_head_refuses_fields_of_the_wrong_json_type(tmp_path, field, value):
+    """channels must be a JSON integer, weights a list of JSON numbers and
+    bias a JSON number; a bool or a numeric string is none of these."""
+    p = tmp_path / "head.json"
+    payload = {"channels": 2, "weights": [0.1, 1000.0], "bias": -0.5}
+    p.write_text(json.dumps(payload))
+    assert load_head(p)[0].channels == 2
+    p.write_text(json.dumps({**payload, field: value}))
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}: {field} must be "):
+        load_head(p)
 
 
 def _cropped_stack(rng, c, h, w, scale=1.0):

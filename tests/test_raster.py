@@ -16,7 +16,7 @@ from fireuq.raster import (
     center_crop,
     load_array,
     load_dataset,
-    load_years,
+    read_years,
     save_array,
     save_event,
     scan_dataset,
@@ -422,24 +422,30 @@ def test_load_dataset_sorted_and_consistent(tmp_path):
 
 @pytest.mark.parametrize("features", [True, False])
 def test_load_dataset_is_the_flattened_per_year_reader(tmp_path, features):
+    """load_dataset holds what read_years gives, year by year, under a
+    crop that cuts nothing: the same fires, files and rasters, and each
+    fire's stack when features are read."""
     for i, year in enumerate((2019, 2018, 2019, 2021)):
         save_event(tmp_path, _demo_event(f"fire_{i}", year, seed=i))
     (tmp_path / "2020").mkdir()  # a year without fires yields nothing
     layout = scan_dataset(tmp_path, features)
     assert list(layout) == [2018, 2019, 2021]
-    per_year = list(load_years(layout))
-    assert [[ev.year for ev in events] for events in per_year] == [[2018], [2019, 2019], [2021]]
-    flat = [ev for events in per_year for ev in events]
-    events = load_dataset(tmp_path, features)
-    assert [(ev.year, ev.id, ev.files) for ev in events] == [
-        (ev.year, ev.id, ev.files) for ev in flat]
-    assert [f.paths for fires in layout.values() for f in fires] == [ev.files for ev in flat]
-    for a, b in zip(events, flat):
-        assert a.gt.tobytes() == b.gt.tobytes()
-        assert [m.tobytes() for m in a.members] == [m.tobytes() for m in b.members]
-        assert (a.features is None) == (b.features is None) == (not features)
-        if features:
-            assert a.features.tobytes() == b.features.tobytes()
+    events = iter(load_dataset(tmp_path, features))
+    years = []
+    for year_events, stacks in read_years(layout, 8):
+        years.append([ev.year for ev in year_events])
+        stacked = stacks() if features else [None] * len(year_events)
+        for b, a, stack in zip(year_events, events, stacked):
+            assert (a.year, a.id, a.files) == (b.year, b.id, b.files)
+            assert a.gt.tobytes() == b.gt.tobytes()
+            assert [m.tobytes() for m in a.members] == [m.tobytes() for m in b.members]
+            assert (a.features is None) == (stack is None) == (not features)
+            if features:
+                assert a.features.tobytes() == stack.tobytes()
+    assert years == [[2018], [2019, 2019], [2021]]
+    assert next(events, None) is None
+    assert [f.paths for fires in layout.values() for f in fires] == [
+        ev.files for ev in load_dataset(tmp_path, features)]
 
 
 def test_scan_dataset_checks_every_fire_before_reading_any(tmp_path):

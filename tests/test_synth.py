@@ -17,7 +17,6 @@ from fireuq.synth import (
     DEFAULT_YEARS,
     ScenarioSpec,
     generate_scenario,
-    scenario_manifest,
     write_scenario,
 )
 
@@ -142,8 +141,11 @@ def test_write_scenario_round_trips_through_dataset_loader(tmp_path):
         assert ev.features.tobytes() == src.features.tobytes()
     manifest = json.loads((tmp_path / "scenario.json").read_text())
     assert manifest["rng_seed"] == 12
+    assert manifest["grid_size"] == 16
+    # the spec's tuples are written as JSON arrays
     assert manifest["years"] == [2020, 2021]
-    assert scenario_manifest(spec)["grid_size"] == 16
+    assert manifest["blob_count_range"] == list(spec.blob_count_range)
+    assert manifest["blob_radius_range_px"] == [2, 5]
 
 
 def test_errors_concentrate_near_the_boundary():
