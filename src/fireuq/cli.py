@@ -288,8 +288,10 @@ def cmd_distill(args) -> int:
     # checkpoint selection needs are kept; read_years then drops the
     # members, as training reads only these
     events, features, targets, val_selection = [], [], [], []
+    # every stack has the channel count of the first year's first stack
+    first = next(iter(layout.values()))[0].features
     for year_events, stacks in read_years(layout, geo.crop_size):
-        year_features = list(stacks())
+        year_features = list(stacks(features[0].shape[0] if features else None, first))
         targets += [
             head_target(f, fuse_ensemble(ev.members).uncertainty)
             for ev, f in zip(year_events, year_features)

@@ -501,6 +501,8 @@ def load_head(path: str | Path) -> tuple[UncertaintyHead, dict]:
     # the JSON types save_head writes; a bool is not a number here
     if type(channels) is not int:
         raise ValidationError(f"{path}: channels must be a JSON integer, got {channels!r}")
+    if channels < 1:
+        raise ValidationError(f"{path}: channels must be >= 1, got {channels}")
     if not (type(weights) is list and all(type(w) in (int, float) for w in weights)):
         raise ValidationError(f"{path}: weights must be a list of JSON numbers")
     if type(bias) not in (int, float):
@@ -567,8 +569,10 @@ def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pat
     read_years drops the members), with that member's AP.  An ensemble
     scores the fused members; a student scores the reference with
     head_maps' uncertainty over its own pass of the year's stacks, which
-    parses each fire's features.npy just before its map.  So at most one
-    year's member maps and one fire's feature stack are held at a time."""
+    parses each fire's features.npy just before its map and refuses one
+    of another channel count than the head's, naming both files.  So at
+    most one year's member maps and one fire's feature stack are held at
+    a time."""
     parsed = [parse_model_spec(text) for text in specs]
     heads = [load_head(h)[0] if h is not None else None for _kind, _root, h in parsed]
     by_root: dict[Path, list[int]] = {}
@@ -596,8 +600,10 @@ def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pat
                     teachers = (fuse_ensemble(ev.members) for ev in events)
                     models[i].outputs += [(t.mean_prob, t.uncertainty) for t in teachers]
                 else:
-                    # exhausted here, so its workspace goes before the next year
-                    maps = list(head_maps(heads[i], stacks(), n_px))
+                    # every stack has the head's channel count; exhausted
+                    # here, so its workspace goes before the next year
+                    own = stacks(heads[i].channels, parsed[i][2])
+                    maps = list(head_maps(heads[i], own, n_px))
                     models[i].outputs += [(f.reference, u) for f, u in zip(fires, maps)]
         inputs += [p for fires in layout.values() for f in fires for p in f.paths]
     inputs += [h for _kind, _root, h in parsed if h is not None]

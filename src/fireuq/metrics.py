@@ -4,9 +4,13 @@ Segmentation: precision/recall, step-wise average precision, average
 surface distance.  Calibration: Brier score, negative log-likelihood.
 Uncertainty ranking: error map construction, AUROC of uncertainty
 scores against the error map, and AUPRC as their average precision.
-AP and AUROC share one counting kernel, ranking_counts, fed by the
-scores sorted ascending and the positives' scores sorted ascending; a
-caller that reads only one of them skips the other's arithmetic.
+AP, AUROC and prevalence come from one kernel, ranking_by_level, fed
+by the scores sorted ascending, the positives' scores sorted ascending
+and, for nested regions such as a sweep's FCERs, each pixel's level.
+Its work past those sorts is on the positives: a few integer counts
+per distinct positive score and level, from which AUROC is exact and
+AP's per-score terms are written into a zero array whose one sum has
+the bits of the sum over every distinct score.
 
 Every masked metric funnels through one region-selection path, so a
 region of all ones reproduces the unmasked value bitwise.  The record
@@ -57,73 +61,145 @@ def precision_recall(
     return precision, recall
 
 
-def ranking_counts(
-    scores_asc: np.ndarray, positives_asc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 counts every ranking metric is taken from: per distinct
-    score, highest first, the positives scored at or above it (tp) and
-    all pixels scored at or above it (cnt).
+def ranking_by_level(
+    scores_asc: np.ndarray,
+    positives_asc: np.ndarray,
+    levels: np.ndarray | None = None,
+    positive_levels: np.ndarray | None = None,
+    n_levels: int = 1,
+) -> list[tuple[float, float, float] | None]:
+    """AP, AUROC and prevalence of every nested level of one ranking, or
+    None where a level's labels are single-class.
 
     scores_asc holds every score sorted ascending and positives_asc the
-    positives' scores sorted ascending, ties in any order.  cnt comes
-    from where each run of equal scores starts.  One searchsorted of
-    positives_asc into the distinct scores counts the positives at each
-    score, and tp sums those counts from the highest score down, so no
-    permutation of the pixels is needed.  Raises ValidationError on a
-    NaN or infinite score: sorted ascending, -inf comes first and +inf
-    and NaN last, so checking the two ends is exact.  Raises
-    DegenerateClassError when the labels are single-class.
+    positives' scores sorted ascending, ties in any order.  levels[i] is
+    the level of scores_asc[i] and positive_levels[k] that of
+    positives_asc[k], both in [0, n_levels); level j ranks the pixels of
+    level <= j.  Without levels, or with n_levels 1, there is one level,
+    every pixel.
+
+    Each distinct positive score is read through five int64 counts per
+    level: the pixels below it and up to its end, the positives likewise,
+    and the distinct scores below it.  With one level they are positions
+    in the two sorted arrays, with no further sort.  With several, the
+    pixels, the positives and the distinct scores (each at its lowest
+    level) are each sorted once by (level, position) key; one
+    searchsorted per family counts those at each level below each
+    positive score, and a cumulative sum over the levels gives the
+    counts at level <= j.  A level holding no pixel repeats the level
+    below it.  The others are counted in blocks of about
+    pixels / (distinct positive scores) levels, so working memory is
+    O(pixels + positives) whatever n_levels is.
+
+    AUROC is exact in int64: twice the correctly ordered (positive,
+    negative) pairs is, per positive, 2 * (negatives below) + (negatives
+    tied), which summed over a level is the sum over its positive scores
+    of (positives there) * (below + end), less n_pos**2.  AP sums
+    (R_n - R_{n-1}) * P_n over the level's distinct scores, highest
+    first.  At a score with no positive that term is exactly +0.0, two
+    equal recalls subtracted, so the level's term array is np.zeros with
+    each positive score's term written at its descending position, and
+    its one np.add.reduce sums the very array a sum over every distinct
+    score would.  A level with no positive or no negative divides
+    nothing.  Raises ValidationError on a NaN or infinite score at any
+    level, before any class check: sorted ascending, -inf comes first
+    and +inf and NaN last, so checking the two ends is exact.
     """
     n, n_pos = scores_asc.size, positives_asc.size
     if n and not (np.isfinite(scores_asc[0]) and np.isfinite(scores_asc[-1])):
         raise ValidationError("ranking: scores must be finite (found NaN or inf)")
-    if n_pos == 0 or n_pos == n:
-        raise DegenerateClassError("ranking: labels are single-class")
-    first = np.flatnonzero(np.append(True, scores_asc[1:] != scores_asc[:-1]))
-    distinct = scores_asc[first]
-    per_score = np.bincount(np.searchsorted(distinct, positives_asc), minlength=distinct.size)
-    return np.cumsum(per_score[::-1]), n - first[::-1]
+    if n_pos == 0:
+        return [None] * n_levels
+    # where each run of equal scores starts, and n
+    bounds = np.flatnonzero(np.concatenate(([True], scores_asc[1:] != scores_asc[:-1], [True])))
+    n_distinct = bounds.size - 1
+    rank = np.searchsorted(scores_asc[bounds[:-1]], positives_asc)
+    # each distinct positive score: its first and end index in positives_asc
+    # and in scores_asc, and its index among the distinct scores
+    pos_below = np.flatnonzero(np.append(True, rank[1:] != rank[:-1]))
+    pos_end = np.append(pos_below[1:], n_pos)
+    distinct_below = rank[pos_below]
+    below, end = bounds[distinct_below], bounds[distinct_below + 1]
+    if levels is None or n_levels == 1:
+        totals = np.array([n]), np.array([n_pos]), np.array([n_distinct])
+        return _rank_rows(*totals, None, below, end, pos_below, pos_end, distinct_below)
+
+    # per family, the items' levels and the positions each score is counted below
+    families = (
+        (levels, np.concatenate((below, end, [n]))),
+        (positive_levels, np.concatenate((pos_below, pos_end, [n_pos]))),
+        (np.minimum.reduceat(levels, bounds[:-1]), np.append(distinct_below, n_distinct)),
+    )
+    keys = [_level_keys(lv) for lv, _x in families]
+    carry = [0] * len(families)
+    present = np.flatnonzero(np.bincount(levels, minlength=n_levels))
+    n_q = below.size
+    block = max(1, n // n_q)
+    ranked: list = []
+    for b in range(0, present.size, block):
+        ls = present[b : b + block, None]
+        counts = []
+        for f, ((lv, x), k) in enumerate(zip(families, keys)):
+            base = ls * lv.size
+            c = np.searchsorted(k, base + x) - np.searchsorted(k, base)
+            np.cumsum(c, axis=0, out=c)
+            c += carry[f]
+            carry[f] = c[-1]
+            counts.append(c)
+        pix, pos, dist = counts
+        # a score enters a level with its first positive there
+        at = np.nonzero(pos[:, n_q:-1] > pos[:, :n_q])
+        ranked += _rank_rows(
+            pix[:, -1], pos[:, -1], dist[:, -1], at[0], pix[:, :n_q][at],
+            pix[:, n_q:-1][at], pos[:, :n_q][at], pos[:, n_q:-1][at], dist[:, :-1][at],
+        )
+    # level j reads the highest present level <= j, None below the lowest
+    last = np.searchsorted(present, np.arange(n_levels), "right") - 1
+    return [ranked[i] if i >= 0 else None for i in last]
 
 
-def ranking_from_sorted(
-    scores_asc: np.ndarray, positives_asc: np.ndarray
-) -> tuple[float, float, float]:
-    """AP, AUROC and prevalence from ranking_counts.
-
-    AP sums (R_n - R_{n-1}) * P_n over the distinct scores; AUROC counts
-    correctly ordered (positive, negative) pairs in int64, ties scoring
-    half.  Raises like ranking_counts.
-    """
-    tp, cnt = ranking_counts(scores_asc, positives_asc)
-    n_pos = positives_asc.size
-    ap = _ap_from_counts(tp, cnt, n_pos)
-    return ap, _auroc_from_counts(tp, cnt, n_pos), n_pos / scores_asc.size
+def _level_keys(levels: np.ndarray) -> np.ndarray:
+    """level * size + position of each item, sorted: per level, the
+    positions at that level in ascending order."""
+    keys = levels.astype(np.int64) * levels.size
+    keys += np.arange(levels.size)
+    keys.sort()
+    return keys
 
 
-def _ap_from_counts(tp: np.ndarray, cnt: np.ndarray, n_pos: int) -> float:
-    """Sum over the thresholds of (R_n - R_{n-1}) * P_n."""
-    recall = tp / n_pos
-    terms = np.diff(recall, prepend=0.0)
-    terms *= np.divide(tp, cnt, out=recall)
-    return float(np.sum(terms))
-
-
-def _auroc_from_counts(tp: np.ndarray, cnt: np.ndarray, n_pos: int) -> float:
-    """Correctly ordered (positive, negative) pairs over all pairs; cnt
-    is overwritten with the false positives."""
-    n_neg = int(cnt[-1]) - n_pos
-    fp = np.subtract(cnt, tp, out=cnt)
-    return (_wins2_from_counts(tp, fp, n_neg) / 2.0) / (n_pos * n_neg)
-
-
-def _wins2_from_counts(tp: np.ndarray, fp: np.ndarray, n_neg: int) -> int:
-    """Twice the correctly ordered (positive, negative) pairs, ties
-    counting half: per group pos_g * (2 * (negatives below) + neg_g)."""
-    wins2 = n_neg - fp
-    wins2 *= 2
-    wins2 += np.diff(fp, prepend=0)
-    wins2 *= np.diff(tp, prepend=0)
-    return int(wins2.sum())
+def _rank_rows(
+    n, n_pos, n_distinct, rows, below, end, pos_below, pos_end, distinct_below
+) -> list[tuple[float, float, float] | None]:
+    """ranking_by_level's values per level from the counts of each
+    (level, positive score) entry: the pixels below the score and up to
+    its end, the positives likewise, and the distinct scores below it.
+    Entries are grouped by level, levels ascending, and rows gives each
+    entry's level, or is None for one level; n, n_pos and n_distinct
+    hold each level's totals.  An entry's AP term goes to its score's
+    descending position, and (positives there) * (below + end) to the
+    level's pair count."""
+    per = slice(None) if rows is None else rows
+    tp = n_pos[per] - pos_below
+    terms = tp / n_pos[per]
+    terms -= (n_pos[per] - pos_end) / n_pos[per]
+    terms *= tp / (n[per] - below)
+    place = n_distinct[per] - 1 - distinct_below
+    pairs = below + end
+    pairs *= pos_end - pos_below
+    bounds = [0, tp.size] if rows is None else np.searchsorted(rows, np.arange(n.size + 1))
+    out: list = []
+    for j in range(n.size):
+        lo, hi = bounds[j], bounds[j + 1]
+        n_j, p_j = int(n[j]), int(n_pos[j])
+        if p_j == 0 or p_j == n_j:
+            out.append(None)
+            continue
+        ap_terms = np.zeros(int(n_distinct[j]))
+        ap_terms[place[lo:hi]] = terms[lo:hi]
+        wins2 = int(pairs[lo:hi].sum()) - p_j * p_j
+        auroc = (wins2 / 2.0) / (p_j * (n_j - p_j))
+        out.append((float(np.add.reduce(ap_terms)), auroc, p_j / n_j))
+    return out
 
 
 def _sort_dtype(dtype: np.dtype) -> np.dtype:
@@ -132,18 +208,22 @@ def _sort_dtype(dtype: np.dtype) -> np.dtype:
     return np.promote_types(dtype, np.float32)
 
 
-def _sorted_scores(
+def _ranked(
     scores: np.ndarray, labels: np.ndarray, region: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The region's scores sorted ascending in their _sort_dtype, and
-    those of its 0/1-labelled positives, for ranking_counts."""
+) -> tuple[float, float, float]:
+    """ranking_by_level's one level over the region's scores, in their
+    _sort_dtype, and its 0/1-labelled positives; raises
+    DegenerateClassError when the labels are single-class."""
     scores = np.asarray(scores)
     labels = np.asarray(labels)
     _check_shapes(scores, labels, region)
     s = _select(scores, region).astype(_sort_dtype(scores.dtype), copy=False)
     positives = s[_select(labels, region).astype(bool)]
     positives.sort()
-    return np.sort(s), positives
+    (ranked,) = ranking_by_level(np.sort(s), positives)
+    if ranked is None:
+        raise DegenerateClassError("ranking: labels are single-class")
+    return ranked
 
 
 def average_precision(
@@ -156,8 +236,7 @@ def average_precision(
     uncertainty map is its AP against the error map.  Raises
     DegenerateClassError when the labels are single-class.
     """
-    s, positives = _sorted_scores(scores, labels, region)
-    return _ap_from_counts(*ranking_counts(s, positives), positives.size)
+    return _ranked(scores, labels, region)[0]
 
 
 def average_precisions(
@@ -178,13 +257,13 @@ def average_precisions(
     positives = keys[:, labels.ravel().astype(bool)]
     keys.sort(axis=1)
     positives.sort(axis=1)
-    try:
-        return [
-            _ap_from_counts(*ranking_counts(s, p), p.size)
-            for s, p in zip(keys, positives)
-        ]
-    except DegenerateClassError:
-        return None
+    aps = []
+    for s, p in zip(keys, positives):
+        (ranked,) = ranking_by_level(s, p)
+        if ranked is None:
+            return None
+        aps.append(ranked[0])
+    return aps
 
 
 def average_surface_distance(
@@ -288,5 +367,4 @@ def uq_auroc(
     Raises DegenerateClassError when the region contains only errors or
     only correct pixels.
     """
-    s, positives = _sorted_scores(unc, errors, region)
-    return _auroc_from_counts(*ranking_counts(s, positives), positives.size)
+    return _ranked(unc, errors, region)[1]

@@ -31,7 +31,7 @@ from .metrics import (
     check_nll_epsilon,
     error_map,
     nll_terms,
-    ranking_from_sorted,
+    ranking_by_level,
 )
 from .morphology import dilate, squared_edt_within
 from .raster import FireEvent, GeoConfig
@@ -191,19 +191,23 @@ def run_sweep(
     with their squared distances, from fcer_pixels; every smaller FCER
     is the subsequence within its radius, so n_eval_px and each region's
     values, in their order, are those of the full grid.  The ground
-    truth and the error labels are read only at those pixels.  The
-    pixels, distances and labels are shared by every model that holds
-    the Fire and dropped when its records are done.  Each model's per-pixel
-    Brier and NLL terms are computed once over the largest FCER, and
-    each radius averages the subsequence inside its own FCER, as the
-    FCERs are nested; the mean sees the values brier and nll would see,
-    in the same order.  Likewise each model's uncertainty is sorted
-    ascending once over the largest FCER, and every radius ranks its
-    sorted subsequence and that of its error pixels.  That sort is
-    numpy's default argsort: the ranking kernel reads only the sorted
-    values, so the order within ties, which such a sort leaves
-    unspecified, changes no value.  Every fire, an empty-ground-truth
-    fire too, gets one record per scored radius.
+    truth and the error labels are read only at those pixels.  A pixel's
+    level is the smallest scored radius whose FCER holds it, one
+    searchsorted of its squared distance into the squared radii, and the
+    FCER at radius j is the pixels of level <= j.  The pixels, labels
+    and levels are shared by every model that holds the Fire and dropped
+    when its records are done.  Each model's per-pixel Brier and NLL
+    terms are computed once over the largest FCER; each radius gathers
+    its own FCER's terms in raster order, as the mean over that FCER
+    sees them, and sums them with one np.add.reduce, which is what
+    np.mean computes.  A radius whose ring adds no pixel repeats the
+    radius below it.  Each model's uncertainty is sorted ascending once
+    over the largest FCER, and one ranking_by_level call ranks every
+    radius from those sorted values, the positives among them, and
+    their levels.  That sort is numpy's default argsort: the kernel
+    reads only the sorted values, so the order within ties, which such a
+    sort leaves unspecified, changes no value.  Every fire, an
+    empty-ground-truth fire too, gets one record per scored radius.
 
     Degenerate per-fire cases (single-class region, empty ground truth,
     missing boundary) leave the affected metrics as None and the run
@@ -282,31 +286,37 @@ def run_sweep(
         idx, d2 = fcer_pixels(gt, radii[-1])
         labels = gt.ravel()[idx]
         y_outer = labels.astype(np.float64)
-        errors = error_map(fire.reference.ravel()[idx], labels, config.error_threshold)
-        inside = [d2 <= float(r * r) for r in radii]
+        errors = error_map(fire.reference.ravel()[idx], labels, config.error_threshold).view(bool)
+        # each pixel's level: the smallest scored radius whose FCER holds it
+        levels = np.searchsorted(np.array([r * r for r in radii], dtype=np.float64), d2)
+        n_eval = np.cumsum(np.bincount(levels, minlength=len(radii)))
+        scored = []
         for m, i in group:
             prob, unc = models[m].outputs[i]
-            ap, asd = ap_asd[m][i]
             p = prob.ravel()[idx].astype(np.float64)
-            b_terms = brier_terms(p, y_outer)
-            n_terms = nll_terms(p, y_outer, config.nll_epsilon)
-            # one sort over the largest FCER; each smaller one is a sorted subsequence
+            terms = np.stack((brier_terms(p, y_outer), nll_terms(p, y_outer, config.nll_epsilon)))
+            # one sort over the largest FCER ranks every nested one
             u = unc.ravel()[idx]
             order = np.argsort(u)
-            s, y = u[order], errors[order].astype(bool)
-            records = per_fire[m][i] = []
-            for r, keep in zip(radii, inside):
-                ranked = keep[order]
-                try:
-                    auprc, auroc, prevalence = ranking_from_sorted(s[ranked], s[ranked & y])
-                except DegenerateClassError:
-                    auprc = auroc = prevalence = None
-                records.append(MetricRecord(
+            s, y, lv = u[order], errors[order], levels[order]
+            scored.append((terms, ranking_by_level(s, s[y], lv, lv[y], len(radii))))
+            per_fire[m][i] = []
+        for j, r in enumerate(radii):
+            n = int(n_eval[j])
+            if j == 0 or n > n_eval[j - 1]:
+                inside = np.flatnonzero(levels <= j)
+                means = [
+                    [np.add.reduce(t) / n for t in terms.take(inside, axis=1)]
+                    for terms, _ranked in scored
+                ]
+            for (m, i), (b, nl), (_terms, ranked) in zip(group, means, scored):
+                ap, asd = ap_asd[m][i]
+                auprc, auroc, prevalence = ranked[j] or (None, None, None)
+                per_fire[m][i].append(MetricRecord(
                     ev.id, ev.year, radius_px=r, ap=ap, asd_m=asd,
-                    brier=float(np.mean(b_terms[keep])),
-                    nll=float(np.mean(n_terms[keep])),
+                    brier=float(b), nll=float(nl),
                     auroc=auroc, auprc=auprc, error_prevalence=prevalence,
-                    n_eval_px=int(np.count_nonzero(keep)),
+                    n_eval_px=n,
                 ))
 
     for group in holders.values():

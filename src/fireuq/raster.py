@@ -332,11 +332,27 @@ def scan_dataset(root: str | Path, features: bool = True) -> dict[int, list[Fire
     return layout
 
 
-def _read_stacks(fires: list[FireFiles], shapes: list, crop_size: int):
+def _read_stacks(
+    fires: list[FireFiles], shapes: list, crop_size: int,
+    channels: int | None = None, source: str | Path | None = None,
+):
     """The feature stack of each fire, parsed against its uncropped
-    shape and then center-cropped to at most crop_size per axis."""
+    shape, refused unless it has the channel count of source (channels,
+    or when that is None the first stack's), and then center-cropped to
+    at most crop_size per axis."""
     for f, shape in zip(fires, shapes):
-        yield center_crop_at_most(read_features(f.features, shape), crop_size)
+        stack = read_features(f.features, shape)
+        if channels is None:
+            channels, source = stack.shape[0], f.features
+        elif stack.shape[0] != channels:
+            raise ShapeError(
+                f"{f.features}: {stack.shape[0]} feature channels, {source} has {channels}"
+            )
+        # yielded from a list, so this frame names no stack while the caller
+        # holds it and the next one is read
+        held = [center_crop_at_most(stack, crop_size)]
+        del stack
+        yield held.pop()
 
 
 def read_years(layout: dict[int, list[FireFiles]], crop_size: int):
@@ -346,7 +362,10 @@ def read_years(layout: dict[int, list[FireFiles]], crop_size: int):
     valid).  Each call of stacks returns a fresh iterator over the year's
     feature stacks, in fire order, each parsed by read_features against
     its fire's uncropped (H, W) and cropped like the rasters; every fire
-    must have a features.npy when it is called.  The year's events drop
+    must have a features.npy when it is called.  stacks(channels,
+    source) refuses a stack of another channel count than source's, and
+    stacks() one of another count than the year's first stack, naming
+    both files.  The year's events drop
     their member maps when the next year is requested or the reader is
     exhausted."""
     for fires in layout.values():

@@ -1012,6 +1012,15 @@ _CORRUPTED_CASES = {
     "head-json-string-weights": (["eval", "--model", "student:{root}:{head}",
                                   "--anchor", "2"], 1,
                                  "weights must be a list of JSON numbers"),
+    "head-json-zero-channels": (["eval", "--model", "student:{root}:{head}",
+                                 "--anchor", "2"], 1, "channels must be >= 1, got 0"),
+    # a channel count that disagrees names the stack and the file it disagrees
+    # with: for a student the head, for distill the first fire's stack
+    "eval-student-head-of-other-channels": (["eval", "--model", "student:{root}:{head}",
+                                             "--anchor", "2"], 1,
+                                            "4 feature channels, "),
+    "distill-stack-of-other-channels": (["distill", "{root}", "--max-epochs", "1"], 1,
+                                        "3 feature channels, "),
 }
 
 # the commands that read feature stacks, each run on a pack with one bad
@@ -1038,6 +1047,41 @@ _CORRUPTED_CASES.update({
         args + (["--crop", "20"] if fault == "shape-hidden-by-crop" else []), 1, message)
     for command, args in _STACK_READERS.items() for fault, message in _STACK_FAULTS.items()
 })
+# the commands that read every gt.npy and member map, each run on a pack with
+# one bad file: "<command>-<role>-<fault>" -> the fault's message
+_RASTER_READERS = {
+    "distill": ["distill", "{root}", "--max-epochs", "1"],
+    "eval": ["eval", "--model", "ensemble:{root}", "--anchor", "2"],
+    "sweep": ["sweep", "--model-a", "ensemble:{root}", "--model-b", "ensemble:{root}",
+              "--anchor", "2", "--radii", "0..2"],
+}
+_RASTER_FAULTS = {
+    "gt": {
+        "truncated": "header claims shape",
+        "huge-header": "header claims shape",
+        "3d": "expected 2-D array, got 3-D",
+        "complex": "dtype complex64 is not bool, integer or float",
+        "value-two": "mask values must be exactly 0 or 1",
+    },
+    "member_1": {
+        "truncated": "header claims shape",
+        "huge-header": "header claims shape",
+        "3d": "expected 2-D array, got 3-D",
+        "complex": "dtype complex64 is not bool, integer or float",
+        "nan": "contains NaN or Inf",
+        "inf": "contains NaN or Inf",
+    },
+}
+# case -> (the name of the bad file in fire_001, its fault)
+_FILE_FAULTS = {
+    f"{command}-features-{fault}": ("features.npy", fault)
+    for command in _STACK_READERS for fault in _STACK_FAULTS
+}
+for _role, _faults in _RASTER_FAULTS.items():
+    for _command, _args in _RASTER_READERS.items():
+        for _fault, _message in _faults.items():
+            _CORRUPTED_CASES[f"{_command}-{_role}-{_fault}"] = (_args, 1, _message)
+            _FILE_FAULTS[f"{_command}-{_role}-{_fault}"] = (f"{_role}.npy", _fault)
 # one year's earlier fire has a bad features.npy and its later fire a bad
 # member_1.npy: each command parses a year's stacks after all of its member
 # maps, so each names the member map
@@ -1090,23 +1134,31 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         (fire / "features.npy").unlink()
         for npy in root.glob("*/*/*.npy"):
             npy.write_bytes(b"not an NPY file")
-    fault = case.partition("-features-")[2]
-    if fault:
-        offending = fire / "features.npy"
+    name, fault = _FILE_FAULTS.get(case, (None, None))
+    if name is not None:
+        offending = fire / name
         features = np.load(offending)
     if fault == "truncated":
         offending.write_bytes(offending.read_bytes()[:-8])
     if fault == "huge-header":
+        # 10**4 x 10**7 x 10**7 float32 for a stack, 10**7 x 10**7 for a map
+        shape = (10**4,) * (features.ndim - 2) + (10**7, 10**7)
         with open(offending, "wb") as f:
             np.lib.format.write_array_header_1_0(
-                f, {"descr": "<f4", "fortran_order": False, "shape": (10**4, 10**7, 10**7)})
+                f, {"descr": "<f4", "fortran_order": False, "shape": shape})
             f.write(bytes(64))
     if fault == "2d":
         np.save(offending, features[0])
+    if fault == "3d":
+        np.save(offending, features[None])
     if fault == "complex":
         np.save(offending, features.astype(np.complex64))
-    if fault == "nan":
-        features[1, 3, 4] = np.nan
+    if fault in ("nan", "inf"):
+        features = features.astype(np.float32)
+        features[(1,) * (features.ndim - 2) + (3, 4)] = np.nan if fault == "nan" else np.inf
+        np.save(offending, features)
+    if fault == "value-two":
+        features[3, 4] = 2
         np.save(offending, features)
     if fault == "shape-hidden-by-crop":
         for name in ("gt.npy", "member_0.npy", "member_1.npy", "member_2.npy"):
@@ -1130,6 +1182,14 @@ def test_corrupted_inputs_exit_with_one_line(tmp_path, case):
         head.write_text("[" * 100_000 + "]" * 100_000)
     if case == "head-json-string-weights":
         head.write_text(json.dumps({**json.loads(payload), "weights": ["0"] * 4}))
+    if case == "head-json-zero-channels":
+        head.write_text(json.dumps({**json.loads(payload), "channels": 0, "weights": []}))
+    if case == "eval-student-head-of-other-channels":
+        head.write_text(json.dumps({**json.loads(payload), "channels": 3, "weights": [0.0] * 3}))
+        offending, original = root / "2018" / "fire_000" / "features.npy", head
+    if case == "distill-stack-of-other-channels":
+        offending, original = fire / "features.npy", root / "2018" / "fire_000" / "features.npy"
+        np.save(offending, np.load(offending)[:3])
     sweep = tmp_path / "sweep"
     if args[0] == "stats":
         assert _run(["sweep", "--model-a", f"ensemble:{root}", "--model-b",

@@ -14,8 +14,7 @@ from fireuq.metrics import (
     error_map,
     nll,
     precision_recall,
-    ranking_counts,
-    ranking_from_sorted,
+    ranking_by_level,
     uq_auroc,
 )
 from fireuq.morphology import _EDT_AT_BLOCK, edt, extract_boundary
@@ -151,6 +150,15 @@ def _sorted_asc(scores, labels):
     return np.sort(s), np.sort(s[np.asarray(labels).ravel().astype(bool)])
 
 
+def _ranking(scores, labels):
+    """ranking_by_level's one level over scores and labels, raising
+    DegenerateClassError where it is undefined, as the metrics do."""
+    (ranked,) = ranking_by_level(*_sorted_asc(scores, labels))
+    if ranked is None:
+        raise DegenerateClassError("single-class")
+    return ranked
+
+
 def _sorted_desc(scores, labels):
     s = np.asarray(scores, dtype=np.float64).ravel()
     order = np.argsort(-s, kind="stable")
@@ -160,7 +168,7 @@ def _sorted_desc(scores, labels):
 def test_auprc_worked_example():
     # AUPRC is the AP of the uncertainty against the error map
     assert average_precision(UNC6, ERR6) == pytest.approx(5.0 / 6.0, abs=1e-12)
-    ap, auroc, prev = ranking_from_sorted(*_sorted_asc(UNC6, ERR6))
+    ap, auroc, prev = _ranking(UNC6, ERR6)
     assert (ap, auroc) == (average_precision(UNC6, ERR6), uq_auroc(UNC6, ERR6))
     assert prev == pytest.approx(2.0 / 6.0, abs=1e-12)
 
@@ -168,18 +176,22 @@ def test_auprc_worked_example():
 def test_auprc_constant_equals_prevalence():
     errors = np.array([[1, 0, 0, 1, 0, 0, 0, 1]])
     const = np.full((1, 8), 0.7)
-    ap, auroc, prev = ranking_from_sorted(*_sorted_asc(const, errors))
+    ap, auroc, prev = _ranking(const, errors)
     assert average_precision(const, errors) == ap == prev == 3.0 / 8.0
     assert auroc == 0.5
 
 
-def test_ranking_counts_are_the_cumulative_counts_per_distinct_score():
-    s, p = _sorted_asc(np.array([[0.5, 0.5, 0.2], [0.9, 0.2, 0.2]]), ERR6)
-    tp, cnt = ranking_counts(s, p)
-    assert tp.dtype == cnt.dtype == np.int64
-    # thresholds 0.9, 0.5, 0.2: positives (0.5, 0.2) at or above each
-    assert tp.tolist() == [0, 1, 2]
-    assert cnt.tolist() == [1, 3, 6]
+def test_ranking_kernel_counts_each_distinct_score_once():
+    """Thresholds 0.9, 0.5 and 0.2 hold 0, 1 and 2 positives at or above
+    them among 1, 3 and 6 pixels: 0.9 has no positive, so its AP term is
+    a zero the sum still sees, and the reference kernel agrees bitwise."""
+    scores = np.array([[0.5, 0.5, 0.2], [0.9, 0.2, 0.2]])
+    ap, auroc, prev = _ranking(scores, ERR6)
+    assert ap == np.add.reduce(np.array([0.0, (1 / 2) * (1 / 3), (2 / 2 - 1 / 2) * (2 / 6)]))
+    # positive 0.5: wins over both 0.2 negatives, ties one 0.5; positive 0.2 ties two
+    assert auroc == 3.5 / 8
+    assert prev == 2 / 6
+    assert (ap, auroc, prev) == _reference_ranking_from_sorted(*_sorted_desc(scores, ERR6))
 
 
 def test_auprc_matches_oracle():
@@ -192,8 +204,8 @@ def test_auprc_matches_oracle():
 
 
 def _reference_ranking_from_sorted(scores_desc, labels):
-    """The argsort kernel that ranking_counts replaced, kept as its test
-    reference: over scores sorted descending and their 0/1 labels in the
+    """The argsort kernel that ranking_by_level replaced, kept as its
+    test reference: over scores sorted descending and their 0/1 labels in the
     same order, tp is the int64 cumulative sum of the labels at the last
     pixel of each distinct score, with a fresh array for every step."""
     if scores_desc.size and not (
@@ -242,14 +254,14 @@ def _reverse_within_ties(s_desc, y):
     return np.concatenate([g[::-1] for g in groups])
 
 
-def test_ranking_from_sorted_ignores_order_within_ties():
+def test_ranking_kernel_ignores_order_within_ties():
     """The value kernel equals the argsort kernel whatever order the
     argsort leaves ties in."""
     rng = np.random.default_rng(41)
     for _ in range(60):
         n = int(rng.integers(2, 60))
         scores, labels = _rand_scores_labels(rng, n, tie_prob=1.0)
-        want = ranking_from_sorted(*_sorted_asc(scores, labels))
+        want = _ranking(scores, labels)
         assert want[:2] == (average_precision(scores, labels), uq_auroc(scores, labels))
         assert want[1] == oracle_auroc(scores, labels)
         s, y = _sorted_desc(scores, labels)
@@ -273,7 +285,7 @@ def test_ranking_is_tie_order_free_at_scale(dtype):
         region = rng.random((128, 128)) < 0.6
         for reg in (None, region):
             keep = np.ones(scores.shape, bool) if reg is None else reg
-            want = ranking_from_sorted(*_sorted_asc(scores[keep], labels[keep]))
+            want = _ranking(scores[keep], labels[keep])
             assert average_precision(scores, labels, reg) == want[0]
             assert uq_auroc(scores, labels, reg) == want[1]
             s, y = _sorted_desc(scores[keep], labels[keep])
@@ -299,8 +311,8 @@ def test_ranking_bitwise_equals_reference_kernel(dtype):
         labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.uint8)
         labels[:2] = (0, 1)
         want = _reference_ranking_from_sorted(*_sorted_desc(scores, labels))
-        assert ranking_from_sorted(*_sorted_asc(scores, labels)) == want
-        assert ranking_from_sorted(*_sorted_asc(scores, labels.astype(bool))) == want
+        assert _ranking(scores, labels) == want
+        assert _ranking(scores, labels.astype(bool)) == want
         assert (average_precision(scores, labels), uq_auroc(scores, labels)) == want[:2]
         region = rng.random(n) < 0.7
         region[:2] = True
@@ -330,14 +342,14 @@ def _fuzz_ranking_case(rng, trial):
 
 
 def test_ranking_fuzz_equals_argsort_kernel():
-    """ranking_from_sorted, average_precision, uq_auroc and
+    """ranking_by_level's one level, average_precision, uq_auroc and
     average_precisions equal the argsort kernel on random cases, values
     bitwise and errors by class."""
     rng = np.random.default_rng(2024)
     for trial in range(2000):
         scores, labels = _fuzz_ranking_case(rng, trial)
         want = _outcome(_argsort_ranking, scores, labels)
-        got = _outcome(lambda s, y: ranking_from_sorted(*_sorted_asc(s, y)), scores, labels)
+        got = _outcome(_ranking, scores, labels)
         assert got == want, trial
         if isinstance(want, tuple):
             assert average_precision(scores, labels) == want[0]
@@ -348,6 +360,76 @@ def test_ranking_fuzz_equals_argsort_kernel():
                 assert _outcome(fn, scores, labels) is want, trial
         if want is DegenerateClassError:
             assert average_precisions([scores], labels) is None
+
+
+def _ranking_by_level(scores, labels, levels, n_levels):
+    """ranking_by_level over scores widened as the metrics widen them,
+    argsorted, with the labels and levels gathered in that order."""
+    s = np.asarray(scores).astype(np.promote_types(scores.dtype, np.float32), copy=False)
+    order = np.argsort(s)
+    s, y, lv = s[order], labels[order].astype(bool), levels[order]
+    return ranking_by_level(s, s[y], lv, lv[y], n_levels)
+
+
+def _fuzz_levels(rng, trial, scores, labels):
+    """Levels in [0, n_levels) for one fuzz case: uniform, with one level
+    emptied, with the outermost level holding only positives or only
+    negatives, or following the scores so ties straddle levels; any NaN
+    or +-inf score sits in the outermost level alone in half the cases."""
+    n_levels = 1 + trial % 6
+    n = scores.size
+    levels = rng.integers(0, n_levels, size=n)
+    mode = trial % 4
+    if mode == 1:
+        levels[levels == rng.integers(n_levels)] = rng.integers(n_levels)
+    elif mode == 2 and n_levels > 1:
+        inner = labels.astype(bool) if trial % 8 < 4 else ~labels.astype(bool)
+        levels[inner] = np.minimum(levels[inner], n_levels - 2)
+    elif mode == 3 and n:
+        # ranks of the scores cut into bands, so each group of tied scores
+        # holds pixels of every level the band boundaries give it
+        levels = (np.argsort(np.argsort(scores, kind="stable")) * n_levels) // n
+    bad = ~np.isfinite(scores.astype(np.float64))
+    if trial % 2 and n_levels > 1 and bad.any():
+        levels[bad] = n_levels - 1
+        levels[~bad] = np.minimum(levels[~bad], n_levels - 2)
+    return levels, n_levels
+
+
+def test_ranking_by_level_fuzz_equals_reference_per_level():
+    """Every level j of ranking_by_level equals the reference kernel over
+    the pixels of level <= j: values bitwise, single-class levels as
+    None; a NaN or +-inf anywhere, the outermost level's alone too,
+    raises ValidationError whatever the classes."""
+    rng = np.random.default_rng(2026)
+    for trial in range(2000):
+        scores, labels = _fuzz_ranking_case(rng, trial)
+        levels, n_levels = _fuzz_levels(rng, trial, scores, labels)
+        want = [
+            _outcome(_argsort_ranking, scores[levels <= j], labels[levels <= j])
+            for j in range(n_levels)
+        ]
+        got = _outcome(_ranking_by_level, scores, labels, levels, n_levels)
+        if not np.isfinite(scores.astype(np.float64)).all():
+            assert got is ValidationError and want[-1] is ValidationError, trial
+            continue
+        assert [DegenerateClassError if g is None else g for g in got] == want, trial
+
+
+def test_ranking_by_level_covers_levels_adding_nothing_or_one_class():
+    """Empty levels repeat the level below them (None below the first
+    pixel), and levels adding only positives or only negatives move
+    prevalence and the rankings as the reference says."""
+    scores = np.array([0.2, 0.7, 0.7, 0.4, 0.9, 0.1, 0.7, 0.3], dtype=np.float32)
+    labels = np.array([1, 0, 1, 0, 1, 1, 0, 0], dtype=np.uint8)
+    # level 0 empty; 1 mixed; 2 and 4 empty; 3 adds only positives; 5 only negatives
+    levels = np.array([1, 1, 3, 1, 3, 3, 5, 5])
+    got = _ranking_by_level(scores, labels, levels, 7)
+    assert got[0] is None and got[2] == got[1] and got[4] == got[3] and got[6] == got[5]
+    for j in (1, 3, 5):
+        keep = levels <= j
+        assert got[j] == _argsort_ranking(scores[keep], labels[keep])
+    assert [g[2] for g in got[1::2]] == [1 / 3, 4 / 6, 4 / 8]
 
 
 def test_average_precisions_equal_average_precision_per_map():
@@ -373,15 +455,17 @@ def test_average_precisions_equal_average_precision_per_map():
         average_precisions(float32 + [bad], labels)
 
 
-def test_ranking_from_sorted_single_class_raises():
+def test_ranking_kernel_single_class_is_undefined():
     s = np.array([0.1, 0.5, 0.9])
+    levels = np.array([0, 2, 1])
     for positives in (s, s[:0]):
         with pytest.raises(DegenerateClassError):
-            ranking_from_sorted(s, positives)
-        with pytest.raises(DegenerateClassError):
-            ranking_counts(s, positives)
-    with pytest.raises(DegenerateClassError):
-        ranking_from_sorted(s[:0], s[:0])
+            _ranking(s, np.ones(3) if positives.size else np.zeros(3))
+        assert ranking_by_level(s, positives) == [None]
+        pos_levels = levels if positives.size else levels[:0]
+        assert ranking_by_level(s, positives, levels, pos_levels, 4) == [None] * 4
+    assert ranking_by_level(s[:0], s[:0]) == [None]
+    assert ranking_by_level(s[:0], s[:0], levels[:0], levels[:0], 2) == [None] * 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -394,7 +478,7 @@ def test_ranking_rejects_non_finite_scores(bad, at):
         with pytest.raises(ValidationError, match="finite"):
             fn(scores, labels)
     with pytest.raises(ValidationError, match="finite"):
-        ranking_from_sorted(*_sorted_asc(scores, labels))
+        ranking_by_level(*_sorted_asc(scores, labels))
     # single-class labels do not hide a bad score
     with pytest.raises(ValidationError, match="finite"):
         uq_auroc(scores, np.ones_like(labels))

@@ -488,6 +488,68 @@ def test_run_sweep_window_equals_per_region_metrics_on_scenario_fires():
     _assert_records_equal_per_region(events, outputs, references, result, radii, eps)
 
 
+def test_run_sweep_rings_adding_no_pixel_equal_per_region_metrics_bitwise():
+    """Radii whose rings add no pixel, inside the grid and past it, and an
+    anchor beyond every listed radius: each record equals brier, nll,
+    uq_auroc and average_precision on build_fcer(gt, r), so a radius that
+    adds nothing repeats the radius below it."""
+    rng = np.random.default_rng(97)
+    h, w = 12, 14
+    events, outputs, references = [], [], []
+    for i in range(3):
+        gt = np.zeros((h, w), dtype=np.uint8)
+        if i == 0:
+            gt[:] = 1
+            gt[5, 6] = 0  # radius 1 covers the grid; no later ring adds a pixel
+        elif i == 1:
+            gt[4:8, 5:9] = rng.random((4, 4)) < 0.8
+            gt[5, 6] = 1
+        else:
+            gt[0, 0] = 1  # the far corner lies sqrt(290) away: only radius 18 reaches it
+        prob = rng.random((h, w)).astype(np.float32)
+        unc = (rng.integers(0, 3, size=(h, w)) / 4.0).astype(np.float32)
+        events.append(FireEvent(id=f"fire_{i}", year=2020, gt=gt, members=[prob] * 3))
+        outputs.append((prob, unc))
+        references.append(np.roll(prob, 2, axis=0))
+    cfg = SweepConfig(radii_px=(0, 1, 2, 3, 17, 18, 25), anchor_px=40)
+    result = _sweep(events, outputs, references, cfg)
+    radii = (0, 1, 2, 3, 17, 18, 25, 40)
+    assert result.anchor_radius_px == 40
+    _assert_records_equal_per_region(events, outputs, references, result, radii, cfg.nll_epsilon)
+    n_eval = [rec.n_eval_px for rec in result.records]
+    assert n_eval[:8] == [h * w - 1] + [h * w] * 7
+    assert n_eval[16:] == [1, 3, 6, 11, h * w - 1] + [h * w] * 3
+    fire0 = [(rec.brier, rec.nll, rec.auroc, rec.auprc) for rec in result.records[1:8]]
+    assert fire0 == [fire0[0]] * 7
+
+
+def test_run_sweep_memory_does_not_grow_with_the_radius_count():
+    """One fire scored at 1024 radii peaks in traced memory within a
+    small slack of the same fire at 16: per radius, the sweep keeps its
+    record and nothing the size of the pixels or the positives.  The
+    1024 records weigh about 260 KB; a radii x pixels mask would be 4 MB
+    and a radii x positives count array 16 MB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(101)
+    gt = (rng.random((64, 64)) < 0.3).astype(np.uint8)
+    prob = rng.random((64, 64)).astype(np.float32)  # about half the pixels are errors
+    unc = rng.random((64, 64)).astype(np.float32)
+    event = FireEvent(id="fire_0", year=2020, gt=gt, members=[prob] * 3)
+
+    def peak(n_radii):
+        model = _model([event], [(prob, unc)], [prob])
+        cfg = SweepConfig(radii_px=tuple(range(n_radii - 1)), anchor_px=n_radii - 1)
+        tracemalloc.start()
+        try:
+            [result] = run_sweep([model], cfg, GEO)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1024) <= peak(16) + 512 * 1024
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("at", [(0, 0), (8, 7), (15, 15)])
 def test_run_sweep_rejects_non_finite_uncertainty(bad, at):
