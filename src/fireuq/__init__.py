@@ -8,53 +8,78 @@ that radius, anchors it at the mean surface distance of the predictions,
 fuses ensembles into a teacher uncertainty, distills that into a
 single-pass uncertainty head, and compares models with a paired
 Wilcoxon signed-rank test.
+
+The names below are imported from their submodules on first use (PEP
+562), so importing a numpy-free submodule, such as the stats command's,
+imports no numpy.
 """
 
-# defined before the submodule imports, as report reads it at import time
+import importlib
+
 __version__ = "0.1.0"
 
-from .distill import (
-    TeacherOutput,
-    TrainConfig,
-    UncertaintyHead,
-    apply_head,
-    fuse_ensemble,
-    rmsle,
-    select_middle_member,
-    sigma_max,
-    train_head,
-)
-from .errors import (
-    DegenerateClassError,
-    DegenerateDataError,
-    EmptyMaskError,
-    FireUQError,
-    ParseError,
-    ShapeError,
-    ValidationError,
-)
-from .metrics import (
-    average_precision,
-    average_surface_distance,
-    brier,
-    error_map,
-    nll,
-    precision_recall,
-    uq_auroc,
-)
-from .morphology import dilate, edt, extract_boundary, squared_edt
-from .protocol import (
-    Fire,
-    Model,
-    SweepConfig,
-    SweepResult,
-    aggregate_mean_std,
-    build_fcer,
-    relative_to_baseline,
-    resolve_anchor,
-    run_sweep,
-)
-from .raster import FireEvent, GeoConfig, center_crop, load_dataset
-from .report import MetricRecord
-from .stats import rank_biserial, wilcoxon_one_sided
-from .synth import ScenarioSpec, generate_scenario, write_scenario
+_EXPORTS = {
+    "distill": (
+        "TeacherOutput",
+        "TrainConfig",
+        "UncertaintyHead",
+        "apply_head",
+        "fuse_ensemble",
+        "rmsle",
+        "select_middle_member",
+        "sigma_max",
+        "train_head",
+    ),
+    "errors": (
+        "DegenerateClassError",
+        "DegenerateDataError",
+        "EmptyMaskError",
+        "FireUQError",
+        "ParseError",
+        "ShapeError",
+        "ValidationError",
+    ),
+    "metrics": (
+        "average_precision",
+        "average_surface_distance",
+        "brier",
+        "error_map",
+        "nll",
+        "precision_recall",
+        "uq_auroc",
+    ),
+    "morphology": ("dilate", "edt", "extract_boundary", "squared_edt"),
+    "protocol": (
+        "Fire",
+        "Model",
+        "SweepConfig",
+        "SweepResult",
+        "aggregate_mean_std",
+        "build_fcer",
+        "relative_to_baseline",
+        "resolve_anchor",
+        "run_sweep",
+    ),
+    "raster": ("FireEvent", "GeoConfig", "center_crop", "load_dataset"),
+    "report": ("MetricRecord",),
+    "stats": ("rank_biserial", "wilcoxon_one_sided"),
+    "synth": ("ScenarioSpec", "generate_scenario", "write_scenario"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # the submodules named here were attributes of the package when it
+    # imported them eagerly; importing one binds it here
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

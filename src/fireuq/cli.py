@@ -26,29 +26,15 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .distill import (
-    TrainConfig,
-    fuse_ensemble,
-    head_maps,
-    head_target,
-    load_models,
-    middle_member_by_year,
-    parse_model_spec,
-    require_features,
-    save_head,
-    train_head,
-)
+# numpy-free modules only: each command imports the array modules it runs
+# on itself, so stats, which reads CSVs and JSON, imports no numpy
+from .constants import DEFAULT_NLL_EPSILON, MAX_RADIUS_PX
 from .errors import (
     DegenerateDataError,
     FireUQError,
     ParseError,
     ValidationError,
 )
-from .metrics import DEFAULT_NLL_EPSILON
-from .protocol import MAX_RADIUS_PX, SweepConfig, run_sweep, summarize
-from .raster import GeoConfig, read_years, save_array, scan_dataset
 from .report import (
     MANIFEST_NAME,
     has_manifest,
@@ -63,7 +49,16 @@ from .report import (
     write_train_log_csv,
 )
 from .stats import stats_block
-from .synth import ScenarioSpec, write_scenario
+
+
+def __getattr__(name):
+    """distill's middle_member_by_year and parse_model_spec, importable
+    from here as before the commands imported distill themselves."""
+    if name in ("middle_member_by_year", "parse_model_spec"):
+        from . import distill
+
+        return getattr(distill, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,7 +125,9 @@ def _check_out_dir(out_dir: Path, force: bool):
         )
 
 
-def _sweep_config(args, radii_px: tuple[int, ...]) -> SweepConfig:
+def _sweep_config(args, radii_px: tuple[int, ...]):
+    from .protocol import SweepConfig
+
     return SweepConfig(
         radii_px=radii_px,
         anchor_px=args.anchor,
@@ -140,6 +137,10 @@ def _sweep_config(args, radii_px: tuple[int, ...]) -> SweepConfig:
 
 
 def cmd_eval(args) -> int:
+    from .distill import load_models
+    from .protocol import run_sweep, summarize
+    from .raster import GeoConfig
+
     geo = GeoConfig(meters_per_pixel=args.mpp, crop_size=args.crop)
     config = _sweep_config(args, radii_px=())
     out_dir = Path(args.out_dir)
@@ -158,6 +159,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .distill import load_models, parse_model_spec
+    from .protocol import run_sweep, summarize
+    from .raster import GeoConfig
+
     geo = GeoConfig(meters_per_pixel=args.mpp, crop_size=args.crop)
     config = _sweep_config(args, _parse_radii(args.radii))
     out_dir = Path(args.out_dir)
@@ -255,6 +260,20 @@ def cmd_stats(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    import numpy as np
+
+    from .distill import (
+        TrainConfig,
+        fuse_ensemble,
+        head_maps,
+        head_target,
+        middle_member_by_year,
+        require_features,
+        save_head,
+        train_head,
+    )
+    from .raster import GeoConfig, read_years, save_array, scan_dataset
+
     geo = GeoConfig(crop_size=args.crop)
     root = Path(args.dataset)
     out_dir = Path(args.out_dir)
@@ -330,6 +349,8 @@ def cmd_distill(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import ScenarioSpec, write_scenario
+
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir, args.force)
     spec = ScenarioSpec(

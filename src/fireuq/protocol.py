@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import DEFAULT_NLL_EPSILON, MAX_RADIUS_PX
 from .errors import (
     DegenerateClassError,
     DegenerateDataError,
@@ -24,7 +25,6 @@ from .errors import (
     ValidationError,
 )
 from .metrics import (
-    DEFAULT_NLL_EPSILON,
     average_precision,
     average_surface_distance,
     brier_terms,
@@ -36,10 +36,6 @@ from .metrics import (
 from .morphology import dilate, squared_edt_within
 from .raster import FireEvent, GeoConfig
 from .report import METRIC_COLUMNS, MetricRecord
-
-# the largest radius or anchor accepted, in pixels: longer than the diagonal
-# of any raster that fits in memory, and safe in int64 index arithmetic
-MAX_RADIUS_PX = 2**31 - 1
 
 
 @dataclass(frozen=True)

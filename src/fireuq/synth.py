@@ -25,6 +25,10 @@ DEFAULT_YEARS = (2018, 2019, 2020, 2021)
 # every array synth builds for a grid this size is terabytes but has a size
 # numpy can represent, so a grid too big for memory raises MemoryError
 MAX_GRID_SIZE = 2**20
+# features are stored as float32, whose largest value is about 3.4e38: at
+# this sigma a noise draw overflows only beyond 340 sigma, which normal
+# draws do not reach in practice
+MAX_FEATURE_NOISE_SIGMA = 1e36
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,11 @@ class ScenarioSpec:
         for name in ("member_noise_sigma", "feature_noise_sigma"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValidationError(f"{name} must be finite and >= 0")
+        if self.feature_noise_sigma > MAX_FEATURE_NOISE_SIGMA:
+            raise ValidationError(
+                f"feature_noise_sigma must be <= {MAX_FEATURE_NOISE_SIGMA:g}, "
+                f"as features are float32, got {self.feature_noise_sigma!r}"
+            )
         if not -1.0 < self.member_bias < 1.0:
             raise ValidationError("member_bias must lie in (-1, 1)")
         # member logits + boundary proximity must fit

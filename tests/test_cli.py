@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fireuq import cli, distill
+from fireuq import distill, synth
 from fireuq.cli import _parse_radii, main
 from fireuq.distill import (
     TrainConfig,
@@ -370,6 +370,25 @@ def test_stats_direction_flip(mixed_sweep, tmp_path):
     # swapping the alternative swaps the rank sums
     assert pa["w_plus"] == pb["w_minus"]
     assert pa["w_minus"] == pb["w_plus"]
+
+
+def test_stats_imports_no_numpy(mixed_sweep, tmp_path):
+    """stats reads CSVs and JSON only: in a fresh interpreter it writes
+    the stats.json of the in-process command and never imports numpy."""
+    code = ("import sys\n"
+            "from fireuq.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+            "sys.exit(rc)\n")
+    out = tmp_path / "fresh"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "stats", str(mixed_sweep), "--out-dir", str(out)],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert _run(["stats", mixed_sweep, "--out-dir", tmp_path / "in_process"]) == 0
+    assert ((out / "stats.json").read_bytes()
+            == (tmp_path / "in_process" / "stats.json").read_bytes())
 
 
 def test_unmatched_fires_are_counted_apart_from_undefined_values(pack, tmp_path):
@@ -738,7 +757,7 @@ def test_distill_holds_no_teacher_map_while_training(tmp_path, monkeypatch):
     for ev in generate_scenario(spec):
         save_event(root, ev)
     lines, first = inspect.getsourcelines(distill.fuse_ensemble)
-    train_head = cli.train_head
+    train_head = distill.train_head
     seen = {}
 
     def traced(*args, **kwargs):
@@ -754,7 +773,7 @@ def test_distill_holds_no_teacher_map_while_training(tmp_path, monkeypatch):
         seen["growth"] = tracemalloc.get_traced_memory()[1] - start
         return result
 
-    monkeypatch.setattr(cli, "train_head", traced)
+    monkeypatch.setattr(distill, "train_head", traced)
     tracemalloc.start()
     try:
         assert _run(["distill", root, "--out-dir", tmp_path / "out",
@@ -936,6 +955,9 @@ _CORRUPTED_CASES = {
                                "poly_power must be finite"),
     "synth-inf-noise-sigma": (["synth", "--noise-sigma", "inf"], 1,
                               "member_noise_sigma must be finite"),
+    # a feature noise draw beyond float32's range would be cast to inf
+    "synth-feature-noise-beyond-float32": (["synth", "--feature-noise-sigma", "1e39"], 1,
+                                           "feature_noise_sigma must be <= 1e+36"),
     # seeds and counts numpy cannot take, and a grid too large for numpy to
     # size, are refused before anything is drawn or allocated
     "synth-negative-seed": (["synth", "--seed", "-1"], 1, "rng_seed must be >= 0"),
@@ -1251,7 +1273,7 @@ def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
         raise MemoryError("Unable to allocate 149. GiB for an array with shape "
                           "(100000, 100000) and data type float64")
 
-    monkeypatch.setattr(cli, "write_scenario", refuse)
+    monkeypatch.setattr(synth, "write_scenario", refuse)
     assert main(["synth", "--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == ("error: out of memory (Unable to allocate 149. GiB for an array with "

@@ -9,7 +9,13 @@ import weakref
 import numpy as np
 import pytest
 
-from fireuq.errors import DegenerateClassError, ShapeError, ValidationError
+from fireuq import distill
+from fireuq.errors import (
+    DegenerateClassError,
+    DegenerateDataError,
+    ShapeError,
+    ValidationError,
+)
 from fireuq.distill import (
     EpochLog,
     HeadTarget,
@@ -533,7 +539,9 @@ def test_head_wrappers_match_reference_formulas_bitwise():
 def _reference_train_head(train_set, val_set, cfg, val_selection, error_threshold=0.5):
     """The training loop as it was written before the shared workspace,
     from the public head functions and uq_auroc; kept as the reference
-    train_head must match bit for bit."""
+    train_head must match bit for bit.  It draws each epoch's permutation
+    at the epoch's start and evaluates every batch afresh, and it stops
+    at the first non-finite parameter or loss, as train_head does."""
     c = train_set[0][0].shape[0]
     val_errors, val_regions = [], []
     for gt, reference in val_selection:
@@ -561,6 +569,10 @@ def _reference_train_head(train_set, val_set, cfg, val_selection, error_threshol
                 continue
         return float(np.mean(losses)), (float(np.mean(scores)) if scores else None)
 
+    def check_finite(epoch, *losses):
+        if not np.isfinite([*head.weights, head.bias, *losses]).all():
+            raise DegenerateDataError(f"training diverged at epoch {epoch}")
+
     rng = np.random.default_rng(cfg.rng_seed)
     vw, vb = np.zeros(c), 0.0
     log = []
@@ -573,20 +585,24 @@ def _reference_train_head(train_set, val_set, cfg, val_selection, error_threshol
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             gw, gb = np.zeros(c), 0.0
-            for i in batch:
-                f, t = train_set[i]
-                _loss, gwi, gbi = rmsle_gradient(head, f, t)
-                gw += gwi
-                gb += gbi
-            gw /= len(batch)
-            gb /= len(batch)
-            gw += cfg.weight_decay * head.weights
-            vw = cfg.momentum * vw + gw
-            vb = cfg.momentum * vb + gb
-            head.weights = head.weights - lr * vw
-            head.bias = head.bias - lr * vb
-        train_loss = float(np.mean([rmsle(apply_head(head, f), t) for f, t in train_set]))
-        val_loss, val_auroc = validate() if val_set else (train_loss, None)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in batch:
+                    f, t = train_set[i]
+                    _loss, gwi, gbi = rmsle_gradient(head, f, t)
+                    gw += gwi
+                    gb += gbi
+                gw /= len(batch)
+                gb /= len(batch)
+                gw += cfg.weight_decay * head.weights
+                vw = cfg.momentum * vw + gw
+                vb = cfg.momentum * vb + gb
+                head.weights = head.weights - lr * vw
+                head.bias = head.bias - lr * vb
+            check_finite(epoch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_loss = float(np.mean([rmsle(apply_head(head, f), t) for f, t in train_set]))
+            val_loss, val_auroc = validate() if val_set else (train_loss, None)
+        check_finite(epoch, train_loss, val_loss)
         log.append(EpochLog(epoch, lr, train_loss, val_loss, val_auroc))
         key = (val_auroc if val_auroc is not None else -math.inf, -val_loss)
         if best_key is None or key > best_key:
@@ -632,10 +648,20 @@ def test_train_head_matches_reference_loop_bitwise(c):
     with pytest.raises(DegenerateClassError):
         uq_auroc(apply_head(UncertaintyHead(np.zeros(c), 0.0), val_set[3][0]),
                  error_map(selection[3][1], gt3), build_fcer(gt3, 4))
+    # each epoch after the first takes its first batch's gradients from
+    # the previous epoch's training-loss pass; the reference evaluates them
+    # afresh, after drawing the permutation at the epoch's start
     cfgs = [
         TrainConfig(lr0=0.5, batch_size=2, max_epochs=12, patience=4, rng_seed=3),
         TrainConfig(lr0=0.2, momentum=0.5, batch_size=3, max_epochs=8, patience=8,
                     selection_anchor_px=2, rng_seed=5),
+        # one batch of all 5 images: every gradient after epoch 0 is kept
+        TrainConfig(lr0=0.5, batch_size=7, max_epochs=6, patience=6, rng_seed=7),
+        TrainConfig(lr0=0.3, batch_size=1, max_epochs=5, patience=5, rng_seed=11),
+        # stops right after a pass that kept the next epoch's gradients
+        TrainConfig(lr0=0.5, batch_size=2, max_epochs=12, patience=1, rng_seed=13),
+        # one epoch: nothing to keep
+        TrainConfig(lr0=0.5, batch_size=2, max_epochs=1, rng_seed=3),
     ]
     for cfg in cfgs:
         got = train_head(_targets(train_set), _targets(val_set), cfg, selection)
@@ -646,3 +672,38 @@ def test_train_head_matches_reference_loop_bitwise(c):
             want.selected_epoch, want.selection_metric)
         assert got.log == want.log
         assert any(e.val_auroc_at_anchor is not None for e in got.log)
+        if cfg.patience == 1:
+            assert 1 < len(got.log) < cfg.max_epochs
+    # a head that diverges after some kept gradients: both stop at one epoch
+    cfg = TrainConfig(lr0=1e30, batch_size=2, max_epochs=12, rng_seed=3)
+    with pytest.raises(DegenerateDataError) as got:
+        train_head(_targets(train_set), _targets(val_set), cfg, selection)
+    with pytest.raises(DegenerateDataError) as want:
+        _reference_train_head(train_set, val_set, cfg, selection)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) != "training diverged at epoch 0"
+
+
+@pytest.mark.parametrize("batch_size, patience", [(2, 20), (1, 20), (7, 20), (2, 1)])
+def test_train_head_loads_each_first_batch_once_per_epoch(monkeypatch, batch_size, patience):
+    """Over E epochs training loads E * (2 * n_train + n_val) stacks less
+    min(batch_size, n_train) per epoch after the first, whose first
+    batch reuses the previous training-loss pass."""
+    rng = np.random.default_rng(17)
+    train = [_blob_fire(rng, 2, 16, 16) for _ in range(5)]
+    val = [_blob_fire(rng, 2, 16, 16) for _ in range(2)]
+    loads = []
+    load = distill._Workspace.load
+
+    def counted(self, features):
+        loads.append(features.shape)
+        return load(self, features)
+
+    monkeypatch.setattr(distill._Workspace, "load", counted)
+    cfg = TrainConfig(lr0=0.5, batch_size=batch_size, max_epochs=6, patience=patience)
+    result = train_head(_targets([p for p, _s in train]), _targets([p for p, _s in val]),
+                        cfg, [s for _p, s in val])
+    e, n_train, n_val = len(result.log), 5, 2
+    if patience == 1:
+        assert e < cfg.max_epochs
+    assert len(loads) == e * (2 * n_train + n_val) - (e - 1) * min(batch_size, n_train)

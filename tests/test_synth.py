@@ -15,6 +15,7 @@ from fireuq.protocol import build_fcer
 from fireuq.raster import load_dataset
 from fireuq.synth import (
     DEFAULT_YEARS,
+    MAX_FEATURE_NOISE_SIGMA,
     ScenarioSpec,
     generate_scenario,
     write_scenario,
@@ -124,6 +125,19 @@ def test_spec_validation_errors():
         for bad in (-0.1, math.nan, math.inf):
             with pytest.raises(ValidationError, match=f"{name} must be finite"):
                 ScenarioSpec(**{name: bad})
+    with pytest.raises(ValidationError, match="feature_noise_sigma must be <= 1e"):
+        ScenarioSpec(feature_noise_sigma=MAX_FEATURE_NOISE_SIGMA * 1.01)
+
+
+def test_feature_noise_at_its_bound_stays_finite_in_float32():
+    """The largest feature noise sigma accepted draws noise channels that
+    fit float32 (tier-1 turns the cast's overflow warning into an error)."""
+    spec = ScenarioSpec(rng_seed=2, grid_size=16, n_fires=2, feature_channels=5,
+                        feature_noise_sigma=MAX_FEATURE_NOISE_SIGMA)
+    for ev in generate_scenario(spec):
+        noise = ev.features[spec.n_members + 1:]
+        assert np.isfinite(noise).all()
+        assert np.abs(noise).max() > MAX_FEATURE_NOISE_SIGMA / 10
 
 
 def test_write_scenario_round_trips_through_dataset_loader(tmp_path):
