@@ -70,16 +70,8 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    # the submodules named here were attributes of the package when it
-    # imported them eagerly; importing one binds it here
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_HOME))

@@ -280,24 +280,11 @@ def average_surface_distance(
     full-grid transform is built.  The values are the full-grid EDT's
     exact integers in the order a boolean mask selects them, so the sum
     of their square roots has the full-grid computation's bits.
-
-    Both masks are first cropped to the union of their bounding boxes
-    plus one pixel, clipped to the grid.  Every nonzero value lies in
-    the crop, which keeps each foreground pixel's 4-neighbours or the
-    grid edge; a translation keeps the boundaries, their raster order
-    and every distance, so the crop changes no bit and no error.
     """
     if mask_a.shape != mask_b.shape:
         raise ShapeError(f"shape mismatch: {mask_a.shape} vs {mask_b.shape}")
     if meters_per_pixel <= 0:
         raise ValidationError("meters_per_pixel must be > 0")
-    if mask_a.ndim == 2:
-        rows = np.flatnonzero(mask_a.any(axis=1) | mask_b.any(axis=1))
-        cols = np.flatnonzero(mask_a.any(axis=0) | mask_b.any(axis=0))
-        if rows.size:
-            box = (slice(max(rows[0] - 1, 0), rows[-1] + 2),
-                   slice(max(cols[0] - 1, 0), cols[-1] + 2))
-            mask_a, mask_b = mask_a[box], mask_b[box]
     ba = extract_boundary(mask_a)
     bb = extract_boundary(mask_b)
     d_to_b = np.sqrt(squared_edt_at(bb, np.argwhere(ba)))
