@@ -9,11 +9,13 @@ momentum, coupled L2 weight decay on the weights, polynomial LR decay,
 early stopping, and checkpoint selection by validation AUROC inside the
 anchor-radius evaluation region.
 
-Training and load_models read a pack through raster.read_years, the one
-pack reader: one cropped year at a time, and each year's feature stacks
-one fire at a time.  Both compute student maps with head_maps.
-load_models builds the models the protocol scores from model specs
-(``ensemble:<dir>``, ``student:<dir>:<head.json>``).
+Training and load_model_years read a pack through raster.read_years, the
+one pack reader: one cropped year at a time, and each year's feature
+stacks one fire at a time.  Both compute student maps with head_maps.
+load_model_years yields, year by year, the fires and outputs of the
+models named by model specs (``ensemble:<dir>``,
+``student:<dir>:<head.json>``); load_models accumulates them into the
+models the protocol scores.
 """
 
 from __future__ import annotations
@@ -590,25 +592,26 @@ def middle_member_by_year(
     return out
 
 
-def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
-    """One Model per spec, plus the files it parsed.  Each distinct
-    dataset root is scanned, then read by raster.read_years.  A year's
-    fires are shared by the root's models: each has its year's middle-AP
-    member as the error-map reference (Fire.reference, kept when
-    read_years drops the members), with that member's AP.  An ensemble
-    scores the fused members; a student scores the reference with
-    head_maps' uncertainty over its own pass of the year's stacks, which
-    parses each fire's features.npy just before its map and refuses one
-    of another channel count than the head's, naming both files.  So at
-    most one year's member maps and one fire's feature stack are held at
-    a time."""
+def load_model_years(specs: list[str], geo: GeoConfig):
+    """Yield (indices, fires, outputs) per dataset root and year: the
+    positions in specs of the models on that root, the year's Fires, and
+    for each of those models its (probability, uncertainty) per fire.
+    Each distinct root is scanned, then read by raster.read_years, roots
+    in the order specs first name them.  A year's fires are shared by
+    the root's models: each has its year's middle-AP member as the
+    error-map reference (Fire.reference, kept when read_years drops the
+    members), with that member's AP.  An ensemble scores the fused
+    members; a student scores the reference with head_maps' uncertainty
+    over its own pass of the year's stacks, which parses each fire's
+    features.npy just before its map and refuses one of another channel
+    count than the head's, naming both files.  So at most one year's
+    member maps and one fire's feature stack are held at a time.  Each
+    fire's event lists the files it was parsed from."""
     parsed = [parse_model_spec(text) for text in specs]
     heads = [load_head(h)[0] if h is not None else None for _kind, _root, h in parsed]
     by_root: dict[Path, list[int]] = {}
     for i, (_kind, root, _head) in enumerate(parsed):
         by_root.setdefault(root.resolve(), []).append(i)
-    models = [Model([], []) for _ in parsed]
-    inputs: list[Path] = []
     for readers in by_root.values():
         root = parsed[readers[0]][1]
         student = any(parsed[i][0] == "student" for i in readers)
@@ -623,17 +626,30 @@ def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Pat
                 for ev, a in zip(events, aps)
             ]
             n_px = max(ev.gt.size for ev in events)
+            outputs = []
             for i in readers:
-                models[i].fires += fires
                 if parsed[i][0] == "ensemble":
                     teachers = (fuse_ensemble(ev.members) for ev in events)
-                    models[i].outputs += [(t.mean_prob, t.uncertainty) for t in teachers]
+                    outputs.append([(t.mean_prob, t.uncertainty) for t in teachers])
                 else:
                     # every stack has the head's channel count; exhausted
                     # here, so its workspace goes before the next year
                     own = stacks(heads[i].channels, parsed[i][2])
                     maps = list(head_maps(heads[i], own, n_px))
-                    models[i].outputs += [(f.reference, u) for f, u in zip(fires, maps)]
-        inputs += [p for fires in layout.values() for f in fires for p in f.paths]
-    inputs += [h for _kind, _root, h in parsed if h is not None]
+                    outputs.append([(f.reference, u) for f, u in zip(fires, maps)])
+            yield readers, fires, outputs
+
+
+def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
+    """One Model per spec, accumulated from load_model_years, plus the
+    files it parsed: each fire's files, root by root and year by year,
+    then the heads."""
+    models = [Model([], []) for _ in specs]
+    inputs: list[Path] = []
+    for indices, fires, outputs in load_model_years(specs, geo):
+        for i, own in zip(indices, outputs):
+            models[i].fires += fires
+            models[i].outputs += own
+        inputs += [p for f in fires for p in f.event.files]
+    inputs += [h for _kind, _root, h in map(parse_model_spec, specs) if h is not None]
     return models, inputs

@@ -75,8 +75,8 @@ class Fire:
     reference is the probability map whose thresholding defines the
     error map every model's uncertainty is ranked against.
     reference_ap, when known, is average_precision(reference, event.gt),
-    as middle-member selection computed it; run_sweep then reads it
-    instead of ranking the reference again for a model whose
+    as middle-member selection computed it; unmasked_scores then reads
+    it instead of ranking the reference again for a model whose
     probability map is the reference.  None means not known.
     """
 
@@ -170,45 +170,136 @@ def resolve_anchor(asd_values_m, geo: GeoConfig) -> int:
     return max(1, rounded)
 
 
+def unmasked_scores(
+    fire: Fire, prob: np.ndarray, config: SweepConfig, geo: GeoConfig
+) -> tuple[float | None, float | None]:
+    """Phase 1 of a sweep: one model's (AP, ASD) on one fire, over the
+    whole raster.  A probability map that is the fire's reference takes
+    the fire's reference_ap when it is known.  ASD thresholds prob at
+    config.error_threshold.  An empty ground truth gives (None, None), a
+    single-class one no AP, and an empty thresholded forecast no ASD.
+    """
+    gt = fire.event.gt
+    if not gt.any():
+        return None, None
+    ap = fire.reference_ap if prob is fire.reference else None
+    if ap is None:
+        try:
+            ap = average_precision(prob, gt)
+        except DegenerateClassError:
+            pass
+    pred_mask = (prob >= config.error_threshold).astype(np.uint8)
+    try:
+        asd = average_surface_distance(pred_mask, gt, geo.meters_per_pixel)
+    except EmptyMaskError:
+        asd = None
+    return ap, asd
+
+
+def sweep_anchor(unmasked, config: SweepConfig, geo: GeoConfig) -> int:
+    """The anchor radius of a sweep from its phase-1 results: the
+    (AP, ASD) pairs of unmasked_scores, the first model's fires in the
+    order given, then the second model's, and so on.  It is
+    config.anchor_px or, when that is None, resolve_anchor over the
+    defined ASDs in that order.  The float mean depends on that order,
+    so it is part of the contract.  Raises DegenerateDataError when the
+    anchor is to be resolved and no fire has a defined ASD.
+    """
+    if config.anchor_px is not None:
+        return config.anchor_px
+    pooled = [asd for _ap, asd in unmasked if asd is not None]
+    if not pooled:
+        raise DegenerateDataError("anchor=auto needs at least one fire with a defined ASD")
+    return resolve_anchor(pooled, geo)
+
+
+def score_fire(
+    fire: Fire,
+    outputs: list[tuple[np.ndarray, np.ndarray]],
+    unmasked: list[tuple[float | None, float | None]],
+    radii: tuple[int, ...],
+    config: SweepConfig,
+) -> list[list[MetricRecord]]:
+    """Phase 2 of a sweep: the records of one fire for each model that
+    holds it, given each model's (probability, uncertainty) pair and
+    phase-1 (AP, ASD) on the fire, one record per radius of radii,
+    which is ascending.  Returns one record list per model, in order.
+
+    It takes the pixels of the largest FCER, with their squared
+    distances, from fcer_pixels; every smaller FCER is the subsequence
+    within its radius, so n_eval_px and each region's values, in their
+    order, are those of the full grid.  The ground truth and the error
+    labels are read only at those pixels.  A pixel's level is the
+    smallest radius whose FCER holds it, one searchsorted of its squared
+    distance into the squared radii, and the FCER at radius j is the
+    pixels of level <= j.  The pixels, labels and levels are shared by
+    every model and dropped when the records are done.  Each model's
+    per-pixel Brier and NLL terms are computed once over the largest
+    FCER; each radius gathers its own FCER's terms in raster order, as
+    the mean over that FCER sees them, and sums them with one
+    np.add.reduce, which is what np.mean computes.  A radius whose ring
+    adds no pixel repeats the radius below it.  Each model's uncertainty
+    is sorted ascending once over the largest FCER, and one
+    ranking_by_level call ranks every radius from those sorted values,
+    the positives among them, and their levels.  That sort is numpy's
+    default argsort: the kernel reads only the sorted values, so the
+    order within ties, which such a sort leaves unspecified, changes no
+    value.  An empty-ground-truth fire gets one record per radius too.
+    """
+    ev, gt = fire.event, fire.event.gt
+    if not gt.any():
+        return [
+            [MetricRecord(ev.id, ev.year, radius_px=r, n_eval_px=0) for r in radii]
+            for _maps in outputs
+        ]
+    idx, d2 = fcer_pixels(gt, radii[-1])
+    labels = gt.ravel()[idx]
+    y_outer = labels.astype(np.float64)
+    errors = error_map(fire.reference.ravel()[idx], labels, config.error_threshold).view(bool)
+    # each pixel's level: the smallest scored radius whose FCER holds it
+    levels = np.searchsorted(np.array([r * r for r in radii], dtype=np.float64), d2)
+    n_eval = np.cumsum(np.bincount(levels, minlength=len(radii)))
+    scored = []
+    for prob, unc in outputs:
+        p = prob.ravel()[idx].astype(np.float64)
+        terms = np.stack((brier_terms(p, y_outer), nll_terms(p, y_outer, config.nll_epsilon)))
+        # one sort over the largest FCER ranks every nested one
+        u = unc.ravel()[idx]
+        order = np.argsort(u)
+        s, y, lv = u[order], errors[order], levels[order]
+        scored.append((terms, ranking_by_level(s, s[y], lv, lv[y], len(radii))))
+    records: list[list[MetricRecord]] = [[] for _maps in outputs]
+    for j, r in enumerate(radii):
+        n = int(n_eval[j])
+        if j == 0 or n > n_eval[j - 1]:
+            inside = np.flatnonzero(levels <= j)
+            means = [
+                [np.add.reduce(t) / n for t in terms.take(inside, axis=1)]
+                for terms, _ranked in scored
+            ]
+        for recs, (ap, asd), (b, nl), (_terms, ranked) in zip(records, unmasked, means, scored):
+            auprc, auroc, prevalence = ranked[j] or (None, None, None)
+            recs.append(MetricRecord(
+                ev.id, ev.year, radius_px=r, ap=ap, asd_m=asd,
+                brier=float(b), nll=float(nl),
+                auroc=auroc, auprc=auprc, error_prevalence=prevalence,
+                n_eval_px=n,
+            ))
+    return records
+
+
 def run_sweep(
     models: list[Model], config: SweepConfig, geo: GeoConfig
 ) -> list[SweepResult]:
-    """Evaluate every model on each of its fires at every radius.
-
-    Phase 1 computes each model's AP and ASD once per fire; a model whose
-    probability map is the fire's reference reads the fire's
-    reference_ap when it is known.  The anchor
-    is then config.anchor_px or, when that is None, resolve_anchor over
-    the pooled defined ASDs: the first model's fires in the order given,
-    then the second model's, and so on.  The float mean depends on that
-    order, so it is part of the contract.  Phase 2 scores the radii
-    config.radii_px plus the anchor, which is always scored.  It visits
-    each distinct Fire once and takes the pixels of its largest FCER,
-    with their squared distances, from fcer_pixels; every smaller FCER
-    is the subsequence within its radius, so n_eval_px and each region's
-    values, in their order, are those of the full grid.  The ground
-    truth and the error labels are read only at those pixels.  A pixel's
-    level is the smallest scored radius whose FCER holds it, one
-    searchsorted of its squared distance into the squared radii, and the
-    FCER at radius j is the pixels of level <= j.  The pixels, labels
-    and levels are shared by every model that holds the Fire and dropped
-    when its records are done.  Each model's per-pixel Brier and NLL
-    terms are computed once over the largest FCER; each radius gathers
-    its own FCER's terms in raster order, as the mean over that FCER
-    sees them, and sums them with one np.add.reduce, which is what
-    np.mean computes.  A radius whose ring adds no pixel repeats the
-    radius below it.  Each model's uncertainty is sorted ascending once
-    over the largest FCER, and one ranking_by_level call ranks every
-    radius from those sorted values, the positives among them, and
-    their levels.  That sort is numpy's default argsort: the kernel
-    reads only the sorted values, so the order within ties, which such a
-    sort leaves unspecified, changes no value.  Every fire, an
-    empty-ground-truth fire too, gets one record per scored radius.
+    """Evaluate every model on each of its fires at every radius: phase 1
+    (unmasked_scores) per model and fire, the anchor from those results
+    in model-then-fire order (sweep_anchor), then phase 2 (score_fire)
+    once per distinct Fire, for the models that hold it, at the radii
+    config.radii_px plus the anchor, which is always scored.
 
     Degenerate per-fire cases (single-class region, empty ground truth,
     missing boundary) leave the affected metrics as None and the run
-    continues.  Raises DegenerateDataError when the anchor is to be
-    resolved and no fire has a defined ASD.  Each record is built once,
+    continues.  Raises like sweep_anchor.  Each record is built once,
     with every field set, so MetricRecord's check sees every value: a
     metric that is not finite or out of its range, such as the ASD of a
     meters_per_pixel near the float64 maximum, raises ValidationError
@@ -228,95 +319,29 @@ def run_sweep(
             if any(np.shape(a) != fire.event.gt.shape for a in maps):
                 raise ShapeError(f"run_sweep: fire {fire.event.id}: map shape != gt shape")
 
-    def unmasked(fire: Fire, prob: np.ndarray) -> tuple[float | None, float | None]:
-        gt = fire.event.gt
-        if not gt.any():
-            return None, None
-        ap = fire.reference_ap if prob is fire.reference else None
-        if ap is None:
-            try:
-                ap = average_precision(prob, gt)
-            except DegenerateClassError:
-                pass
-        pred_mask = (prob >= config.error_threshold).astype(np.uint8)
-        try:
-            asd = average_surface_distance(pred_mask, gt, geo.meters_per_pixel)
-        except EmptyMaskError:
-            asd = None
-        return ap, asd
-
-    # phase 1: (AP, ASD) per model and fire, in model-then-fire order; then the anchor
     ap_asd = [
-        [unmasked(fire, prob) for fire, (prob, _unc) in zip(m.fires, m.outputs)]
+        [unmasked_scores(fire, prob, config, geo) for fire, (prob, _u) in zip(m.fires, m.outputs)]
         for m in models
     ]
-    anchor = config.anchor_px
-    if anchor is None:
-        pooled = [asd for per_model in ap_asd for _ap, asd in per_model if asd is not None]
-        if not pooled:
-            raise DegenerateDataError(
-                "anchor=auto needs at least one fire with a defined ASD"
-            )
-        anchor = resolve_anchor(pooled, geo)
+    anchor = sweep_anchor((pair for per_model in ap_asd for pair in per_model), config, geo)
     radii = tuple(sorted(set(config.radii_px) | {anchor}))
 
-    # phase 2: per distinct fire, the (model, position) pairs that hold it
+    # per distinct fire, the (model, position) pairs that hold it
     holders: dict[int, list[tuple[int, int]]] = {}
     for m, model in enumerate(models):
         for i, fire in enumerate(model.fires):
             holders.setdefault(id(fire), []).append((m, i))
-
     # per model, each fire's records, in the model's fire order
     per_fire: list[list] = [[None] * len(m.fires) for m in models]
-
-    def score(group: list[tuple[int, int]]):
-        """Put the records of each (model, position) in group into per_fire."""
-        fire = models[group[0][0]].fires[group[0][1]]
-        ev, gt = fire.event, fire.event.gt
-        if not gt.any():
-            for m, i in group:
-                per_fire[m][i] = [
-                    MetricRecord(ev.id, ev.year, radius_px=r, n_eval_px=0) for r in radii
-                ]
-            return
-        idx, d2 = fcer_pixels(gt, radii[-1])
-        labels = gt.ravel()[idx]
-        y_outer = labels.astype(np.float64)
-        errors = error_map(fire.reference.ravel()[idx], labels, config.error_threshold).view(bool)
-        # each pixel's level: the smallest scored radius whose FCER holds it
-        levels = np.searchsorted(np.array([r * r for r in radii], dtype=np.float64), d2)
-        n_eval = np.cumsum(np.bincount(levels, minlength=len(radii)))
-        scored = []
-        for m, i in group:
-            prob, unc = models[m].outputs[i]
-            p = prob.ravel()[idx].astype(np.float64)
-            terms = np.stack((brier_terms(p, y_outer), nll_terms(p, y_outer, config.nll_epsilon)))
-            # one sort over the largest FCER ranks every nested one
-            u = unc.ravel()[idx]
-            order = np.argsort(u)
-            s, y, lv = u[order], errors[order], levels[order]
-            scored.append((terms, ranking_by_level(s, s[y], lv, lv[y], len(radii))))
-            per_fire[m][i] = []
-        for j, r in enumerate(radii):
-            n = int(n_eval[j])
-            if j == 0 or n > n_eval[j - 1]:
-                inside = np.flatnonzero(levels <= j)
-                means = [
-                    [np.add.reduce(t) / n for t in terms.take(inside, axis=1)]
-                    for terms, _ranked in scored
-                ]
-            for (m, i), (b, nl), (_terms, ranked) in zip(group, means, scored):
-                ap, asd = ap_asd[m][i]
-                auprc, auroc, prevalence = ranked[j] or (None, None, None)
-                per_fire[m][i].append(MetricRecord(
-                    ev.id, ev.year, radius_px=r, ap=ap, asd_m=asd,
-                    brier=float(b), nll=float(nl),
-                    auroc=auroc, auprc=auprc, error_prevalence=prevalence,
-                    n_eval_px=n,
-                ))
-
     for group in holders.values():
-        score(group)
+        records = score_fire(
+            models[group[0][0]].fires[group[0][1]],
+            [models[m].outputs[i] for m, i in group],
+            [ap_asd[m][i] for m, i in group],
+            radii, config,
+        )
+        for (m, i), recs in zip(group, records):
+            per_fire[m][i] = recs
 
     return [
         SweepResult([rec for recs in fire_records for rec in recs], anchor)

@@ -39,8 +39,9 @@ class MetricRecord:
     A metric that is undefined on this fire (single-class region, missing
     boundary) is stored as None and later emitted as an empty CSV cell.
     Every other metric is finite, asd_m and nll are >= 0, and the rest
-    lie in [0, 1].  A record is checked once, where it is built, and is
-    frozen, so no later assignment skips the check.
+    lie in [0, 1]; radius_px and a given n_eval_px are >= 0.  A record is
+    checked once, where it is built, and is frozen, so no later
+    assignment skips the check.
     """
 
     fire_id: str
@@ -56,6 +57,9 @@ class MetricRecord:
     n_eval_px: int | None = None
 
     def __post_init__(self):
+        for name in ("radius_px", "n_eval_px"):
+            if (v := getattr(self, name)) is not None and v < 0:
+                raise ValidationError(f"{self.fire_id}: {name}={v} is negative")
         for name in METRIC_COLUMNS:
             v = getattr(self, name)
             if v is None:
@@ -112,9 +116,10 @@ def write_sweep_csv(path: str | Path, records: list[MetricRecord]):
 
 def read_sweep_csv(path: str | Path) -> list[MetricRecord]:
     """The records of a CSV that write_sweep_csv wrote, an empty metric
-    cell read as None.  A cell that does not parse, a record that
-    MetricRecord refuses and a second row for one (year, fire_id,
-    radius_px) are each refused as "<path>: line N: ..."."""
+    cell read as None.  A row with more or fewer cells than the header,
+    a cell that does not parse, a record that MetricRecord refuses and a
+    second row for one (year, fire_id, radius_px) are each refused as
+    "<path>: line N: ..."."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"missing sweep output {path}")
@@ -122,17 +127,24 @@ def read_sweep_csv(path: str | Path) -> list[MetricRecord]:
     lines: dict[tuple, int] = {}
     try:
         with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+            reader = csv.reader(f)
+            header = next(reader, [])
+            missing = [c for c in CSV_COLUMNS if c not in header]
             if missing:
                 raise ParseError(f"{path}: missing columns {', '.join(missing)}")
-            for row in reader:
+            for cells in reader:
+                if not cells:
+                    continue  # a blank line holds no record
+                if len(cells) != len(header):
+                    raise ParseError(f"{path}: line {reader.line_num}: {len(cells)} cells, "
+                                     f"the header has {len(header)}")
+                row = dict(zip(header, cells))
                 try:
                     metrics = {c: None if row[c] == "" else float(row[c]) for c in METRIC_COLUMNS}
                     n_eval_px = None if row["n_eval_px"] == "" else int(row["n_eval_px"])
                     rec = MetricRecord(row["fire_id"], int(row["year"]), int(row["radius_px"]),
                                        **metrics, n_eval_px=n_eval_px)
-                except (TypeError, ValueError, ValidationError) as exc:
+                except (ValueError, ValidationError) as exc:
                     raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
                 key = (rec.year, rec.fire_id, rec.radius_px)
                 if key in lines:

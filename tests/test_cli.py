@@ -4,10 +4,12 @@ import csv
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fireuq.distill import (
     UncertaintyHead,
     apply_head,
     load_head,
+    load_model_years,
     load_models,
     middle_member_by_year,
     parse_model_spec,
@@ -26,7 +29,14 @@ from fireuq.distill import (
 )
 from fireuq.errors import DegenerateClassError, ShapeError, ValidationError
 from fireuq.metrics import average_precision, error_map
-from fireuq.protocol import SweepConfig, run_sweep, summarize
+from fireuq.protocol import (
+    SweepConfig,
+    run_sweep,
+    score_fire,
+    summarize,
+    sweep_anchor,
+    unmasked_scores,
+)
 from fireuq.raster import (
     FireEvent,
     GeoConfig,
@@ -372,6 +382,62 @@ def test_stats_direction_flip(mixed_sweep, tmp_path):
     assert pa["w_minus"] == pb["w_plus"]
 
 
+def test_model_swap_swaps_sweep_outputs_and_negates_diffs(tmp_path):
+    """Swapping --model-a and --model-b at a fixed anchor swaps the sweep
+    CSVs byte for byte and negates every diff.csv cell exactly; stats
+    --direction b_gt_a on the first run tests what the default does on
+    the swapped run."""
+    pack, head = tmp_path / "pack", tmp_path / "distill" / "head.json"
+    assert _run(["synth", "--out-dir", pack, "--seed", "3", "--grid-size", "32",
+                 "--n-fires", "8", "--feature-channels", "5"]) == 0
+    assert _run(["distill", pack, "--out-dir", head.parent, "--max-epochs", "2"]) == 0
+    models = [f"ensemble:{pack}", f"student:{pack}:{head}"]
+    runs = []
+    for name, (a, b) in (("ab", models), ("ba", models[::-1])):
+        out = tmp_path / name
+        assert _run(["sweep", "--model-a", a, "--model-b", b, "--anchor", "3",
+                     "--out-dir", out]) == 0
+        runs.append(out)
+    ab, ba = runs
+    assert (ab / "sweep_a.csv").read_bytes() == (ba / "sweep_b.csv").read_bytes()
+    assert (ab / "sweep_b.csv").read_bytes() == (ba / "sweep_a.csv").read_bytes()
+    diffs = []
+    for out in runs:
+        with open(out / "diff.csv", newline="") as f:
+            diffs.append(list(csv.reader(f)))
+    assert len(diffs[0]) == len(diffs[1]) > 1 and diffs[0][0] == diffs[1][0]
+    n_metric = 0
+    for row_ab, row_ba in zip(diffs[0][1:], diffs[1][1:]):
+        assert row_ab[:3] == row_ba[:3]
+        for x, y in zip(row_ab[3:], row_ba[3:]):
+            assert (x == "") == (y == "")
+            if x:
+                assert float(y) == -float(x)
+                n_metric += 1
+    assert n_metric > len(diffs[0])
+    blocks = []
+    for out, flags in ((ab, ["--direction", "b_gt_a"]), (ba, [])):
+        assert _run(["stats", out, "--out-dir", tmp_path / f"stats_{out.name}", *flags]) == 0
+        blocks.append(json.loads((tmp_path / f"stats_{out.name}" / "stats.json").read_text()))
+    assert blocks[0]["tests"] == blocks[1]["tests"]
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    """README's fenced python blocks run as written beside a pack and a
+    distill/head.json."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    assert _run(["synth", "--out-dir", "pack", "--seed", "4", "--grid-size", "24",
+                 "--n-fires", "8", "--feature-channels", "5"]) == 0
+    assert _run(["distill", "pack", "--out-dir", "distill", "--max-epochs", "2"]) == 0
+    capsys.readouterr()
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert "MetricRecord(" in capsys.readouterr().out
+
+
 def test_stats_imports_no_numpy(mixed_sweep, tmp_path):
     """stats reads CSVs and JSON only: in a fresh interpreter it writes
     the stats.json of the in-process command and never imports numpy."""
@@ -523,6 +589,7 @@ def _assert_one_line_error(capsys, path):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {path}: ")
+    return lines[0]
 
 
 @pytest.mark.parametrize("text", [
@@ -541,22 +608,39 @@ def test_eval_malformed_head_exits_one(pack, tmp_path, capsys, text):
     _assert_one_line_error(capsys, head_path)
 
 
-@pytest.mark.parametrize("column", ["auroc", "radius_px"])
-def test_stats_non_numeric_sweep_cell_exits_one(sweep_dir, tmp_path, capsys, column):
+@pytest.mark.parametrize("column, cell, message", [
+    ("auroc", "abc", "could not convert"),
+    ("radius_px", "abc", "invalid literal"),
+    ("radius_px", "-1", "radius_px=-1 is negative"),
+    ("n_eval_px", "-3", "n_eval_px=-3 is negative"),
+    (None, "0.5", "12 cells, the header has 11"),  # one cell more than the header
+    (None, None, "10 cells, the header has 11"),  # the last cell dropped
+], ids=["auroc", "radius_px", "negative-radius", "negative-n-eval", "extra-cell", "short-row"])
+def test_stats_non_numeric_sweep_cell_exits_one(mixed_sweep, tmp_path, capsys, column, cell,
+                                                message):
+    """On a sweep that stats scores with exit 0, one bad row of sweep_a.csv
+    exits 1 in one line naming the file and the line."""
     sweep = tmp_path / "sweep"
     sweep.mkdir()
     for name in ("sweep_a.csv", "sweep_b.csv", "summary.json"):
-        (sweep / name).write_bytes((sweep_dir / name).read_bytes())
-    with open(sweep_dir / "sweep_a.csv", newline="") as f:
-        rows = list(csv.DictReader(f))
-    rows[3][column] = "abc"
+        (sweep / name).write_bytes((mixed_sweep / name).read_bytes())
+    assert _run(["stats", sweep, "--out-dir", tmp_path / "ok"]) == 0
+    with open(mixed_sweep / "sweep_a.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    row = rows[4]  # line 5
+    if column is not None:
+        row[rows[0].index(column)] = cell
+    elif cell is not None:
+        row.append(cell)
+    else:
+        del row[-1]
     with open(sweep / "sweep_a.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(f).writerows(rows)
     rc = _run(["stats", sweep, "--out-dir", tmp_path / "st"])
     assert rc == 1
-    _assert_one_line_error(capsys, sweep / "sweep_a.csv")
+    line = _assert_one_line_error(capsys, sweep / "sweep_a.csv")
+    assert line.startswith(f"error: {sweep / 'sweep_a.csv'}: line 5: ")
+    assert message in line
 
 
 @pytest.mark.parametrize("text", ["{not json", "[4]", '{"anchor_radius_px": "4"}'],
@@ -691,6 +775,55 @@ def test_load_models_keeps_no_member_maps_or_feature_stacks(tmp_path):
         tracemalloc.stop()
     assert len(models[0].fires) == len(models[1].fires) == 8
     assert held < member_bytes
+
+
+@pytest.mark.parametrize("radii, anchor", [((0, 2, 5), None), ((0, 2, 5), 3), ((), None)],
+                         ids=["auto-anchor", "fixed-anchor", "no-radii"])
+def test_phases_over_year_streams_equal_run_sweep(tmp_path, radii, anchor):
+    """Phase 1 over one load_model_years stream, the anchor from its
+    pooled results, then phase 2 year by year over a second stream give
+    run_sweep's records over load_models, in its order and bit for bit."""
+    root = tmp_path / "pack"
+    # noisy members, so the auto anchor is derived, not the 1 px floor
+    spec = ScenarioSpec(rng_seed=6, grid_size=32, n_fires=9, feature_channels=4,
+                        member_noise_sigma=0.4, years=(2018, 2019, 2020))
+    for ev in generate_scenario(spec):
+        save_event(root, ev)
+    head_path = tmp_path / "head.json"
+    save_head(head_path, UncertaintyHead(weights=np.array([0.5, -0.3, 0.2, 0.1]), bias=-0.4),
+              TrainConfig(), selection_metric=None, epoch=0)
+    specs = [f"ensemble:{root}", f"student:{root}:{head_path}"]
+    geo = GeoConfig()
+    config = SweepConfig(radii_px=radii, anchor_px=anchor)
+
+    unmasked: list[list] = [[], []]
+    years = 0
+    for indices, fires, outputs in load_model_years(specs, geo):
+        assert indices == [0, 1]
+        years += 1
+        for k, own in zip(indices, outputs):
+            unmasked[k] += [unmasked_scores(f, prob, config, geo)
+                            for f, (prob, _unc) in zip(fires, own)]
+    assert years == 3
+    anchor_px = sweep_anchor(unmasked[0] + unmasked[1], config, geo)
+    assert anchor_px == anchor or anchor is None and anchor_px > 1
+    scored = tuple(sorted({*radii, anchor_px}))
+    records: list[list] = [[], []]
+    done = 0
+    for indices, fires, outputs in load_model_years(specs, geo):
+        for j, fire in enumerate(fires):
+            per_model = score_fire(fire, [own[j] for own in outputs],
+                                   [unmasked[k][done + j] for k in indices], scored, config)
+            for k, recs in zip(indices, per_model):
+                records[k] += recs
+        done += len(fires)
+
+    models, _inputs = load_models(specs, geo)
+    results = run_sweep(models, config, geo)
+    for result, recs in zip(results, records):
+        assert result.anchor_radius_px == anchor_px
+        assert len(recs) == 9 * len(scored)
+        assert repr(recs) == repr(result.records)
 
 
 def test_load_models_peak_holds_one_year_and_one_head_workspace(tmp_path):
