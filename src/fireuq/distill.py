@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
-from .metrics import average_precisions, error_map, uq_auroc
+from .metrics import average_precision, error_map, uq_auroc
 from .protocol import MAX_RADIUS_PX, Fire, Model, fcer_pixels
 from .raster import FireEvent, FireFiles, GeoConfig, read_years, scan_dataset
 from .report import read_json, write_json
@@ -188,14 +188,6 @@ class _Workspace:
         np.divide(1.0, s, out=s)
         return s
 
-    def head_map(self, head: UncertaintyHead, features: np.ndarray) -> np.ndarray:
-        """apply_head of one checked (C, H, W) stack, copied out."""
-        # exp(-z) overflows to inf for z < -709, and 1 / (1 + inf) = 0 is
-        # the correct saturation
-        with np.errstate(over="ignore"):
-            s = self.student(head, self.load(features))
-        return s.reshape(features.shape[1:]).copy()
-
     def rmsle(self, s: np.ndarray, log1p_t: np.ndarray) -> float:
         """sqrt(mean(d^2)) of d = log1p(t) - log1p(s), left in self.d."""
         d = self.d[: s.size]
@@ -251,22 +243,19 @@ def head_maps(head: UncertaintyHead, stacks, n_px: int):
     iterable holds one stack at a time."""
     ws = _Workspace(head.channels, n_px)
     for f in stacks:
-        s = ws.head_map(head, _head_input(head, f))
+        f = np.asarray(f)
+        if f.ndim != 3:
+            raise ShapeError("apply_head: features must be (C, H, W)")
+        if f.shape[0] != head.channels:
+            raise ShapeError(
+                f"apply_head: {f.shape[0]} feature channels vs head with {head.channels}"
+            )
+        # exp(-z) overflows to inf for z < -709, and 1 / (1 + inf) = 0 is
+        # the correct saturation
+        with np.errstate(over="ignore"):
+            s = ws.student(head, ws.load(f)).reshape(f.shape[1:])
         del f  # before the next stack is requested
-        yield s
-
-
-def _head_input(head: UncertaintyHead, features) -> np.ndarray:
-    """features as an array, refused unless it is (C, H, W) with the
-    head's channel count."""
-    f = np.asarray(features)
-    if f.ndim != 3:
-        raise ShapeError("apply_head: features must be (C, H, W)")
-    if f.shape[0] != head.channels:
-        raise ShapeError(
-            f"apply_head: {f.shape[0]} feature channels vs head with {head.channels}"
-        )
-    return f
+        yield s.copy()
 
 
 def rmsle_gradient(
@@ -576,10 +565,14 @@ def middle_member_by_year(
     """Per year, the member whose mean per-fire AP is the median.  Fires
     whose ground truth is single-class have no AP and are left out; a
     year in which no fire has an AP gets member 0.  A given member_aps
-    list receives each event's member APs, in event order, as
-    average_precisions gives them (None for a single-class ground
-    truth)."""
-    aps = [average_precisions(ev.members, ev.gt) for ev in events]
+    list receives each event's list of member APs, in event order (None
+    for a single-class ground truth)."""
+    aps: list = []
+    for ev in events:
+        try:
+            aps.append([average_precision(m, ev.gt) for m in ev.members])
+        except DegenerateClassError:
+            aps.append(None)
     if member_aps is not None:
         member_aps[:] = aps
     out: dict[int, int] = {}

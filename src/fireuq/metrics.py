@@ -201,22 +201,18 @@ def _rank_rows(
     return out
 
 
-def _sort_dtype(dtype: np.dtype) -> np.dtype:
-    """The dtype scores are ranked in: their own if float, else the float
-    numpy promotes them to (float32 or float64)."""
-    return np.promote_types(dtype, np.float32)
-
-
 def _ranked(
     scores: np.ndarray, labels: np.ndarray, region: np.ndarray | None
 ) -> tuple[float, float, float]:
-    """ranking_by_level's one level over the region's scores, in their
-    _sort_dtype, and its 0/1-labelled positives; raises
-    DegenerateClassError when the labels are single-class."""
+    """ranking_by_level's one level over the region's scores and its
+    0/1-labelled positives; raises DegenerateClassError when the labels
+    are single-class.  Float scores are ranked in their own dtype, so a
+    float32 map is not copied first, and others in the float numpy
+    promotes them to (float32 or float64)."""
     scores = np.asarray(scores)
     labels = np.asarray(labels)
     _check_shapes(scores, labels, region)
-    s = _select(scores, region).astype(_sort_dtype(scores.dtype), copy=False)
+    s = _select(scores, region).astype(np.promote_types(scores.dtype, np.float32), copy=False)
     positives = s[_select(labels, region).astype(bool)]
     positives.sort()
     (ranked,) = ranking_by_level(np.sort(s), positives)
@@ -236,33 +232,6 @@ def average_precision(
     DegenerateClassError when the labels are single-class.
     """
     return _ranked(scores, labels, region)[0]
-
-
-def average_precisions(
-    score_maps: list[np.ndarray], labels: np.ndarray
-) -> list[float] | None:
-    """average_precision of each score map against the same labels, or
-    None when the labels are single-class.
-
-    The maps are stacked once, and the stack and its positive pixels
-    are each sorted along the pixel axis in one call, so n maps cost two
-    sort calls and a few large allocations instead of n of each.
-    """
-    labels = np.asarray(labels)
-    for m in score_maps:
-        _check_shapes(np.asarray(m), labels, None)
-    keys = np.array(score_maps).reshape(len(score_maps), -1)
-    keys = keys.astype(_sort_dtype(keys.dtype), copy=False)
-    positives = keys[:, labels.ravel().astype(bool)]
-    keys.sort(axis=1)
-    positives.sort(axis=1)
-    aps = []
-    for s, p in zip(keys, positives):
-        (ranked,) = ranking_by_level(s, p)
-        if ranked is None:
-            return None
-        aps.append(ranked[0])
-    return aps
 
 
 def average_surface_distance(

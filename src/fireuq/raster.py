@@ -379,12 +379,12 @@ def read_years(layout: dict[int, list[FireFiles]], crop_size: int):
             ev.members.clear()
 
 
-def load_dataset(root: str | Path, features: bool = True) -> list[FireEvent]:
+def load_dataset(root: str | Path) -> list[FireEvent]:
     """Load every fire under <root>/<year>/<fire_id>/, uncropped and
-    sorted by (year, id), each with its feature stack.  features=False
-    leaves every features.npy unread."""
+    sorted by (year, id), each with its feature stack if it has a
+    features.npy."""
     events = []
-    for fires in scan_dataset(root, features).values():
+    for fires in scan_dataset(root).values():
         for f in fires:
             ev = _read_fire(f)
             if f.features is not None:

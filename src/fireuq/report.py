@@ -116,10 +116,10 @@ def write_sweep_csv(path: str | Path, records: list[MetricRecord]):
 
 def read_sweep_csv(path: str | Path) -> list[MetricRecord]:
     """The records of a CSV that write_sweep_csv wrote, an empty metric
-    cell read as None.  A row with more or fewer cells than the header,
-    a cell that does not parse, a record that MetricRecord refuses and a
-    second row for one (year, fire_id, radius_px) are each refused as
-    "<path>: line N: ..."."""
+    cell read as None.  A header that names a column twice is refused.
+    A row with more or fewer cells than the header, a cell that does not
+    parse, a record that MetricRecord refuses and a second row for one
+    (year, fire_id, radius_px) are each refused as "<path>: line N: ..."."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"missing sweep output {path}")
@@ -129,6 +129,9 @@ def read_sweep_csv(path: str | Path) -> list[MetricRecord]:
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, [])
+            for i, c in enumerate(header):
+                if c in header[:i]:
+                    raise ParseError(f"{path}: column {c} repeats in the header")
             missing = [c for c in CSV_COLUMNS if c not in header]
             if missing:
                 raise ParseError(f"{path}: missing columns {', '.join(missing)}")

@@ -45,7 +45,7 @@ from fireuq.raster import (
     save_event,
     scan_dataset,
 )
-from fireuq.report import read_sweep_csv, write_json
+from fireuq.report import CSV_COLUMNS, read_sweep_csv, write_json
 from fireuq.synth import ScenarioSpec, generate_scenario
 
 @pytest.fixture(autouse=True)
@@ -422,6 +422,67 @@ def test_model_swap_swaps_sweep_outputs_and_negates_diffs(tmp_path):
     assert blocks[0]["tests"] == blocks[1]["tests"]
 
 
+# the 8 symmetries of the square, each acting on the last two axes
+_SYMMETRIES = {
+    "identity": lambda a: a,
+    "rot90": lambda a: np.rot90(a, 1, axes=(-2, -1)),
+    "rot180": lambda a: np.rot90(a, 2, axes=(-2, -1)),
+    "rot270": lambda a: np.rot90(a, 3, axes=(-2, -1)),
+    "flip-rows": lambda a: a[..., ::-1, :],
+    "flip-cols": lambda a: a[..., ::-1],
+    "transpose": lambda a: np.swapaxes(a, -2, -1),
+    "anti-transpose": lambda a: np.rot90(np.swapaxes(a, -2, -1), 2, axes=(-2, -1)),
+}
+# metrics that sum in raster order; every other MetricRecord field is exact
+_ORDER_SUMMED = ("brier", "nll", "asd_m")
+
+
+@pytest.mark.parametrize("seed, size, crop", [(5, 48, 44), (6, 64, 128), (7, 56, 51)],
+                         ids=["crop-even", "uncropped", "crop-odd"])
+def test_symmetries_of_the_square_keep_every_sweep_record(tmp_path, seed, size, crop):
+    """Each of the 8 symmetries of the square, applied to gt, members and
+    features and scored with the original pack's head.json, keeps the
+    anchor and every record's ranking metrics, prevalence and pixel count
+    exactly, and its raster-order sums within 1e-12 relative.  A flip
+    commutes with the center crop when (size - crop) is even.  When it is
+    odd the crop drops the odd pixel at the bottom and right, so the
+    transformed pack is built from the pack without its last row and
+    column, which the crop keeps the same window of."""
+    pack, head = tmp_path / "pack", tmp_path / "distill" / "head.json"
+    assert _run(["synth", "--out-dir", pack, "--seed", seed, "--grid-size", size,
+                 "--n-fires", "8", "--feature-channels", "5"]) == 0
+    assert _run(["distill", pack, "--out-dir", head.parent, "--max-epochs", "2"]) == 0
+    events = load_dataset(pack)
+    keep = slice(0, size - max(size - crop, 0) % 2)
+
+    def sweep(root, out):
+        assert _run(["sweep", "--model-a", f"ensemble:{root}",
+                     "--model-b", f"student:{root}:{head}", "--radii", "0..8",
+                     "--crop", crop, "--out-dir", out]) == 0
+        anchor = json.loads((out / "summary.json").read_text())["anchor_radius_px"]
+        return anchor, [read_sweep_csv(out / f"sweep_{k}.csv") for k in "ab"]
+
+    want_anchor, want = sweep(pack, tmp_path / "sweep")
+    assert sum(len(r) for r in want) == 2 * 8 * 9
+    for name, sym in _SYMMETRIES.items():
+        root = tmp_path / name
+        for ev in events:
+            gt, *members, features = (sym(a[..., keep, keep])
+                                      for a in (ev.gt, *ev.members, ev.features))
+            save_event(root, FireEvent(ev.id, ev.year, gt, members, features))
+        anchor, got = sweep(root, tmp_path / f"sweep_{name}")
+        assert anchor == want_anchor, name
+        for records_want, records_got in zip(want, got):
+            assert len(records_got) == len(records_want)
+            for a, b in zip(records_want, records_got):
+                for field in CSV_COLUMNS:
+                    x, y = getattr(a, field), getattr(b, field)
+                    if field in _ORDER_SUMMED and x is not None and y is not None:
+                        assert y == pytest.approx(x, rel=1e-12, abs=0), (name, a, field)
+                    else:
+                        assert x == y, (name, a, field)
+
+
 def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     """README's fenced python blocks run as written beside a pack and a
     distill/head.json."""
@@ -608,18 +669,34 @@ def test_eval_malformed_head_exits_one(pack, tmp_path, capsys, text):
     _assert_one_line_error(capsys, head_path)
 
 
-@pytest.mark.parametrize("column, cell, message", [
-    ("auroc", "abc", "could not convert"),
-    ("radius_px", "abc", "invalid literal"),
-    ("radius_px", "-1", "radius_px=-1 is negative"),
-    ("n_eval_px", "-3", "n_eval_px=-3 is negative"),
-    (None, "0.5", "12 cells, the header has 11"),  # one cell more than the header
-    (None, None, "10 cells, the header has 11"),  # the last cell dropped
-], ids=["auroc", "radius_px", "negative-radius", "negative-n-eval", "extra-cell", "short-row"])
-def test_stats_non_numeric_sweep_cell_exits_one(mixed_sweep, tmp_path, capsys, column, cell,
-                                                message):
-    """On a sweep that stats scores with exit 0, one bad row of sweep_a.csv
-    exits 1 in one line naming the file and the line."""
+def _set_cell(column, cell):
+    """An edit of a sweep CSV's rows: line 5's cell of column set to cell."""
+    def edit(rows):
+        rows[4][rows[0].index(column)] = cell
+    return edit
+
+
+def _repeat_auroc(rows):
+    """An edit of a sweep CSV's rows: a second auroc column of 0.0 cells."""
+    i = rows[0].index("auroc") + 1
+    for k, row in enumerate(rows):
+        row.insert(i, "0.0" if k else "auroc")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_cell("auroc", "abc"), "line 5: could not convert"),
+    (_set_cell("radius_px", "abc"), "line 5: invalid literal"),
+    (_set_cell("radius_px", "-1"), "line 5: .*radius_px=-1 is negative"),
+    (_set_cell("n_eval_px", "-3"), "line 5: .*n_eval_px=-3 is negative"),
+    (lambda rows: rows[4].append("0.5"), "line 5: 12 cells, the header has 11"),
+    (lambda rows: rows[4].pop(), "line 5: 10 cells, the header has 11"),
+    (_repeat_auroc, "column auroc repeats in the header$"),
+], ids=["auroc", "radius_px", "negative-radius", "negative-n-eval", "extra-cell", "short-row",
+        "repeated-column"])
+def test_stats_non_numeric_sweep_cell_exits_one(mixed_sweep, tmp_path, capsys, edit, message):
+    """On a sweep that stats scores with exit 0, one bad row or a header
+    that repeats a column in sweep_a.csv exits 1 in one line naming the
+    file, and the line of a bad row."""
     sweep = tmp_path / "sweep"
     sweep.mkdir()
     for name in ("sweep_a.csv", "sweep_b.csv", "summary.json"):
@@ -627,20 +704,13 @@ def test_stats_non_numeric_sweep_cell_exits_one(mixed_sweep, tmp_path, capsys, c
     assert _run(["stats", sweep, "--out-dir", tmp_path / "ok"]) == 0
     with open(mixed_sweep / "sweep_a.csv", newline="") as f:
         rows = list(csv.reader(f))
-    row = rows[4]  # line 5
-    if column is not None:
-        row[rows[0].index(column)] = cell
-    elif cell is not None:
-        row.append(cell)
-    else:
-        del row[-1]
+    edit(rows)
     with open(sweep / "sweep_a.csv", "w", newline="") as f:
         csv.writer(f).writerows(rows)
     rc = _run(["stats", sweep, "--out-dir", tmp_path / "st"])
     assert rc == 1
     line = _assert_one_line_error(capsys, sweep / "sweep_a.csv")
-    assert line.startswith(f"error: {sweep / 'sweep_a.csv'}: line 5: ")
-    assert message in line
+    assert re.match(re.escape(f"error: {sweep / 'sweep_a.csv'}: ") + message, line)
 
 
 @pytest.mark.parametrize("text", ["{not json", "[4]", '{"anchor_radius_px": "4"}'],

@@ -8,7 +8,6 @@ import pytest
 from fireuq.errors import DegenerateClassError, ShapeError, ValidationError
 from fireuq.metrics import (
     average_precision,
-    average_precisions,
     average_surface_distance,
     brier,
     error_map,
@@ -342,9 +341,9 @@ def _fuzz_ranking_case(rng, trial):
 
 
 def test_ranking_fuzz_equals_argsort_kernel():
-    """ranking_by_level's one level, average_precision, uq_auroc and
-    average_precisions equal the argsort kernel on random cases, values
-    bitwise and errors by class."""
+    """ranking_by_level's one level, average_precision and uq_auroc equal
+    the argsort kernel on random cases, values bitwise and errors by
+    class."""
     rng = np.random.default_rng(2024)
     for trial in range(2000):
         scores, labels = _fuzz_ranking_case(rng, trial)
@@ -354,12 +353,9 @@ def test_ranking_fuzz_equals_argsort_kernel():
         if isinstance(want, tuple):
             assert average_precision(scores, labels) == want[0]
             assert uq_auroc(scores, labels) == want[1]
-            assert average_precisions([scores, scores[::-1]], labels)[0] == want[0]
         else:
             for fn in (average_precision, uq_auroc):
                 assert _outcome(fn, scores, labels) is want, trial
-        if want is DegenerateClassError:
-            assert average_precisions([scores], labels) is None
 
 
 def _ranking_by_level(scores, labels, levels, n_levels):
@@ -430,29 +426,6 @@ def test_ranking_by_level_covers_levels_adding_nothing_or_one_class():
         keep = levels <= j
         assert got[j] == _argsort_ranking(scores[keep], labels[keep])
     assert [g[2] for g in got[1::2]] == [1 / 3, 4 / 6, 4 / 8]
-
-
-def test_average_precisions_equal_average_precision_per_map():
-    """One sort over the stack gives each map's average_precision
-    bitwise, for float, integer and bool maps and cropped views."""
-    rng = np.random.default_rng(61)
-    labels = (rng.random((24, 20)) < 0.3).astype(np.uint8)
-    crop = (slice(2, 26), slice(1, 21))
-    float32 = [rng.random((28, 22)).astype(np.float32)[crop] for _ in range(5)]
-    ties = [(rng.integers(0, 4, (24, 20)) / 4.0) for _ in range(3)]
-    uint8 = [rng.integers(0, 256, (24, 20)).astype(np.uint8) for _ in range(3)]
-    bools = [rng.random((24, 20)) < 0.4 for _ in range(3)]
-    for maps in (float32, ties, uint8, bools, float32 + ties):
-        want = [average_precision(m, labels) for m in maps]
-        assert average_precisions(maps, labels) == want
-    assert average_precisions(float32, np.zeros_like(labels)) is None
-    assert average_precisions(float32, np.ones_like(labels)) is None
-    with pytest.raises(ShapeError):
-        average_precisions(float32 + [np.zeros((20, 24))], labels)
-    bad = float32[0].copy()
-    bad[3, 4] = np.nan
-    with pytest.raises(ValidationError, match="finite"):
-        average_precisions(float32 + [bad], labels)
 
 
 def test_ranking_kernel_single_class_is_undefined():

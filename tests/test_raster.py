@@ -423,29 +423,32 @@ def test_load_dataset_sorted_and_consistent(tmp_path):
 @pytest.mark.parametrize("features", [True, False])
 def test_load_dataset_is_the_flattened_per_year_reader(tmp_path, features):
     """load_dataset holds what read_years gives, year by year, under a
-    crop that cuts nothing: the same fires, files and rasters, and each
-    fire's stack when features are read."""
+    crop that cuts nothing: the same fires and rasters, and each fire's
+    stack.  A layout scanned with features=False reads the same fires
+    and rasters, and lists no features.npy among their files."""
     for i, year in enumerate((2019, 2018, 2019, 2021)):
         save_event(tmp_path, _demo_event(f"fire_{i}", year, seed=i))
     (tmp_path / "2020").mkdir()  # a year without fires yields nothing
     layout = scan_dataset(tmp_path, features)
     assert list(layout) == [2018, 2019, 2021]
-    events = iter(load_dataset(tmp_path, features))
+    loaded = load_dataset(tmp_path)
+    events = iter(loaded)
     years = []
     for year_events, stacks in read_years(layout, 8):
         years.append([ev.year for ev in year_events])
         stacked = stacks() if features else [None] * len(year_events)
         for b, a, stack in zip(year_events, events, stacked):
-            assert (a.year, a.id, a.files) == (b.year, b.id, b.files)
+            files = a.files if features else a.files[:-1]
+            assert (a.year, a.id, files) == (b.year, b.id, b.files)
             assert a.gt.tobytes() == b.gt.tobytes()
             assert [m.tobytes() for m in a.members] == [m.tobytes() for m in b.members]
-            assert (a.features is None) == (stack is None) == (not features)
+            assert a.features is not None and (stack is None) == (not features)
             if features:
                 assert a.features.tobytes() == stack.tobytes()
     assert years == [[2018], [2019, 2019], [2021]]
     assert next(events, None) is None
     assert [f.paths for fires in layout.values() for f in fires] == [
-        ev.files for ev in load_dataset(tmp_path, features)]
+        ev.files if features else ev.files[:-1] for ev in loaded]
 
 
 def test_scan_dataset_checks_every_fire_before_reading_any(tmp_path):
@@ -461,15 +464,16 @@ def test_scan_dataset_checks_every_fire_before_reading_any(tmp_path):
         load_dataset(tmp_path)
 
 
-def test_load_dataset_without_features_leaves_them_unread(tmp_path):
+def test_read_years_without_features_leaves_them_unread(tmp_path):
     save_event(tmp_path, _demo_event("fire_0", 2019, seed=1))
     features = tmp_path / "2019" / "fire_0" / "features.npy"
     full = load_dataset(tmp_path)
     features.write_bytes(b"not an NPY file")  # never opened below
-    [ev] = load_dataset(tmp_path, features=False)
+    years = read_years(scan_dataset(tmp_path, features=False), 8)
+    [ev], _stacks = next(years)  # the year's members are held until the next one
     assert ev.features is None
     assert ev.files == full[0].files[:-1]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(ev.members, full[0].members))
+    assert [m.tobytes() for m in ev.members] == [m.tobytes() for m in full[0].members]
 
 
 def test_load_dataset_rejects_inconsistent_member_counts(tmp_path):
