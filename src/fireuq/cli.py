@@ -1,5 +1,5 @@
 """Command-line entry point: flag parsing, each command's own checks and
-its writers.  distill.load_models builds the models eval and sweep score.
+its writers.  eval and sweep score distill.load_models' year groups with run_sweep.
 
 Subcommands: synth (generate a scenario pack), eval (anchor-radius
 tables for one model), sweep (full radius sweep for two models plus
@@ -52,9 +52,9 @@ from .stats import stats_block
 
 
 def __getattr__(name):
-    """distill's middle_member_by_year and parse_model_spec, importable
-    from here as before the commands imported distill themselves."""
-    if name in ("middle_member_by_year", "parse_model_spec"):
+    """distill's middle_member_by_year, importable from here as before
+    the commands imported distill themselves."""
+    if name == "middle_member_by_year":
         from . import distill
 
         return getattr(distill, name)
@@ -146,12 +146,11 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir, args.force)
 
-    models, inputs = load_models([args.model], geo)
-    [sweep] = run_sweep(models, config, geo)
-    anchor = sweep.anchor_radius_px
-    summary = summarize(sweep.records, anchor)
+    groups, inputs = load_models([args.model], geo)
+    [records], anchor = run_sweep(groups, config, geo)
+    summary = summarize(records, anchor)
 
-    write_sweep_csv(out_dir / "records.csv", sweep.records)
+    write_sweep_csv(out_dir / "records.csv", records)
     write_json(out_dir / "summary.json", {**summary, "meta": {"model": args.model}})
     write_markdown_table(out_dir / "table.md", summary, title=f"Evaluation: {args.model}")
     write_manifest(out_dir, "eval", _config_snapshot(args, anchor), inputs)
@@ -169,24 +168,23 @@ def cmd_sweep(args) -> int:
     _check_out_dir(out_dir, args.force)
 
     specs = [args.model_a, args.model_b]
-    models, inputs = load_models(specs, geo)
-    keys_a, keys_b = ({(f.event.year, f.event.id) for f in m.fires} for m in models)
-    if not keys_a & keys_b:
+    groups, inputs = load_models(specs, geo)
+    keys = [{(f.event.year, f.event.id) for indices, fires, _o in groups if k in indices
+             for f in fires} for k in (0, 1)]
+    if not keys[0] & keys[1]:
         root_a, root_b = (parse_model_spec(s)[1] for s in specs)
         raise DegenerateDataError(f"sweep: {root_a} and {root_b} share no (year, fire)")
-    results = run_sweep(models, config, geo)
-    anchor = results[0].anchor_radius_px
+    results, anchor = run_sweep(groups, config, geo)
+    # both summaries before any file, so one that fails writes nothing
+    summaries = [summarize(records, anchor) for records in results]
 
-    for label, spec, result in zip(("a", "b"), specs, results):
-        write_sweep_csv(out_dir / f"sweep_{label}.csv", result.records)
-        write_json(
-            out_dir / f"summary_{label}.json",
-            {**summarize(result.records, anchor), "meta": {"model": spec}},
-        )
-    pairs, unmatched = pair_records(results[0].records, results[1].records)
+    for label, spec, records, summary in zip(("a", "b"), specs, results, summaries):
+        write_sweep_csv(out_dir / f"sweep_{label}.csv", records)
+        write_json(out_dir / f"summary_{label}.json", {**summary, "meta": {"model": spec}})
+    pairs, unmatched = pair_records(*results)
     write_diff_csv(out_dir / "diff.csv", pairs)
     # every fire is scored at every radius, so records divide into fires
-    radii = sorted({rec.radius_px for rec in results[0].records})
+    radii = sorted({rec.radius_px for rec in results[0]})
     write_json(
         out_dir / "summary.json",
         {

@@ -14,8 +14,8 @@ one pack reader: one cropped year at a time, and each year's feature
 stacks one fire at a time.  Both compute student maps with head_maps.
 load_model_years yields, year by year, the fires and outputs of the
 models named by model specs (``ensemble:<dir>``,
-``student:<dir>:<head.json>``); load_models accumulates them into the
-models the protocol scores.
+``student:<dir>:<head.json>``); load_models lists those year groups,
+which protocol.run_sweep scores.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateClassError, DegenerateDataError, ShapeError, ValidationError
 from .metrics import average_precision, error_map, uq_auroc
-from .protocol import MAX_RADIUS_PX, Fire, Model, fcer_pixels
+from .protocol import MAX_RADIUS_PX, Fire, fcer_pixels
 from .raster import FireEvent, FireFiles, GeoConfig, read_years, scan_dataset
 from .report import read_json, write_json
 
@@ -633,16 +633,9 @@ def load_model_years(specs: list[str], geo: GeoConfig):
             yield readers, fires, outputs
 
 
-def load_models(specs: list[str], geo: GeoConfig) -> tuple[list[Model], list[Path]]:
-    """One Model per spec, accumulated from load_model_years, plus the
-    files it parsed: each fire's files, root by root and year by year,
-    then the heads."""
-    models = [Model([], []) for _ in specs]
-    inputs: list[Path] = []
-    for indices, fires, outputs in load_model_years(specs, geo):
-        for i, own in zip(indices, outputs):
-            models[i].fires += fires
-            models[i].outputs += own
-        inputs += [p for f in fires for p in f.event.files]
-    inputs += [h for _kind, _root, h in map(parse_model_spec, specs) if h is not None]
-    return models, inputs
+def load_models(specs: list[str], geo: GeoConfig) -> tuple[list, list[Path]]:
+    """list(load_model_years(specs, geo)) plus the files it parsed: each
+    fire's files, root by root and year by year, then the heads."""
+    groups = list(load_model_years(specs, geo))
+    inputs = [p for _indices, fires, _outputs in groups for f in fires for p in f.event.files]
+    return groups, inputs + [h for _kind, _root, h in map(parse_model_spec, specs) if h]

@@ -85,31 +85,6 @@ class Fire:
     reference_ap: float | None = None
 
 
-@dataclass
-class Model:
-    """One model under evaluation: the fires it is scored on and its
-    (probability, uncertainty) pair per fire, aligned with fires.
-
-    Models that hold the same Fire objects, such as two models on one
-    dataset, share that fire's ground-truth EDT and error map.
-    """
-
-    fires: list[Fire]
-    outputs: list[tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass
-class SweepResult:
-    """Everything one sweep produced for one model: one MetricRecord per
-    (fire, radius), fire by fire in the model's order and radii ascending
-    within a fire, and the anchor radius they were scored at.
-    summarize derives every aggregate from them.
-    """
-
-    records: list[MetricRecord]
-    anchor_radius_px: int
-
-
 def build_fcer(gt: np.ndarray, radius_px: int) -> np.ndarray:
     """Evaluation region: ground truth dilated by a disk of radius_px.
 
@@ -288,14 +263,15 @@ def score_fire(
     return records
 
 
-def run_sweep(
-    models: list[Model], config: SweepConfig, geo: GeoConfig
-) -> list[SweepResult]:
-    """Evaluate every model on each of its fires at every radius: phase 1
-    (unmasked_scores) per model and fire, the anchor from those results
-    in model-then-fire order (sweep_anchor), then phase 2 (score_fire)
-    once per distinct Fire, for the models that hold it, at the radii
-    config.radii_px plus the anchor, which is always scored.
+def run_sweep(groups, config: SweepConfig, geo: GeoConfig):
+    """Evaluate every model on each of its fires at every radius.  groups
+    are distill.load_model_years' (indices, fires, outputs) triples:
+    outputs[k][j] is model indices[k]'s (probability, uncertainty) pair
+    on fires[j].  Phase 1 (unmasked_scores) runs per group, model and
+    fire; sweep_anchor takes its results model by model, each model's
+    fires in group order; then phase 2 (score_fire) runs once per fire,
+    for its group's models, at the radii config.radii_px plus the
+    anchor, which is always scored.
 
     Degenerate per-fire cases (single-class region, empty ground truth,
     missing boundary) leave the affected metrics as None and the run
@@ -303,60 +279,54 @@ def run_sweep(
     with every field set, so MetricRecord's check sees every value: a
     metric that is not finite or out of its range, such as the ASD of a
     meters_per_pixel near the float64 maximum, raises ValidationError
-    before any record is returned.  Everything runs serially in the
-    calling thread: the CLI's --jobs is accepted and validated but
-    changes nothing, and stays so that one flag set drives every command.
-    Returns one SweepResult per model, in order.
+    before any record is returned.  It runs serially in the calling
+    thread (the CLI's --jobs changes nothing).  Returns the records of
+    models 0 to the largest index, each fire by fire in group order and
+    radii ascending within a fire, and the anchor.
     """
-    if not models:
+    n_models = 1 + max((k for indices, _f, _o in groups for k in indices), default=-1)
+    if not n_models:
         raise ValidationError("run_sweep: no models")
-    for model in models:
-        if not model.fires:
-            raise ValidationError("run_sweep: a model has no fires")
-        if len(model.outputs) != len(model.fires):
+    for indices, fires, outputs in groups:
+        if len(outputs) != len(indices) or any(len(own) != len(fires) for own in outputs):
             raise ValidationError("run_sweep: outputs must align with fires")
-        for fire, maps in zip(model.fires, model.outputs):
-            if any(np.shape(a) != fire.event.gt.shape for a in maps):
+        for j, fire in enumerate(fires):
+            if any(np.shape(a) != fire.event.gt.shape for own in outputs for a in own[j]):
                 raise ShapeError(f"run_sweep: fire {fire.event.id}: map shape != gt shape")
+    if not all(any(k in i and f for i, f, _o in groups) for k in range(n_models)):
+        raise ValidationError("run_sweep: a model has no fires")
 
-    ap_asd = [
-        [unmasked_scores(fire, prob, config, geo) for fire, (prob, _u) in zip(m.fires, m.outputs)]
-        for m in models
-    ]
-    anchor = sweep_anchor((pair for per_model in ap_asd for pair in per_model), config, geo)
+    unmasked: list[list] = [[] for _ in range(n_models)]
+    for indices, fires, outputs in groups:
+        for k, own in zip(indices, outputs):
+            unmasked[k] += [unmasked_scores(fire, prob, config, geo)
+                            for fire, (prob, _u) in zip(fires, own)]
+    anchor = sweep_anchor((pair for scores in unmasked for pair in scores), config, geo)
     radii = tuple(sorted(set(config.radii_px) | {anchor}))
 
-    # per distinct fire, the (model, position) pairs that hold it
-    holders: dict[int, list[tuple[int, int]]] = {}
-    for m, model in enumerate(models):
-        for i, fire in enumerate(model.fires):
-            holders.setdefault(id(fire), []).append((m, i))
-    # per model, each fire's records, in the model's fire order
-    per_fire: list[list] = [[None] * len(m.fires) for m in models]
-    for group in holders.values():
-        records = score_fire(
-            models[group[0][0]].fires[group[0][1]],
-            [models[m].outputs[i] for m, i in group],
-            [ap_asd[m][i] for m, i in group],
-            radii, config,
-        )
-        for (m, i), recs in zip(group, records):
-            per_fire[m][i] = recs
-
-    return [
-        SweepResult([rec for recs in fire_records for rec in recs], anchor)
-        for fire_records in per_fire
-    ]
+    # phase 2 meets each model's fires in the order phase 1 scored them
+    pending = [iter(scores) for scores in unmasked]
+    records: list[list[MetricRecord]] = [[] for _ in range(n_models)]
+    for indices, fires, outputs in groups:
+        for j, fire in enumerate(fires):
+            scored = score_fire(fire, [own[j] for own in outputs],
+                                [next(pending[k]) for k in indices], radii, config)
+            for k, recs in zip(indices, scored):
+                records[k] += recs
+    return records, anchor
 
 
-def aggregate_mean_std(per_year_values) -> tuple[float, float]:
-    """Mean and population standard deviation (divide by N)."""
+def aggregate_mean_std(per_year_values, metric: str = "value") -> tuple[float, float]:
+    """Mean and population standard deviation (divide by N); either one not
+    finite, as on float64 overflow, raises ValidationError naming the metric."""
     vals = np.asarray(list(per_year_values), dtype=np.float64)
     if vals.size == 0:
         raise ValidationError("aggregate_mean_std: empty list")
-    if not np.isfinite(vals).all():
-        raise ValidationError("aggregate_mean_std: non-finite value")
-    return float(vals.mean()), float(vals.std(ddof=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_std = float(vals.mean()), float(vals.std(ddof=0))
+    if not np.isfinite(mean_std).all():
+        raise ValidationError(f"aggregate_mean_std: {metric}: mean or std is not finite")
+    return mean_std
 
 
 def summarize(records: list[MetricRecord], anchor_radius_px: int) -> dict:
@@ -368,14 +338,18 @@ def summarize(records: list[MetricRecord], anchor_radius_px: int) -> dict:
     radius (Table-1 layout), years ascending; mean_std holds each
     metric's [mean, population std] across the years where it is
     defined, or None.  Keys are strings, as in the JSON.  Records are
-    bucketed in record order, so each mean sums in that order.
+    bucketed in record order, so each mean sums in that order.  A mean
+    or std that overflows float64 raises ValidationError naming the metric.
     """
 
     def means(recs: list[MetricRecord]) -> tuple[dict, dict]:
         values, counts = {}, {}
         for name in METRIC_COLUMNS:
             defined = [v for rec in recs if (v := getattr(rec, name)) is not None]
-            values[name] = float(np.mean(defined)) if defined else None
+            with np.errstate(over="ignore"):
+                values[name] = float(np.mean(defined)) if defined else None
+            if defined and not np.isfinite(values[name]):
+                raise ValidationError(f"summarize: {name}: the mean over fires overflows float64")
             counts[name] = len(defined)
         return values, counts
 
@@ -393,7 +367,7 @@ def summarize(records: list[MetricRecord], anchor_radius_px: int) -> dict:
     mean_std = {}
     for name in METRIC_COLUMNS:
         vals = [row[name] for row in per_year.values() if row[name] is not None]
-        mean_std[name] = list(aggregate_mean_std(vals)) if vals else None
+        mean_std[name] = list(aggregate_mean_std(vals, name)) if vals else None
     return {
         "anchor_radius_px": anchor_radius_px,
         "per_radius": per_radius,

@@ -286,6 +286,11 @@ def read_json(path: str | Path, error: type[ValidationError], malformed: str):
 
 
 def write_json(path: str | Path, payload: dict):
+    """Write payload as strict JSON: NaN or infinity raises ValidationError naming path."""
     path = Path(path)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(text + "\n")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fireuq import distill, synth
+from fireuq import distill, protocol, synth
 from fireuq.cli import _parse_radii, main
 from fireuq.distill import (
     TrainConfig,
@@ -31,6 +31,7 @@ from fireuq.errors import DegenerateClassError, ShapeError, ValidationError
 from fireuq.metrics import average_precision, error_map
 from fireuq.protocol import (
     SweepConfig,
+    resolve_anchor,
     run_sweep,
     score_fire,
     summarize,
@@ -229,12 +230,12 @@ def test_student_ap_is_the_reference_members_ap_from_middle_member_selection(tmp
     head = UncertaintyHead(weights=np.array([0.5, -0.2, 0.1, 0.3]), bias=-0.4)
     save_head(head_path, head, TrainConfig(), selection_metric=None, epoch=0)
     geo = GeoConfig()
-    [ensemble], _ = load_models([f"ensemble:{root}"], geo)
-    assert all(f.event.files[-1].name != "features.npy" for f in ensemble.fires)
-    models, _ = load_models([f"ensemble:{root}", f"student:{root}:{head_path}"], geo)
-    fires = models[1].fires
-    assert len(fires) == len(models[0].fires) == 4
-    assert all(a is b for a, b in zip(fires, models[0].fires))
+    groups, _ = load_models([f"ensemble:{root}"], geo)
+    assert all(f.event.files[-1].name != "features.npy" for _i, fires, _o in groups for f in fires)
+    groups, _ = load_models([f"ensemble:{root}", f"student:{root}:{head_path}"], geo)
+    assert [indices for indices, _fires, _outputs in groups] == [[0, 1]] * 4
+    fires = [f for _indices, year_fires, _outputs in groups for f in year_fires]
+    assert len(fires) == 4
     assert all(f.event.files[-1].name == "features.npy" for f in fires)
     for fire in fires:
         try:
@@ -244,8 +245,8 @@ def test_student_ap_is_the_reference_members_ap_from_middle_member_selection(tmp
         assert repr(fire.reference_ap) == repr(want)
     assert sum(f.reference_ap is None for f in fires) == 1
     # and run_sweep reports it as the student's AP
-    [_, student] = run_sweep(models, SweepConfig(radii_px=(0,), anchor_px=1), geo)
-    aps = [repr(rec.ap) for rec in student.records if rec.radius_px == 0]
+    [_, student], _anchor = run_sweep(groups, SweepConfig(radii_px=(0,), anchor_px=1), geo)
+    aps = [repr(rec.ap) for rec in student if rec.radius_px == 0]
     assert aps == [repr(f.reference_ap) for f in fires]
 
 
@@ -839,11 +840,12 @@ def test_load_models_keeps_no_member_maps_or_feature_stacks(tmp_path):
     specs = [f"ensemble:{root}", f"student:{root}:{head_path}"]
     tracemalloc.start()
     try:
-        models, _ = load_models(specs, GeoConfig())
+        groups, _ = load_models(specs, GeoConfig())
         held, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(models[0].fires) == len(models[1].fires) == 8
+    assert all(indices == [0, 1] for indices, _fires, _outputs in groups)
+    assert sum(len(fires) for _indices, fires, _outputs in groups) == 8
     assert held < member_bytes
 
 
@@ -888,12 +890,58 @@ def test_phases_over_year_streams_equal_run_sweep(tmp_path, radii, anchor):
                 records[k] += recs
         done += len(fires)
 
-    models, _inputs = load_models(specs, geo)
-    results = run_sweep(models, config, geo)
+    groups, _inputs = load_models(specs, geo)
+    results, swept_anchor = run_sweep(groups, config, geo)
+    assert swept_anchor == anchor_px
     for result, recs in zip(results, records):
-        assert result.anchor_radius_px == anchor_px
         assert len(recs) == 9 * len(scored)
-        assert repr(recs) == repr(result.records)
+        assert repr(recs) == repr(result)
+
+
+def test_run_sweep_pools_asd_model_by_model_across_year_groups(tmp_path, monkeypatch):
+    """With an ensemble on one root and a student and an ensemble on
+    another, sweep_anchor receives model 0's phase-1 results in group
+    order, then model 1's, then model 2's, not group by group; and each
+    model's records equal those of its own groups swept alone."""
+    roots = [tmp_path / "a", tmp_path / "b"]
+    for seed, root in zip((6, 7), roots):
+        spec = ScenarioSpec(rng_seed=seed, grid_size=24, n_fires=6, feature_channels=4,
+                            member_noise_sigma=0.4, years=(2018, 2019, 2020))
+        for ev in generate_scenario(spec):
+            save_event(root, ev)
+    head_path = tmp_path / "head.json"
+    save_head(head_path, UncertaintyHead(weights=np.array([0.5, -0.3, 0.2, 0.1]), bias=-0.4),
+              TrainConfig(), selection_metric=None, epoch=0)
+    specs = [f"ensemble:{roots[0]}", f"student:{roots[1]}:{head_path}", f"ensemble:{roots[1]}"]
+    geo = GeoConfig()
+    config = SweepConfig(radii_px=(0, 2))
+    groups, _inputs = load_models(specs, geo)
+    assert [indices for indices, _fires, _outputs in groups] == [[0]] * 3 + [[1, 2]] * 3
+
+    def own_groups(k):
+        return [(fires, outputs[indices.index(k)])
+                for indices, fires, outputs in groups if k in indices]
+
+    want = [unmasked_scores(fire, prob, config, geo)
+            for k in range(3) for fires, own in own_groups(k)
+            for fire, (prob, _unc) in zip(fires, own)]
+    seen = []
+    real = protocol.sweep_anchor
+
+    def capture(unmasked, cfg, g):
+        seen.append(list(unmasked))
+        return real(seen[-1], cfg, g)
+
+    monkeypatch.setattr(protocol, "sweep_anchor", capture)
+    results, anchor = run_sweep(groups, config, geo)
+    assert repr(seen) == repr([want])
+    assert anchor == resolve_anchor([asd for _ap, asd in want if asd is not None], geo) > 1
+    fixed = SweepConfig(radii_px=(0, 2), anchor_px=anchor)
+    for k, records in enumerate(results):
+        [alone], _anchor = run_sweep([([0], fires, [own]) for fires, own in own_groups(k)],
+                                     fixed, geo)
+        assert len(records) == 6 * len({0, 2, anchor})
+        assert repr(alone) == repr(records)
 
 
 def test_load_models_peak_holds_one_year_and_one_head_workspace(tmp_path):
@@ -913,11 +961,11 @@ def test_load_models_peak_holds_one_year_and_one_head_workspace(tmp_path):
               TrainConfig(), selection_metric=None, epoch=0)
     tracemalloc.start()
     try:
-        [model], _ = load_models([f"student:{root}:{head_path}"], GeoConfig())
+        groups, _ = load_models([f"student:{root}:{head_path}"], GeoConfig())
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model.fires) == 8
+    assert sum(len(fires) for _indices, fires, _outputs in groups) == 8
     assert peak - held < 2 * year_bytes + workspace_bytes
 
 
@@ -940,11 +988,11 @@ def test_student_load_holds_one_fire_feature_stack_at_a_time(tmp_path):
               TrainConfig(), selection_metric=None, epoch=0)
     tracemalloc.start()
     try:
-        [model], _ = load_models([f"student:{root}:{head_path}"], GeoConfig())
+        groups, _ = load_models([f"student:{root}:{head_path}"], GeoConfig())
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model.fires) == 12
+    assert sum(len(fires) for _indices, fires, _outputs in groups) == 12
     assert peak - held < year_members + 2 * stack_bytes + workspace_bytes
 
 
@@ -1182,6 +1230,13 @@ _CORRUPTED_CASES = {
     "sweep-asd-beyond-float64": (["sweep", "--model-a", "ensemble:{root}",
                                   "--model-b", "ensemble:{root}", "--anchor", "2",
                                   "--mpp", "1e308"], 1, "fire_000: asd_m=inf is not finite"),
+    # every ASD is finite, but the std of the per-year ASD means overflows;
+    # it is refused before any write, as JSON has no token for infinity
+    "eval-mpp-std-beyond-float64": (["eval", "--model", "ensemble:{root}", "--mpp", "1e200"],
+                                    1, "asd_m: mean or std is not finite"),
+    "sweep-mpp-std-beyond-float64": (["sweep", "--model-a", "ensemble:{root}",
+                                      "--model-b", "ensemble:{root}", "--mpp", "1e200"],
+                                     1, "asd_m: mean or std is not finite"),
     # the dataset layout has no directory name for a negative year
     "synth-negative-year": (["synth", "--years", "-1", "2020", "--n-fires", "4"], 1,
                             "years must be >= 0"),

@@ -12,7 +12,6 @@ from fireuq import protocol
 from fireuq.protocol import (
     MAX_RADIUS_PX,
     Fire,
-    Model,
     SweepConfig,
     aggregate_mean_std,
     build_fcer,
@@ -23,7 +22,7 @@ from fireuq.protocol import (
     summarize,
 )
 from fireuq.raster import FireEvent, GeoConfig
-from fireuq.report import METRIC_COLUMNS
+from fireuq.report import METRIC_COLUMNS, MetricRecord
 from fireuq.synth import ScenarioSpec, generate_scenario
 
 GEO = GeoConfig(meters_per_pixel=375.0, crop_size=128)
@@ -179,18 +178,20 @@ def _scenario_events(seed=0, n_fires=6, grid=24):
     return generate_scenario(spec)
 
 
-def _model(events, outputs, references):
-    return Model([Fire(ev, ref) for ev, ref in zip(events, references)], outputs)
+def _group(events, outputs, references):
+    """One model's year group: its fires and its outputs on them."""
+    return [0], [Fire(ev, ref) for ev, ref in zip(events, references)], [outputs]
 
 
 def _sweep(events, outputs, references, cfg):
-    [result] = protocol.run_sweep([_model(events, outputs, references)], cfg, GEO)
-    return result
+    """The one model's records and the anchor."""
+    [records], anchor = protocol.run_sweep([_group(events, outputs, references)], cfg, GEO)
+    return records, anchor
 
 
-def _per_radius(result):
-    """summarize's per-radius aggregates and counts of one sweep result."""
-    return summarize(result.records, result.anchor_radius_px)["per_radius"]
+def _per_radius(records, anchor):
+    """summarize's per-radius aggregates and counts of one model's records."""
+    return summarize(records, anchor)["per_radius"]
 
 
 def _outputs_with_perfect_uncertainty(events, threshold=0.5):
@@ -208,15 +209,15 @@ def test_run_sweep_perfect_uncertainty_gives_auroc_one():
     events = _scenario_events(seed=3)
     outputs, references = _outputs_with_perfect_uncertainty(events)
     cfg = SweepConfig(radii_px=(0, 1, 2, 4, 8), anchor_px=4)
-    result = _sweep(events, outputs, references, cfg)
-    per_radius = _per_radius(result)
+    records, anchor = _sweep(events, outputs, references, cfg)
+    per_radius = _per_radius(records, anchor)
     for r in cfg.radii_px:
         agg = per_radius[str(r)]["aggregates"]
         if per_radius[str(r)]["counts"]["auroc"] == 0:
             continue
         assert agg["auroc"] == 1.0
         assert agg["auprc"] == 1.0
-    assert result.anchor_radius_px == 4
+    assert anchor == 4
 
 
 def test_run_sweep_records_shape_and_asd_constant_over_radius():
@@ -224,11 +225,11 @@ def test_run_sweep_records_shape_and_asd_constant_over_radius():
     outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
     references = [ev.members[0] for ev in events]
     cfg = SweepConfig(radii_px=(0, 2, 5))
-    result = _sweep(events, outputs, references, cfg)
-    radii = sorted(set(cfg.radii_px) | {result.anchor_radius_px})
-    assert [rec.radius_px for rec in result.records] == radii * len(events)
+    records, anchor = _sweep(events, outputs, references, cfg)
+    radii = sorted(set(cfg.radii_px) | {anchor})
+    assert [rec.radius_px for rec in records] == radii * len(events)
     by_fire = {}
-    for rec in result.records:
+    for rec in records:
         by_fire.setdefault((rec.fire_id, rec.year), []).append(rec)
     for recs in by_fire.values():
         asds = {rec.asd_m for rec in recs}
@@ -251,14 +252,14 @@ def test_run_sweep_empty_gt_fire_recorded_as_missing():
     outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
     references = [ev.members[0] for ev in events]
     cfg = SweepConfig(radii_px=(0, 3), anchor_px=3)
-    result = _sweep(events, outputs, references, cfg)
-    rows = [rec for rec in result.records if rec.fire_id == "fire_burnless"]
+    records, anchor = _sweep(events, outputs, references, cfg)
+    rows = [rec for rec in records if rec.fire_id == "fire_burnless"]
     assert len(rows) == 2
     for rec in rows:
         assert rec.n_eval_px == 0
         assert rec.ap is None and rec.brier is None and rec.auroc is None
     # counts exclude it
-    assert _per_radius(result)["3"]["counts"]["brier"] == 3
+    assert _per_radius(records, anchor)["3"]["counts"]["brier"] == 3
 
 
 def test_run_sweep_aggregates_are_order_invariant():
@@ -274,7 +275,7 @@ def test_run_sweep_aggregates_are_order_invariant():
         [references[i] for i in perm],
         cfg,
     )
-    fwd_radius, rev_radius = _per_radius(fwd), _per_radius(rev)
+    fwd_radius, rev_radius = _per_radius(*fwd), _per_radius(*rev)
     for r in map(str, cfg.radii_px):
         for name, val in fwd_radius[r]["aggregates"].items():
             other = rev_radius[r]["aggregates"][name]
@@ -282,7 +283,7 @@ def test_run_sweep_aggregates_are_order_invariant():
                 assert other is None
             else:
                 assert other == pytest.approx(val, abs=1e-12)
-    assert fwd.anchor_radius_px == rev.anchor_radius_px
+    assert fwd[1] == rev[1]
 
 
 def test_run_sweep_alignment_validation():
@@ -290,14 +291,14 @@ def test_run_sweep_alignment_validation():
     outputs = [(ev.members[0], ev.members[1]) for ev in events]
     references = [ev.members[0] for ev in events]
     with pytest.raises(ValidationError):
-        run_sweep([_model(events, outputs[:1], references)], SweepConfig(), GEO)
+        run_sweep([_group(events, outputs[:1], references)], SweepConfig(), GEO)
     with pytest.raises(ValidationError):
         run_sweep([], SweepConfig(), GEO)
     with pytest.raises(ValidationError):
-        run_sweep([Model([], [])], SweepConfig(), GEO)
+        run_sweep([([0], [], [[]])], SweepConfig(), GEO)
     cut = [(prob, unc[:, :-1]) for prob, unc in outputs]
     with pytest.raises(ShapeError):
-        run_sweep([_model(events, cut, references)], SweepConfig(), GEO)
+        run_sweep([_group(events, cut, references)], SweepConfig(), GEO)
 
 
 def test_run_sweep_fixed_anchor_passes_through():
@@ -305,21 +306,20 @@ def test_run_sweep_fixed_anchor_passes_through():
     outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
     references = [ev.members[0] for ev in events]
     for anchor in (0, 7):
-        result = _sweep(events, outputs, references,
-                        SweepConfig(radii_px=(2, 3), anchor_px=anchor))
-        assert result.anchor_radius_px == anchor
+        records, resolved = _sweep(events, outputs, references,
+                                   SweepConfig(radii_px=(2, 3), anchor_px=anchor))
+        assert resolved == anchor
         radii = sorted({2, 3, anchor})
-        assert [rec.radius_px for rec in result.records] == radii * len(events)
+        assert [rec.radius_px for rec in records] == radii * len(events)
 
 
 def test_run_sweep_anchor_alone_when_radii_empty():
     events = _scenario_events(seed=5, n_fires=4)
     outputs = [(ev.members[0], np.abs(ev.members[1] - 0.5)) for ev in events]
     references = [ev.members[0] for ev in events]
-    result = _sweep(events, outputs, references, SweepConfig(radii_px=()))
-    anchor = result.anchor_radius_px
+    records, anchor = _sweep(events, outputs, references, SweepConfig(radii_px=()))
     assert anchor >= 1
-    assert [rec.radius_px for rec in result.records] == [anchor] * len(events)
+    assert [rec.radius_px for rec in records] == [anchor] * len(events)
 
 
 def test_run_sweep_auto_anchor_without_any_asd_is_degenerate():
@@ -333,8 +333,8 @@ def test_run_sweep_auto_anchor_without_any_asd_is_degenerate():
     with pytest.raises(DegenerateDataError, match="anchor=auto"):
         _sweep(events, outputs, references, SweepConfig(radii_px=(0,)))
     # a fixed anchor needs no ASD
-    result = _sweep(events, outputs, references, SweepConfig(radii_px=(0,), anchor_px=2))
-    assert all(rec.n_eval_px == 0 for rec in result.records)
+    records, _anchor = _sweep(events, outputs, references, SweepConfig(radii_px=(0,), anchor_px=2))
+    assert all(rec.n_eval_px == 0 for rec in records)
 
 
 def test_run_sweep_ranking_equals_per_region_metrics_bitwise():
@@ -354,11 +354,11 @@ def test_run_sweep_ranking_equals_per_region_metrics_bitwise():
         references.append(np.zeros_like(prob) if i == 0 else prob)
     # radius 30 covers the whole 16x16 grid
     cfg = SweepConfig(radii_px=(0, 1, 2, 4, 8), anchor_px=30)
-    result = _sweep(events, outputs, references, cfg)
+    records, _anchor = _sweep(events, outputs, references, cfg)
     radii = (0, 1, 2, 4, 8, 30)
-    assert [rec.radius_px for rec in result.records] == list(radii) * len(events)
+    assert [rec.radius_px for rec in records] == list(radii) * len(events)
     defined = 0
-    for k, rec in enumerate(result.records):
+    for k, rec in enumerate(records):
         i = k // len(radii)
         gt, unc = events[i].gt, outputs[i][1]
         region = build_fcer(gt, rec.radius_px)
@@ -378,7 +378,7 @@ def test_run_sweep_ranking_equals_per_region_metrics_bitwise():
         assert abs(rec.auprc - oracle_average_precision(s, y)) <= 1e-12
         if i == 1:
             assert rec.auroc == 0.5 and rec.auprc == rec.error_prevalence
-    assert result.records[0].auroc is None  # fire 0 at radius 0: all errors
+    assert records[0].auroc is None  # fire 0 at radius 0: all errors
     assert defined >= 4 * len(radii)
 
 
@@ -397,23 +397,23 @@ def test_run_sweep_ranking_is_tie_order_free_at_scale():
         outputs.append((prob, unc))
         references.append(prob)
     cfg = SweepConfig(radii_px=tuple(range(17)), anchor_px=40)
-    result = _sweep(events, outputs, references, cfg)
+    records, _anchor = _sweep(events, outputs, references, cfg)
     radii = tuple(range(17)) + (40,)
-    assert [rec.radius_px for rec in result.records] == list(radii) * len(events)
-    for k, rec in enumerate(result.records):
+    assert [rec.radius_px for rec in records] == list(radii) * len(events)
+    for k, rec in enumerate(records):
         i = k // len(radii)
         gt, unc = events[i].gt, outputs[i][1]
         region = build_fcer(gt, rec.radius_px)
         errors = error_map(references[i], gt)
         assert rec.auroc == uq_auroc(unc, errors, region)
         assert rec.auprc == average_precision(unc, errors, region)
-    assert result.records[-1].n_eval_px >= 64 * 64
+    assert records[-1].n_eval_px >= 64 * 64
 
 
-def _assert_records_equal_per_region(events, outputs, references, result, radii, eps):
+def _assert_records_equal_per_region(events, outputs, references, records, radii, eps):
     """Every record bitwise equals the per-region metrics on build_fcer."""
-    assert [rec.radius_px for rec in result.records] == list(radii) * len(events)
-    for k, rec in enumerate(result.records):
+    assert [rec.radius_px for rec in records] == list(radii) * len(events)
+    for k, rec in enumerate(records):
         i = k // len(radii)
         gt, (prob, unc) = events[i].gt, outputs[i]
         region = build_fcer(gt, rec.radius_px)
@@ -465,11 +465,11 @@ def test_run_sweep_window_equals_per_region_metrics_bitwise(case):
         references.append(np.roll(prob, 3, axis=1))
     largest = 40 if case == "radius-past-grid" else 7
     cfg = SweepConfig(radii_px=(0, 1, 2, 3, 5), anchor_px=largest, nll_epsilon=1e-3)
-    result = _sweep(events, outputs, references, cfg)
+    records, _anchor = _sweep(events, outputs, references, cfg)
     radii = (0, 1, 2, 3, 5, largest)
-    _assert_records_equal_per_region(events, outputs, references, result, radii, 1e-3)
+    _assert_records_equal_per_region(events, outputs, references, records, radii, 1e-3)
     if case in ("all-foreground", "radius-past-grid"):
-        assert result.records[-1].n_eval_px == h * w
+        assert records[-1].n_eval_px == h * w
 
 
 def test_run_sweep_window_equals_per_region_metrics_on_scenario_fires():
@@ -482,10 +482,10 @@ def test_run_sweep_window_equals_per_region_metrics_on_scenario_fires():
     outputs = [(ev.members[0], np.abs(ev.members[2] - 0.5)) for ev in events]
     references = [ev.members[1] for ev in events]
     cfg = SweepConfig(radii_px=tuple(range(9)), anchor_px=12)
-    result = _sweep(events, outputs, references, cfg)
+    records, _anchor = _sweep(events, outputs, references, cfg)
     radii = tuple(range(9)) + (12,)
     eps = cfg.nll_epsilon
-    _assert_records_equal_per_region(events, outputs, references, result, radii, eps)
+    _assert_records_equal_per_region(events, outputs, references, records, radii, eps)
 
 
 def test_run_sweep_rings_adding_no_pixel_equal_per_region_metrics_bitwise():
@@ -512,14 +512,14 @@ def test_run_sweep_rings_adding_no_pixel_equal_per_region_metrics_bitwise():
         outputs.append((prob, unc))
         references.append(np.roll(prob, 2, axis=0))
     cfg = SweepConfig(radii_px=(0, 1, 2, 3, 17, 18, 25), anchor_px=40)
-    result = _sweep(events, outputs, references, cfg)
+    records, anchor = _sweep(events, outputs, references, cfg)
     radii = (0, 1, 2, 3, 17, 18, 25, 40)
-    assert result.anchor_radius_px == 40
-    _assert_records_equal_per_region(events, outputs, references, result, radii, cfg.nll_epsilon)
-    n_eval = [rec.n_eval_px for rec in result.records]
+    assert anchor == 40
+    _assert_records_equal_per_region(events, outputs, references, records, radii, cfg.nll_epsilon)
+    n_eval = [rec.n_eval_px for rec in records]
     assert n_eval[:8] == [h * w - 1] + [h * w] * 7
     assert n_eval[16:] == [1, 3, 6, 11, h * w - 1] + [h * w] * 3
-    fire0 = [(rec.brier, rec.nll, rec.auroc, rec.auprc) for rec in result.records[1:8]]
+    fire0 = [(rec.brier, rec.nll, rec.auroc, rec.auprc) for rec in records[1:8]]
     assert fire0 == [fire0[0]] * 7
 
 
@@ -538,11 +538,11 @@ def test_run_sweep_memory_does_not_grow_with_the_radius_count():
     event = FireEvent(id="fire_0", year=2020, gt=gt, members=[prob] * 3)
 
     def peak(n_radii):
-        model = _model([event], [(prob, unc)], [prob])
+        group = _group([event], [(prob, unc)], [prob])
         cfg = SweepConfig(radii_px=tuple(range(n_radii - 1)), anchor_px=n_radii - 1)
         tracemalloc.start()
         try:
-            [result] = run_sweep([model], cfg, GEO)
+            run_sweep([group], cfg, GEO)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -566,58 +566,60 @@ def test_run_sweep_rejects_non_finite_uncertainty(bad, at):
 
 
 def _two_models(seed=17, n_fires=5):
-    """Two models on one shared fire list, as the CLI builds them."""
+    """One shared fire list and two models' outputs on it, as the CLI
+    builds them from one dataset root."""
     events = _scenario_events(seed=seed, n_fires=n_fires)
     fires = [Fire(ev, ev.members[1]) for ev in events]
-    model_a = Model(fires, [(ev.members[0], np.abs(ev.members[2] - 0.5)) for ev in events])
-    model_b = Model(fires, [(ev.members[2], np.abs(ev.members[0] - 0.5)) for ev in events])
-    return model_a, model_b
+    model_a = [(ev.members[0], np.abs(ev.members[2] - 0.5)) for ev in events]
+    model_b = [(ev.members[2], np.abs(ev.members[0] - 0.5)) for ev in events]
+    return fires, model_a, model_b
 
 
 def test_run_sweep_shared_fires_match_each_model_alone():
-    model_a, model_b = _two_models()
-    # the shared Fire objects in another order: records follow each model's order
-    model_c = Model(model_b.fires[::-1], model_b.outputs[::-1])
+    fires, model_a, model_b = _two_models()
     cfg = SweepConfig(radii_px=(0, 2, 5), anchor_px=3)
-    together = run_sweep([model_a, model_b, model_c], cfg, GEO)
-    for model, result in zip((model_a, model_b, model_c), together):
-        [alone] = run_sweep([model], cfg, GEO)
-        assert result.records == alone.records
-        assert result.anchor_radius_px == alone.anchor_radius_px == 3
+    together, anchor = run_sweep([([0, 1], fires, [model_a, model_b])], cfg, GEO)
+    assert anchor == 3
+    for model, records in zip((model_a, model_b), together):
+        [alone], alone_anchor = run_sweep([([0], fires, [model])], cfg, GEO)
+        assert records == alone
+        assert alone_anchor == 3
 
 
 def test_run_sweep_pools_asd_in_model_then_fire_order():
-    model_a, model_b = _two_models(seed=19, n_fires=6)
-    results = run_sweep([model_a, model_b], SweepConfig(radii_px=(1,)), GEO)
+    fires, model_a, model_b = _two_models(seed=19, n_fires=6)
+    results, anchor = run_sweep([([0, 1], fires, [model_a, model_b])],
+                                SweepConfig(radii_px=(1,)), GEO)
     pooled = []
-    for result in results:
-        pooled += [rec.asd_m for rec in result.records if rec.asd_m is not None]
-    assert len(pooled) > len(model_a.fires)
-    assert results[0].anchor_radius_px == resolve_anchor(pooled, GEO)
-    assert results[1].anchor_radius_px == results[0].anchor_radius_px
+    for records in results:
+        pooled += [rec.asd_m for rec in records if rec.asd_m is not None]
+    assert len(pooled) > len(fires)
+    assert anchor == resolve_anchor(pooled, GEO)
 
 
 def test_run_sweep_computes_each_fire_edt_once(monkeypatch):
-    model_a, model_b = _two_models()
+    fires, model_a, model_b = _two_models()
     calls = []
     real = protocol.squared_edt_within
     monkeypatch.setattr(
         protocol, "squared_edt_within", lambda m, r: calls.append(1) or real(m, r)
     )
-    run_sweep([model_a, model_b], SweepConfig(radii_px=(0, 4), anchor_px=2), GEO)
-    assert len(calls) == len(model_a.fires)
+    run_sweep([([0, 1], fires, [model_a, model_b])],
+              SweepConfig(radii_px=(0, 4), anchor_px=2), GEO)
+    assert len(calls) == len(fires)
 
 
 def test_run_sweep_aggregates_equal_per_radius_filter_over_many_radii():
     """With 150 radii summarize's one-pass buckets give each radius the
     records a per-radius filter selects, in record order."""
-    model_a, _ = _two_models(seed=23, n_fires=4)
+    fires, model_a, _ = _two_models(seed=23, n_fires=4)
     radii = tuple(range(0, 300, 2))
-    [result] = run_sweep([model_a], SweepConfig(radii_px=radii, anchor_px=3), GEO)
-    per_radius = _per_radius(result)
+    [records], anchor = run_sweep([([0], fires, [model_a])],
+                                  SweepConfig(radii_px=radii, anchor_px=3), GEO)
+    per_radius = _per_radius(records, anchor)
     assert sorted(map(int, per_radius)) == sorted(radii + (3,))
     for r in sorted(radii + (3,)):
-        at_r = [rec for rec in result.records if rec.radius_px == r]
+        at_r = [rec for rec in records if rec.radius_px == r]
         for name in METRIC_COLUMNS:
             values = [getattr(rec, name) for rec in at_r]
             defined = [v for v in values if v is not None]
@@ -634,14 +636,16 @@ def test_run_sweep_reads_a_known_reference_ap():
     fires = [Fire(ev, ev.members[1], reference_ap=0.25) for ev in events]
     fires[0].reference_ap = None
     outputs = [(fire.reference, np.abs(fire.reference - 0.5)) for fire in fires]
-    [result] = run_sweep([Model(fires, outputs)], SweepConfig(radii_px=(0,), anchor_px=1), GEO)
-    aps = [rec.ap for rec in result.records if rec.radius_px == 0]
+    [records], _anchor = run_sweep([([0], fires, [outputs])],
+                                   SweepConfig(radii_px=(0,), anchor_px=1), GEO)
+    aps = [rec.ap for rec in records if rec.radius_px == 0]
     assert aps[0] == average_precision(events[0].members[1], events[0].gt)
     assert aps[1:] == [0.25] * 3
     # a copy of the reference is not the reference: its AP is computed
     outputs = [(prob.copy(), unc) for prob, unc in outputs]
-    [result] = run_sweep([Model(fires, outputs)], SweepConfig(radii_px=(0,), anchor_px=1), GEO)
-    aps = [rec.ap for rec in result.records if rec.radius_px == 0]
+    [records], _anchor = run_sweep([([0], fires, [outputs])],
+                                   SweepConfig(radii_px=(0,), anchor_px=1), GEO)
+    aps = [rec.ap for rec in records if rec.radius_px == 0]
     assert aps == [average_precision(ev.members[1], ev.gt) for ev in events]
 
 
@@ -666,6 +670,22 @@ def test_aggregate_mean_std_population_convention():
         aggregate_mean_std([])
     with pytest.raises(ValidationError):
         aggregate_mean_std([0.1, np.nan])
+    with pytest.raises(ValidationError, match="not finite"):
+        aggregate_mean_std([np.inf, -np.inf])
+
+
+def test_mean_and_std_that_overflow_raise_naming_the_metric():
+    """Finite values whose std or sum overflows float64 raise, naming the
+    metric, instead of giving an infinity that JSON cannot hold."""
+    assert aggregate_mean_std([1e200, 1e200]) == (1e200, 0.0)
+    with pytest.raises(ValidationError, match="asd_m: mean or std is not finite"):
+        aggregate_mean_std([1e200, 3e200], "asd_m")
+    with pytest.raises(ValidationError, match="asd_m: mean or std is not finite"):
+        aggregate_mean_std([1.5e308, 1.5e308], "asd_m")
+    records = [MetricRecord(f"fire_{i}", 2020, radius_px=1, asd_m=1.5e308, n_eval_px=0)
+               for i in range(2)]
+    with pytest.raises(ValidationError, match="summarize: asd_m: the mean over fires"):
+        summarize(records, 1)
 
 
 def test_relative_to_baseline_reference_values():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from fireuq.report import (
     manifest_timestamp,
     pair_records,
     write_diff_csv,
+    write_json,
     write_markdown_table,
     write_sweep_csv,
     write_train_log_csv,
@@ -189,3 +191,18 @@ def test_digest_inputs_hashes_listed_files_only(tmp_path):
     for bad in (tmp_path / "missing.txt", tmp_path / "sub"):
         with pytest.raises(ValidationError):
             digest_inputs([bad])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, bad):
+    """JSON has no token for NaN or infinity: such a payload is refused,
+    naming the path, and nothing is written; a finite payload is written
+    as json.dumps writes it."""
+    path = tmp_path / "out" / "summary.json"
+    payload = {"b": [1.5, None], "a": {"x": 1e200}}
+    write_json(path, payload)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    bad_path = tmp_path / "bad" / "summary.json"
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(bad_path))}: Out of range float"):
+        write_json(bad_path, {"mean_std": [0.5, bad]})
+    assert not bad_path.parent.exists()
